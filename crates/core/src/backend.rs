@@ -2,14 +2,15 @@
 //!
 //! An [`ExecBackend`] turns an [`RtModel`] into its observable run output
 //! — final registers, conflict diagnoses, kernel-compatible statistics,
-//! commit log and waveform. Two engines implement the contract:
+//! and on traced runs the recorded [`Waveform`], from which the commit log
+//! and the VCD are rendered on demand. Two engines implement the contract:
 //!
 //! * [`InterpretedBackend`] — the delta-cycle event kernel
 //!   ([`RtSimulation`]): processes, sensitivity lists, wake filters. This
 //!   is the faithful rendering of the paper's VHDL construction.
 //! * [`CompiledBackend`] — the phase-schedule engine
-//!   ([`ExecPlan`]): the model is lowered to dense
-//!   per-`(step, phase)` action tables and walked in a fixed number of
+//!   ([`ExecPlan`]): the model is lowered to a flat
+//!   per-`(step, phase)` action schedule and walked in a fixed number of
 //!   iterations with no event machinery at all, exploiting the paper's
 //!   central observation that six-phase delta timing makes the schedule
 //!   *static*.
@@ -32,7 +33,7 @@
 //! assert_eq!(interp.summary.register("R1"), Some(Value::Num(7)));
 //! assert_eq!(interp.summary.registers, compiled.summary.registers);
 //! assert_eq!(interp.summary.stats, compiled.summary.stats);
-//! assert_eq!(interp.vcd, compiled.vcd);
+//! assert_eq!(interp.vcd(), compiled.vcd());
 //! # Ok::<(), clockless_kernel::KernelError>(())
 //! ```
 
@@ -46,7 +47,7 @@ use crate::diag::Conflict;
 use crate::elaborate::ElaborateOptions;
 use crate::model::RtModel;
 use crate::plan::ExecPlan;
-use crate::run::{RegisterCommit, RtSimulation, RunSummary};
+use crate::run::{RegisterCommit, RtSimulation, RunSummary, Waveform};
 use crate::value::Value;
 
 /// Optimization level of the compiled engine's plan optimizer
@@ -72,7 +73,7 @@ use crate::value::Value;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum OptLevel {
     /// No optimization: interpret the generic per-`(step, phase)` action
-    /// tables exactly as [`ExecPlan::execute`] does.
+    /// schedule exactly as [`ExecPlan::execute`] does.
     O0,
     /// Slot fusion + resolution specialization: one contiguous micro-op
     /// stream with precomputed delta boundaries; single-driver asserts
@@ -81,8 +82,8 @@ pub enum OptLevel {
     O1,
     /// Everything in `O1` plus control-trajectory constant folding and
     /// dead-spur elimination (statically decided guards, elided control
-    /// bookkeeping and provably event-free module/commit evaluations,
-    /// with their counter contributions credited analytically).
+    /// bookkeeping and provably event-free module evaluations, with their
+    /// counter contributions credited analytically).
     #[default]
     O2,
 }
@@ -159,8 +160,8 @@ impl FromStr for OptLevel {
 /// they are only meaningful when `fuse` is set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptConfig {
-    /// Slot fusion: flatten the `(step, phase)` action tables into one
-    /// contiguous micro-op stream with precomputed delta boundaries.
+    /// Slot fusion: translate the `(step, phase)` action schedule into
+    /// one contiguous micro-op stream with precomputed delta boundaries.
     pub fuse: bool,
     /// Resolution specialization: single-driver asserts become direct
     /// compare-and-store, skipping `resolve()` and the driver buffers.
@@ -169,9 +170,9 @@ pub struct OptConfig {
     /// static, so statically decided guards are pre-evaluated and
     /// untraced control bookkeeping is elided (credited analytically).
     pub fold: bool,
-    /// Dead-spur elimination: module evaluations and register/memory
-    /// commits that provably observe only `DISC` are dropped from the
-    /// stream.
+    /// Dead-spur elimination: module evaluations that provably observe
+    /// only `DISC` are dropped from the stream. (Dead commits never reach
+    /// the stream: lowering emits only live ones, at every level.)
     pub dse: bool,
 }
 
@@ -211,15 +212,34 @@ impl ExecOptions {
 }
 
 /// The complete observable output of one model execution.
+///
+/// A traced outcome computes eagerly what every report prints — final
+/// registers, statistics and the conflict report in
+/// [`summary`](Self::summary) — and keeps the recording itself in
+/// [`waveform`](Self::waveform). The commit log and the VCD document are
+/// rendered from it only when [`commits`](Self::commits) or
+/// [`vcd`](Self::vcd) is called.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
     /// Run summary: kernel statistics, final registers and (when traced)
     /// the conflict report.
     pub summary: RunSummary,
-    /// The register-commit log (`None` when not traced).
-    pub commits: Option<Vec<RegisterCommit>>,
-    /// The waveform as a VCD document (`None` when not traced).
-    pub vcd: Option<String>,
+    /// The recorded waveform (`None` when not traced).
+    pub waveform: Option<Waveform>,
+}
+
+impl ExecOutcome {
+    /// The register-commit log (`None` when not traced), rendered on
+    /// each call.
+    pub fn commits(&self) -> Option<Vec<RegisterCommit>> {
+        self.waveform.as_ref().map(Waveform::commits)
+    }
+
+    /// The waveform as a VCD document (`None` when not traced), rendered
+    /// on each call.
+    pub fn vcd(&self) -> Option<String> {
+        self.waveform.as_ref().map(Waveform::vcd)
+    }
 }
 
 /// Per-column result of [`ExecPlan::execute_batch`]: exactly the
@@ -246,9 +266,9 @@ pub struct BatchOutcome {
 
 /// An execution engine for clock-free RT models.
 ///
-/// Implementations must agree byte-for-byte on every field of
-/// [`ExecOutcome`] for every valid model — the equivalence
-/// `clockless-verify` checks differentially.
+/// Implementations must agree byte-for-byte on every observable of
+/// [`ExecOutcome`] — summary, commit log and VCD — for every valid model:
+/// the equivalence `clockless-verify` checks differentially.
 pub trait ExecBackend {
     /// Short lowercase name of the engine (`"interpreted"`,
     /// `"compiled"`).
@@ -289,14 +309,13 @@ impl ExecBackend for InterpretedBackend {
         };
         Ok(ExecOutcome {
             summary,
-            commits: sim.register_commits(),
-            vcd: sim.to_vcd(),
+            waveform: sim.into_waveform(),
         })
     }
 }
 
 /// The compiled phase-schedule engine: lowers the model to an
-/// [`ExecPlan`] and walks the dense slot tables.
+/// [`ExecPlan`] and walks its schedule.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompiledBackend;
 
@@ -428,8 +447,44 @@ mod tests {
             let out = b.execute(&model, &ExecOptions::default()).unwrap();
             assert_eq!(out.summary.register("R1"), Some(Value::Num(3)), "{b}");
             assert!(out.summary.conflicts.is_none(), "{b}");
-            assert!(out.commits.is_none(), "{b}");
-            assert!(out.vcd.is_none(), "{b}");
+            assert!(out.waveform.is_none(), "{b}");
+            assert!(out.commits().is_none(), "{b}");
+            assert!(out.vcd().is_none(), "{b}");
+        }
+    }
+
+    /// A traced outcome carries the full conflict report whether or not
+    /// its waveform is ever read, and the on-demand renderings agree
+    /// across engines, levels and repeated calls.
+    #[test]
+    fn traced_outcome_reports_conflicts_and_renders_on_demand() {
+        let text = include_str!("../../../models/conflict.rtl");
+        let model = crate::text::parse_model(text).expect("corpus model parses");
+        let interp = Backend::Interpreted
+            .execute(&model, &ExecOptions::traced())
+            .unwrap();
+        let report = interp.summary.conflicts.as_ref().expect("traced report");
+        let first = report.first().expect("the bus collision is reported");
+        assert_eq!(first.name, "X");
+        assert_eq!(first.visible_at, crate::PhaseTime::new(2, crate::Phase::Rb));
+        let vcd = interp.vcd().expect("traced run renders a VCD");
+        let commits = interp.commits().expect("traced run has a commit log");
+        assert!(!commits.is_empty());
+        assert_eq!(interp.vcd().as_ref(), Some(&vcd), "rendering is repeatable");
+        assert_eq!(interp.commits().as_ref(), Some(&commits));
+        for level in OptLevel::ALL {
+            let options = ExecOptions::traced().at_opt(level);
+            // Never read this outcome's waveform: the report is already
+            // complete.
+            let unread = Backend::Compiled.execute(&model, &options).unwrap();
+            assert_eq!(unread.summary.conflicts.as_ref(), Some(report), "-O{level}");
+            let out = Backend::Compiled.execute(&model, &options).unwrap();
+            for _ in 0..2 {
+                assert_eq!(out.vcd().as_ref(), Some(&vcd), "-O{level}");
+                assert_eq!(out.commits().as_ref(), Some(&commits), "-O{level}");
+            }
+            let waveform = out.waveform.as_ref().expect("traced");
+            assert_eq!(&waveform.conflicts(), report, "-O{level}");
         }
     }
 

@@ -566,13 +566,10 @@ fn run_observed(
         })
         .collect();
     let deltas = summary.stats.delta_cycles;
-    let commits = sim.register_commits();
-    let vcd = sim.to_vcd();
     Ok(ObservedRun {
         outcome: ExecOutcome {
             summary,
-            commits,
-            vcd,
+            waveform: sim.into_waveform(),
         },
         deltas,
         inits,

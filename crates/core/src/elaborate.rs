@@ -8,6 +8,7 @@
 
 use clockless_kernel::{SignalId, Simulator};
 
+use crate::diag::ConflictSite;
 use crate::model::RtModel;
 use crate::phase::Phase;
 use crate::processes::{
@@ -78,6 +79,47 @@ impl SignalRole {
     /// The canonical signal name of a memory-word role (`M[3]`).
     pub fn mem_word_name(mem: &str, index: u32) -> String {
         format!("{mem}[{index}]")
+    }
+
+    /// The name the signal is declared under — `CS`, `R1_in`, `B1`,
+    /// `ADD_op`, `M[3]`, … — in both engines and in the VCD.
+    pub fn signal_name(&self) -> String {
+        match self {
+            SignalRole::ControlStep => "CS".into(),
+            SignalRole::PhaseSignal => "PH".into(),
+            SignalRole::RegIn(n) => format!("{n}_in"),
+            SignalRole::RegOut(n) => format!("{n}_out"),
+            SignalRole::Bus(n) => n.clone(),
+            SignalRole::ModIn1(n) => format!("{n}_in1"),
+            SignalRole::ModIn2(n) => format!("{n}_in2"),
+            SignalRole::ModOp(n) => format!("{n}_op"),
+            SignalRole::ModOut(n) => format!("{n}_out"),
+            SignalRole::MemWin(n) => format!("{n}_win"),
+            SignalRole::MemWaddr(n) => format!("{n}_waddr"),
+            SignalRole::MemWord { mem, index } => Self::mem_word_name(mem, *index),
+        }
+    }
+
+    /// Where an `ILLEGAL` value on this signal is reported: the conflict
+    /// site and the object's name. `None` for the controller signals,
+    /// which never carry a conflict.
+    pub fn conflict_site(&self) -> Option<(ConflictSite, String)> {
+        Some(match self {
+            SignalRole::Bus(n) => (ConflictSite::Bus, n.clone()),
+            SignalRole::ModIn1(n) | SignalRole::ModIn2(n) => (ConflictSite::ModulePort, n.clone()),
+            SignalRole::ModOp(n) => (ConflictSite::ModuleOpPort, n.clone()),
+            SignalRole::ModOut(n) => (ConflictSite::ModuleOut, n.clone()),
+            SignalRole::RegIn(n) => (ConflictSite::RegisterPort, n.clone()),
+            SignalRole::RegOut(n) => (ConflictSite::RegisterValue, n.clone()),
+            SignalRole::MemWin(n) | SignalRole::MemWaddr(n) => {
+                (ConflictSite::MemoryPort, n.clone())
+            }
+            SignalRole::MemWord { mem, index } => (
+                ConflictSite::MemoryWord,
+                SignalRole::mem_word_name(mem, *index),
+            ),
+            SignalRole::ControlStep | SignalRole::PhaseSignal => return None,
+        })
     }
 }
 
@@ -203,74 +245,91 @@ pub fn elaborate(model: &RtModel, options: ElaborateOptions) -> (Simulator<Value
         sim.enable_trace();
     }
     let mut roles = Vec::new();
+    // Every signal is named after its role, so names and roles cannot
+    // drift apart (the VCD renders names from roles).
+    let mut declare = |role: SignalRole, init: Value, resolved: bool| -> SignalId {
+        let name = role.signal_name();
+        roles.push(role);
+        if resolved {
+            sim.resolved_signal(name, init, kernel_resolver())
+        } else {
+            sim.signal(name, init)
+        }
+    };
 
-    let cs = sim.signal("CS", Value::Num(0));
-    roles.push(SignalRole::ControlStep);
-    let ph = sim.signal("PH", Value::Num(Phase::LAST.index() as i64));
-    roles.push(SignalRole::PhaseSignal);
+    let cs = declare(SignalRole::ControlStep, Value::Num(0), false);
+    let ph = declare(
+        SignalRole::PhaseSignal,
+        Value::Num(Phase::LAST.index() as i64),
+        false,
+    );
 
     let mut reg_in = Vec::new();
     let mut reg_out = Vec::new();
     for r in model.registers() {
-        let i = sim.resolved_signal(format!("{}_in", r.name), Value::Disc, kernel_resolver());
-        roles.push(SignalRole::RegIn(r.name.clone()));
-        let o = sim.signal(format!("{}_out", r.name), r.init);
-        roles.push(SignalRole::RegOut(r.name.clone()));
-        reg_in.push(i);
-        reg_out.push(o);
+        reg_in.push(declare(
+            SignalRole::RegIn(r.name.clone()),
+            Value::Disc,
+            true,
+        ));
+        reg_out.push(declare(SignalRole::RegOut(r.name.clone()), r.init, false));
     }
 
-    let mut bus = Vec::new();
-    for b in model.buses() {
-        let s = sim.resolved_signal(b.name.clone(), Value::Disc, kernel_resolver());
-        roles.push(SignalRole::Bus(b.name.clone()));
-        bus.push(s);
-    }
+    let bus: Vec<SignalId> = model
+        .buses()
+        .iter()
+        .map(|b| declare(SignalRole::Bus(b.name.clone()), Value::Disc, true))
+        .collect();
 
     let mut mod_in1 = Vec::new();
     let mut mod_in2 = Vec::new();
     let mut mod_op = Vec::new();
     let mut mod_out = Vec::new();
     for m in model.modules() {
-        let i1 = sim.resolved_signal(format!("{}_in1", m.name), Value::Disc, kernel_resolver());
-        roles.push(SignalRole::ModIn1(m.name.clone()));
-        let i2 = sim.resolved_signal(format!("{}_in2", m.name), Value::Disc, kernel_resolver());
-        roles.push(SignalRole::ModIn2(m.name.clone()));
-        let op = if m.needs_op_port() {
-            let s = sim.resolved_signal(format!("{}_op", m.name), Value::Disc, kernel_resolver());
-            roles.push(SignalRole::ModOp(m.name.clone()));
-            Some(s)
-        } else {
-            None
-        };
-        let o = sim.signal(format!("{}_out", m.name), Value::Disc);
-        roles.push(SignalRole::ModOut(m.name.clone()));
-        mod_in1.push(i1);
-        mod_in2.push(i2);
-        mod_op.push(op);
-        mod_out.push(o);
+        mod_in1.push(declare(
+            SignalRole::ModIn1(m.name.clone()),
+            Value::Disc,
+            true,
+        ));
+        mod_in2.push(declare(
+            SignalRole::ModIn2(m.name.clone()),
+            Value::Disc,
+            true,
+        ));
+        mod_op.push(
+            m.needs_op_port()
+                .then(|| declare(SignalRole::ModOp(m.name.clone()), Value::Disc, true)),
+        );
+        mod_out.push(declare(
+            SignalRole::ModOut(m.name.clone()),
+            Value::Disc,
+            false,
+        ));
     }
 
     let mut mem_win = Vec::new();
     let mut mem_waddr = Vec::new();
     let mut mem_word = Vec::new();
     for m in model.memories() {
-        let win = sim.resolved_signal(format!("{}_win", m.name), Value::Disc, kernel_resolver());
-        roles.push(SignalRole::MemWin(m.name.clone()));
-        let waddr =
-            sim.resolved_signal(format!("{}_waddr", m.name), Value::Disc, kernel_resolver());
-        roles.push(SignalRole::MemWaddr(m.name.clone()));
-        let mut words = Vec::with_capacity(m.len as usize);
-        for i in 0..m.len {
-            let w = sim.signal(m.word_name(i), m.init);
-            roles.push(SignalRole::MemWord {
-                mem: m.name.clone(),
-                index: i,
-            });
-            words.push(w);
-        }
-        mem_win.push(win);
-        mem_waddr.push(waddr);
+        mem_win.push(declare(
+            SignalRole::MemWin(m.name.clone()),
+            Value::Disc,
+            true,
+        ));
+        mem_waddr.push(declare(
+            SignalRole::MemWaddr(m.name.clone()),
+            Value::Disc,
+            true,
+        ));
+        let words: Vec<SignalId> = (0..m.len)
+            .map(|index| {
+                let role = SignalRole::MemWord {
+                    mem: m.name.clone(),
+                    index,
+                };
+                declare(role, m.init, false)
+            })
+            .collect();
         mem_word.push(words);
     }
 

@@ -123,7 +123,7 @@ pub use resource::{
     ArrayDecl, BusDecl, BusId, MemoryDecl, MemoryId, ModuleDecl, ModuleId, ModuleTiming,
     RegisterDecl, RegisterId,
 };
-pub use run::{RegisterCommit, RtSimulation, RunSummary};
+pub use run::{RegisterCommit, RtSimulation, RunSummary, Waveform};
 pub use stats::{model_stats, ModelStats, RunStatsReport};
 pub use transcript::{transcript, TranscriptError};
 pub use tuples::{
@@ -144,7 +144,7 @@ pub mod prelude {
     pub use crate::phase::{Phase, PhaseTime, Step, PHASES_PER_STEP};
     pub use crate::plan::ExecPlan;
     pub use crate::resource::{ModuleDecl, ModuleTiming};
-    pub use crate::run::{RegisterCommit, RtSimulation, RunSummary};
+    pub use crate::run::{RegisterCommit, RtSimulation, RunSummary, Waveform};
     pub use crate::tuples::TransferTuple;
     pub use crate::value::Value;
 }

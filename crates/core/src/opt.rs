@@ -7,14 +7,14 @@
 //! has one driver. This module compiles the lowered plan one stage
 //! further, into an [`OptPlan`]: one contiguous **micro-op stream** with
 //! precomputed delta boundaries, walked by a loop that never touches the
-//! per-slot `Vec<Vec<Action>>` tables again. Four passes, gated by
+//! generic actions again. Four passes, gated by
 //! [`OptConfig`] (the per-level toggle sets of [`OptLevel`](crate::OptLevel)):
 //!
-//! 1. **Slot fusion** (`fuse`, the carrier pass) — flatten the
-//!    per-`(step, phase)` action tables into one flat `Vec<MicroOp>`
+//! 1. **Slot fusion** (`fuse`, the carrier pass) — translate the flat
+//!    per-`(step, phase)` action schedule into one `Vec<MicroOp>`
 //!    plus a `bounds` table mapping each delta cycle to its op range.
 //!    Operand addressing is resolved at compile time: every op carries
-//!    dense source/destination indices, eliminating the per-slot
+//!    dense source/destination indices, eliminating the per-action
 //!    dispatch and bounds checks of the generic walker.
 //! 2. **Resolution specialization** (`specialize`) — each `(signal,
 //!    slot)` destination is classified statically. Unresolved signals
@@ -36,20 +36,18 @@
 //!    name CS or PH (the endpoint grammar has no such endpoint), so
 //!    there are no control *reads* to fold — the trajectory is folded
 //!    into the schedule shape itself, as it already is in `lower`.
-//! 4. **Dead-spur elimination** (`dse`) — module evaluations and
-//!    register/memory commits whose pushes provably observe and produce
-//!    only `DISC` are dropped from the stream. A module evaluation at
-//!    step `s` is dead when no transfer asserts any of its operand
-//!    ports within the preceding `2·latency + 2` steps: its operands
-//!    are `DISC`, the latency pipeline has drained to `DISC`, the
-//!    initiation counter is zero, and the output is already `DISC` — so
-//!    the evaluation would push a value equal to the current one,
-//!    producing no event and no observable difference. Its pending-queue
-//!    and driver-update counter contributions are credited per delta. A
-//!    commit at step `s` is dead when no transfer asserts the register
-//!    input (or memory write port) in step `s`: the port is provably
-//!    `DISC` at `cr(s)` and the generic engine would push nothing at
-//!    all, so elimination is free.
+//! 4. **Dead-spur elimination** (`dse`) — module evaluations whose
+//!    pushes provably observe and produce only `DISC` are dropped from
+//!    the stream. A module evaluation at step `s` is dead when no
+//!    transfer asserts any of its operand ports within the preceding
+//!    `2·latency + 2` steps: its operands are `DISC`, the latency
+//!    pipeline has drained to `DISC`, the initiation counter is zero,
+//!    and the output is already `DISC` — so the evaluation would push a
+//!    value equal to the current one, producing no event and no
+//!    observable difference. Its pending-queue and driver-update counter
+//!    contributions are credited per delta. Dead register and memory
+//!    commits need no pass: lowering never emits them (the live-commit
+//!    rule, see [`crate::plan`]), at every level.
 //!
 //! # Byte-identity obligations
 //!
@@ -68,9 +66,8 @@ use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace};
 
 use crate::backend::{ExecOptions, ExecOutcome, OptConfig};
 use crate::phase::Phase;
-use crate::plan::{combine, Action, ExecPlan, GuardSig, Source};
+use crate::plan::{combine, Action, ExecPlan, GuardSig, PortActivity, Source};
 use crate::resource::ModuleTiming;
-use crate::run::RunSummary;
 use crate::value::{resolve, Value};
 
 /// Sentinel row index marking a direct-store destination (no driver
@@ -158,7 +155,7 @@ impl OptPlan {
     ///
     /// `fuse` is the carrier pass and is always performed; the other
     /// toggles specialize or shrink the fused stream. Compilation is a
-    /// single linear walk over the slot tables.
+    /// single linear walk over the lowered schedule.
     pub fn compile(plan: &ExecPlan, config: OptConfig) -> OptPlan {
         Self::from_plan(plan.clone(), config)
     }
@@ -215,85 +212,22 @@ impl OptPlan {
             })
             .collect();
 
-        // Pass 4 (DSE): per-step activity tables. `port_active[m][s]`
-        // marks an assert into module `m`'s operand ports anywhere in
-        // step `s` (guards ignored — a disabled assert still drives
-        // `DISC`, and presence is all the conservative window needs).
-        let steps = plan.cs_max as usize;
-        let step_asserts = |s: usize| {
-            plan.slots[s * phases..(s + 1) * phases]
-                .iter()
-                .flatten()
-                .filter_map(|a| match *a {
-                    Action::Assert { dst, .. } => Some(dst),
-                    _ => None,
-                })
-        };
-        let mut port_active: Vec<Vec<bool>> = vec![vec![false; steps]; plan.modules.len()];
-        let mut reg_in_active: Vec<Vec<bool>> = vec![vec![false; steps]; plan.regs.len()];
-        let mut mem_win_active: Vec<Vec<bool>> = vec![vec![false; steps]; plan.mems.len()];
-        if config.dse {
-            // Reverse maps (signal → consumer) keep the table build
-            // linear in the assert count rather than assert × consumer.
-            let mut port_of: Vec<u32> = vec![u32::MAX; plan.signals.len()];
-            let mut regin_of: Vec<u32> = vec![u32::MAX; plan.signals.len()];
-            let mut memwin_of: Vec<u32> = vec![u32::MAX; plan.signals.len()];
-            for (m, pm) in plan.modules.iter().enumerate() {
-                port_of[pm.in1] = m as u32;
-                port_of[pm.in2] = m as u32;
-                if let Some(op) = pm.op {
-                    port_of[op] = m as u32;
-                }
-            }
-            for (r, pr) in plan.regs.iter().enumerate() {
-                regin_of[pr.input] = r as u32;
-            }
-            for (w, pw) in plan.mems.iter().enumerate() {
-                memwin_of[pw.win] = w as u32;
-            }
-            for s in 0..steps {
-                for dst_sig in step_asserts(s) {
-                    if port_of[dst_sig] != u32::MAX {
-                        port_active[port_of[dst_sig] as usize][s] = true;
-                    }
-                    if regin_of[dst_sig] != u32::MAX {
-                        reg_in_active[regin_of[dst_sig] as usize][s] = true;
-                    }
-                    if memwin_of[dst_sig] != u32::MAX {
-                        mem_win_active[memwin_of[dst_sig] as usize][s] = true;
-                    }
-                }
-            }
-        }
-        // A module evaluation at step `s` (0-based here) is dead when no
-        // operand-port assert lands within the last `2·latency + 2`
-        // steps: operands are `DISC`, the pipeline has drained, the
-        // initiation counter is zero and the output already reads
-        // `DISC` — the push would be a perfect no-op.
-        let eval_dead = |m: usize, s: usize| -> bool {
-            if !config.dse {
-                return false;
-            }
-            let window = 2 * plan.modules[m].timing.latency() as usize + 2;
-            (s.saturating_sub(window)..=s).all(|t| !port_active[m][t])
-        };
+        // Pass 4 (DSE): per-step operand-port activity, one entry per
+        // spec (each scheduled spec is one assert).
+        let activity = config
+            .dse
+            .then(|| PortActivity::new(&plan, plan.specs.iter().map(|sp| (sp.step, sp.dst))));
 
         // Pass 1 (fusion): one linear walk over the schedule, emitting
         // micro-ops in the generic walker's exact action order.
-        let action_count = plan.init_actions.len() + plan.slots.iter().map(Vec::len).sum::<usize>();
-        let mut ops: Vec<MicroOp> = Vec::with_capacity(action_count);
+        let mut ops: Vec<MicroOp> = Vec::with_capacity(plan.actions.len());
         let mut bounds: Vec<u32> = Vec::with_capacity(needed as usize + 1);
         let mut phantom: Vec<u32> = vec![0; needed as usize + 1];
         bounds.push(0);
         for d in 0..needed as usize {
-            let actions: &[Action] = if d == 0 {
-                &plan.init_actions
-            } else {
-                plan.slots.get(d - 1).map(Vec::as_slice).unwrap_or(&[])
-            };
             // 0-based step of this delta (valid for d >= 1).
             let step = d.saturating_sub(1) / phases;
-            for &action in actions {
+            for &action in plan.delta_actions(d) {
                 match action {
                     Action::Control { sig, value } => {
                         if config.fold {
@@ -355,7 +289,10 @@ impl OptPlan {
                         v: Value::Disc,
                     }),
                     Action::Eval { module } => {
-                        if eval_dead(module, step) {
+                        if activity
+                            .as_ref()
+                            .is_some_and(|a| a.eval_dead(&plan, module, step))
+                        {
                             // The push lands in the next delta; credit
                             // its pending/driver-update counters there.
                             phantom[d + 1] += 1;
@@ -365,19 +302,10 @@ impl OptPlan {
                             });
                         }
                     }
-                    Action::Commit { reg } => {
-                        // Dead commit: the input port is provably `DISC`
-                        // at `cr(s)`, so the generic engine would push
-                        // nothing — elimination is free.
-                        if !config.dse || reg_in_active[reg][step] {
-                            ops.push(MicroOp::Commit { reg: reg as u32 });
-                        }
-                    }
-                    Action::CommitMem { mem } => {
-                        if !config.dse || mem_win_active[mem][step] {
-                            ops.push(MicroOp::CommitMem { mem: mem as u32 });
-                        }
-                    }
+                    // Lowering emits only live commits (the live-commit
+                    // rule), so there is nothing left to eliminate.
+                    Action::Commit { reg } => ops.push(MicroOp::Commit { reg: reg as u32 }),
+                    Action::CommitMem { mem } => ops.push(MicroOp::CommitMem { mem: mem as u32 }),
                 }
             }
             bounds.push(ops.len() as u32);
@@ -437,13 +365,7 @@ impl OptPlan {
             .collect();
         let mut busy: Vec<u32> = vec![0; plan.modules.len()];
 
-        let mut trace: Option<Trace<Value>> = options.trace.then(Trace::new);
-        let mut events: Vec<(u64, usize, Value)> = Vec::new();
-        if let Some(t) = &mut trace {
-            for (i, s) in plan.signals.iter().enumerate() {
-                t.push(SimTime::ZERO, SignalId::from_index(i), s.init);
-            }
-        }
+        let mut trace: Option<Trace<Value>> = options.trace.then(|| plan.initial_trace());
         // Control pushes are only elidable when nothing records them.
         let elide_ctl = self.config.fold && trace.is_none();
 
@@ -492,7 +414,6 @@ impl OptPlan {
                             SignalId::from_index(sig),
                             effective,
                         );
-                        events.push((d, sig, effective));
                     }
                 }
             }
@@ -624,34 +545,7 @@ impl OptPlan {
             }
         }
         stats.delta_cycles = needed;
-
-        let mut registers: Vec<(String, Value)> = plan
-            .regs
-            .iter()
-            .map(|r| (r.name.clone(), values[r.output]))
-            .collect();
-        for m in &plan.mems {
-            for &w in &m.words {
-                registers.push((plan.signals[w].name.clone(), values[w]));
-            }
-        }
-
-        let conflicts = trace.as_ref().map(|_| plan.dynamic_conflicts(&events));
-        let commits = trace.as_ref().map(|_| plan.commit_log(&events));
-        let vcd = trace.as_ref().map(|t| {
-            let names: Vec<String> = plan.signals.iter().map(|s| s.name.clone()).collect();
-            t.to_vcd(&names)
-        });
-
-        Ok(ExecOutcome {
-            summary: RunSummary {
-                stats,
-                registers,
-                conflicts,
-            },
-            commits,
-            vcd,
-        })
+        Ok(plan.outcome(&values, stats, trace))
     }
 }
 
@@ -672,8 +566,8 @@ mod tests {
                     assert_eq!(b.summary.registers, o.summary.registers, "{level}");
                     assert_eq!(b.summary.stats, o.summary.stats, "{level}");
                     assert_eq!(b.summary.conflicts, o.summary.conflicts, "{level}");
-                    assert_eq!(b.commits, o.commits, "{level}");
-                    assert_eq!(b.vcd, o.vcd, "{level}");
+                    assert_eq!(b.commits(), o.commits(), "{level}");
+                    assert_eq!(b.vcd(), o.vcd(), "{level}");
                 }
                 (Err(b), Err(o)) => assert_eq!(b, o, "{level}"),
                 _ => panic!("outcome kind diverged at O{level}: {base:?} vs {out:?}"),
@@ -721,8 +615,8 @@ mod tests {
                 .execute(&ExecOptions::traced())
                 .unwrap();
             assert_eq!(base.summary.stats, out.summary.stats, "{config:?}");
-            assert_eq!(base.vcd, out.vcd, "{config:?}");
-            assert_eq!(base.commits, out.commits, "{config:?}");
+            assert_eq!(base.vcd(), out.vcd(), "{config:?}");
+            assert_eq!(base.commits(), out.commits(), "{config:?}");
         }
     }
 

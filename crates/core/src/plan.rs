@@ -6,10 +6,10 @@
 //! costs exactly `1 + CS_MAX × 6` delta cycles (plus one trailing flush
 //! delta when the last step commits a register). The interpreted kernel
 //! discovers that schedule dynamically through sensitivity lists and wake
-//! filters; [`ExecPlan::lower`] instead precomputes it as dense
-//! per-`(step, phase)` tables of straight-line [`Action`]s, and
-//! [`ExecPlan::execute`] walks the tables in a fixed number of iterations
-//! with no event machinery at all.
+//! filters; [`ExecPlan::lower`] instead precomputes it as one flat array
+//! of straight-line [`Action`]s with per-`(step, phase)` offsets, and
+//! [`ExecPlan::execute`] walks it in a fixed number of iterations with no
+//! event machinery at all.
 //!
 //! The walk is *observationally identical* to the interpreted kernel:
 //! same final registers, same trace events in the same order (hence the
@@ -21,27 +21,35 @@
 //! walk. `clockless-verify`'s `backend_equiv` asserts the byte-level
 //! agreement over the whole corpus.
 //!
-//! Lowering additionally performs a **static conflict pre-pass**: two
-//! [`Action::Assert`]s landing in the same slot of the same resolved
-//! signal are reported as a [`StaticConflict`] *before* anything runs.
-//! This is a conservative *potential*-conflict diagnostic — at run time
-//! one of the colliding transfers may read `DISC` and resolve cleanly —
-//! so the dynamic `ILLEGAL` events remain the ground truth the paper
-//! describes.
+//! Lowering costs time linear in the transfer specs plus the actions it
+//! emits. Specs are bucketed by step once, and the **live-commit rule**
+//! keeps dead actions out of the schedule: a register or memory commit is
+//! emitted at `cr(s)` only when some spec of step `s` drives its input
+//! port. Any other commit would read a `DISC` port and push nothing, so
+//! leaving it out changes no observable at any optimization level.
+//!
+//! [`ExecPlan::static_conflicts`] is a **static conflict pre-pass**, run
+//! on request: two [`Action::Assert`]s landing in the same slot of the
+//! same resolved signal are reported as a [`StaticConflict`] *before*
+//! anything runs. This is a conservative *potential*-conflict diagnostic —
+//! at run time one of the colliding transfers may read `DISC` and resolve
+//! cleanly — so the dynamic `ILLEGAL` events remain the ground truth the
+//! paper describes.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace};
 
 use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome};
 use crate::check::{CheckEval, CheckProgram, SignalKind};
-use crate::diag::{Conflict, ConflictReport, ConflictSite};
+use crate::diag::{Conflict, ConflictSite};
 use crate::elaborate::SignalRole;
 use crate::model::RtModel;
 use crate::op::Op;
 use crate::phase::{Phase, PhaseTime, Step};
 use crate::resource::ModuleTiming;
-use crate::run::{RegisterCommit, RunSummary};
+use crate::run::{RunSummary, Waveform};
 use crate::tuples::{CmpOp, Endpoint, Guard, GuardOperand, MemAddr};
 use crate::value::{resolve, Value};
 
@@ -166,17 +174,32 @@ impl std::fmt::Display for StaticConflict {
     }
 }
 
-/// One signal of the plan, mirroring the kernel's elaboration order.
+/// One signal of the plan, mirroring the kernel's elaboration order. Its
+/// role (and with it its name) lives in [`ExecPlan::roles`].
 #[derive(Debug, Clone)]
 pub(crate) struct PlanSignal {
-    pub(crate) name: String,
     pub(crate) init: Value,
     /// Number of driver slots (process-attachment order, exactly as the
     /// kernel would attach them).
     pub(crate) drivers: usize,
     /// Whether the signal resolves colliding drivers (buses and ports).
     pub(crate) resolved: bool,
-    pub(crate) role: SignalRole,
+}
+
+/// The process that reads a signal when it evaluates or commits: the
+/// module whose operand port it is, or the register or memory whose
+/// input port it is. The live-commit rule and dead-spur elimination key
+/// on it. Registers order before memories, matching the `cr` phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Sink {
+    /// A register input port.
+    Reg(u32),
+    /// A memory write-value port.
+    Mem(u32),
+    /// A module operand or operation-select port.
+    Module(u32),
+    /// Anything else (buses, outputs, words, control, write addresses).
+    None,
 }
 
 /// One register: dense indices of its port signals.
@@ -318,29 +341,33 @@ pub struct PlanDelta {
 pub struct ExecPlan {
     pub(crate) cs_max: Step,
     pub(crate) signals: Vec<PlanSignal>,
+    /// Role of every signal, shared with the [`Waveform`] of every traced
+    /// run of this plan.
+    pub(crate) roles: Arc<[SignalRole]>,
+    /// The reading process of every signal (see [`Sink`]).
+    pub(crate) sinks: Vec<Sink>,
     pub(crate) regs: Vec<PlanReg>,
     pub(crate) modules: Vec<PlanModule>,
     pub(crate) mems: Vec<PlanMem>,
     /// Lowered transfer guards, indexed by [`LoweredSpec::guard`].
     pub(crate) guards: Vec<PlanGuard>,
-    /// Actions of the initialization delta (delta 0).
-    pub(crate) init_actions: Vec<Action>,
-    /// `slots[(s-1)*6 + p.index()]` = actions of step `s`, phase `p`
-    /// (executed in delta `(s-1)*6 + p.index() + 1`).
-    pub(crate) slots: Vec<Vec<Action>>,
+    /// The schedule, flat: delta `d` runs `actions[bounds[d]..bounds[d +
+    /// 1]]`. Delta 0 is initialization; delta `(s-1)*6 + p.index() + 1`
+    /// is step `s`, phase `p`. The trailing flush delta has no actions.
+    pub(crate) actions: Vec<Action>,
+    pub(crate) bounds: Vec<u32>,
     /// Whether a trailing flush delta follows `cr(CS_MAX)`. Statically
     /// determined: some transfer asserts a register input at
     /// `wb(CS_MAX)`, so its commit and release are still pending after
     /// the last scheduled phase.
     pub(crate) flush: bool,
     /// Lowered transfer specs in attachment order (the source of the
-    /// slot tables), kept so plan deltas can edit the schedule.
+    /// schedule), kept so plan deltas can edit it.
     pub(crate) specs: Vec<LoweredSpec>,
     /// `spec_tuple[i]` maps spec `i` back to its source tuple index.
     pub(crate) spec_tuple: Vec<usize>,
     /// Number of transfer tuples in the source model.
     pub(crate) tuple_count: usize,
-    pub(crate) static_conflicts: Vec<StaticConflict>,
     /// Analytic stats derived from the schedule (see module docs).
     pub(crate) process_count: u64,
     pub(crate) activations: u64,
@@ -351,49 +378,52 @@ pub struct ExecPlan {
 impl ExecPlan {
     /// Lowers a validated model into its compiled plan.
     ///
+    /// Costs time linear in the transfer specs plus the emitted actions:
+    /// specs are bucketed by step once, and commits follow the
+    /// live-commit rule (see the module docs).
+    ///
     /// Panics if the model references undeclared resources — impossible
     /// for models built through [`RtModel`]'s validating API.
     pub fn lower(model: &RtModel) -> ExecPlan {
         let cs_max = model.cs_max();
         let mut signals: Vec<PlanSignal> = Vec::new();
+        let mut roles: Vec<SignalRole> = Vec::new();
+        let mut sinks: Vec<Sink> = Vec::new();
+        let mut declare = |role: SignalRole, init: Value, resolved: bool, sink: Sink| -> usize {
+            signals.push(PlanSignal {
+                init,
+                drivers: 0,
+                resolved,
+            });
+            roles.push(role);
+            sinks.push(sink);
+            signals.len() - 1
+        };
 
         // Signal order mirrors `elaborate` exactly: CS, PH, register
         // ports, buses, module ports.
-        let cs = signals.len();
-        signals.push(PlanSignal {
-            name: "CS".into(),
-            init: Value::Num(0),
-            drivers: 0,
-            resolved: false,
-            role: SignalRole::ControlStep,
-        });
-        let ph = signals.len();
-        signals.push(PlanSignal {
-            name: "PH".into(),
-            init: Value::Num(Phase::LAST.index() as i64),
-            drivers: 0,
-            resolved: false,
-            role: SignalRole::PhaseSignal,
-        });
+        let cs = declare(SignalRole::ControlStep, Value::Num(0), false, Sink::None);
+        let ph = declare(
+            SignalRole::PhaseSignal,
+            Value::Num(Phase::LAST.index() as i64),
+            false,
+            Sink::None,
+        );
 
         let mut regs = Vec::new();
-        for r in model.registers() {
-            let input = signals.len();
-            signals.push(PlanSignal {
-                name: format!("{}_in", r.name),
-                init: Value::Disc,
-                drivers: 0,
-                resolved: true,
-                role: SignalRole::RegIn(r.name.clone()),
-            });
-            let output = signals.len();
-            signals.push(PlanSignal {
-                name: format!("{}_out", r.name),
-                init: r.init,
-                drivers: 0,
-                resolved: false,
-                role: SignalRole::RegOut(r.name.clone()),
-            });
+        for (i, r) in model.registers().iter().enumerate() {
+            let input = declare(
+                SignalRole::RegIn(r.name.clone()),
+                Value::Disc,
+                true,
+                Sink::Reg(i as u32),
+            );
+            let output = declare(
+                SignalRole::RegOut(r.name.clone()),
+                r.init,
+                false,
+                Sink::None,
+            );
             regs.push(PlanReg {
                 name: r.name.clone(),
                 input,
@@ -401,58 +431,33 @@ impl ExecPlan {
             });
         }
 
-        let mut bus_sig = Vec::new();
-        for b in model.buses() {
-            let s = signals.len();
-            signals.push(PlanSignal {
-                name: b.name.clone(),
-                init: Value::Disc,
-                drivers: 0,
-                resolved: true,
-                role: SignalRole::Bus(b.name.clone()),
-            });
-            bus_sig.push(s);
-        }
+        let bus_sig: Vec<usize> = model
+            .buses()
+            .iter()
+            .map(|b| {
+                declare(
+                    SignalRole::Bus(b.name.clone()),
+                    Value::Disc,
+                    true,
+                    Sink::None,
+                )
+            })
+            .collect();
 
         let mut modules = Vec::new();
-        for m in model.modules() {
-            let in1 = signals.len();
-            signals.push(PlanSignal {
-                name: format!("{}_in1", m.name),
-                init: Value::Disc,
-                drivers: 0,
-                resolved: true,
-                role: SignalRole::ModIn1(m.name.clone()),
-            });
-            let in2 = signals.len();
-            signals.push(PlanSignal {
-                name: format!("{}_in2", m.name),
-                init: Value::Disc,
-                drivers: 0,
-                resolved: true,
-                role: SignalRole::ModIn2(m.name.clone()),
-            });
-            let op = if m.needs_op_port() {
-                let s = signals.len();
-                signals.push(PlanSignal {
-                    name: format!("{}_op", m.name),
-                    init: Value::Disc,
-                    drivers: 0,
-                    resolved: true,
-                    role: SignalRole::ModOp(m.name.clone()),
-                });
-                Some(s)
-            } else {
-                None
-            };
-            let out = signals.len();
-            signals.push(PlanSignal {
-                name: format!("{}_out", m.name),
-                init: Value::Disc,
-                drivers: 0,
-                resolved: false,
-                role: SignalRole::ModOut(m.name.clone()),
-            });
+        for (i, m) in model.modules().iter().enumerate() {
+            let port = Sink::Module(i as u32);
+            let in1 = declare(SignalRole::ModIn1(m.name.clone()), Value::Disc, true, port);
+            let in2 = declare(SignalRole::ModIn2(m.name.clone()), Value::Disc, true, port);
+            let op = m
+                .needs_op_port()
+                .then(|| declare(SignalRole::ModOp(m.name.clone()), Value::Disc, true, port));
+            let out = declare(
+                SignalRole::ModOut(m.name.clone()),
+                Value::Disc,
+                false,
+                Sink::None,
+            );
             modules.push(PlanModule {
                 in1,
                 in2,
@@ -466,38 +471,28 @@ impl ExecPlan {
         // Memory signals come last, exactly as in `elaborate`, so
         // memory-free models keep byte-identical signal indices.
         let mut mems = Vec::new();
-        for m in model.memories() {
-            let win = signals.len();
-            signals.push(PlanSignal {
-                name: format!("{}_win", m.name),
-                init: Value::Disc,
-                drivers: 0,
-                resolved: true,
-                role: SignalRole::MemWin(m.name.clone()),
-            });
-            let waddr = signals.len();
-            signals.push(PlanSignal {
-                name: format!("{}_waddr", m.name),
-                init: Value::Disc,
-                drivers: 0,
-                resolved: true,
-                role: SignalRole::MemWaddr(m.name.clone()),
-            });
-            let mut words = Vec::with_capacity(m.len as usize);
-            for i in 0..m.len {
-                let w = signals.len();
-                signals.push(PlanSignal {
-                    name: m.word_name(i),
-                    init: m.init,
-                    drivers: 0,
-                    resolved: false,
-                    role: SignalRole::MemWord {
+        for (i, m) in model.memories().iter().enumerate() {
+            let win = declare(
+                SignalRole::MemWin(m.name.clone()),
+                Value::Disc,
+                true,
+                Sink::Mem(i as u32),
+            );
+            let waddr = declare(
+                SignalRole::MemWaddr(m.name.clone()),
+                Value::Disc,
+                true,
+                Sink::None,
+            );
+            let words = (0..m.len)
+                .map(|index| {
+                    let role = SignalRole::MemWord {
                         mem: m.name.clone(),
-                        index: i,
-                    },
-                });
-                words.push(w);
-            }
+                        index,
+                    };
+                    declare(role, m.init, false, Sink::None)
+                })
+                .collect();
             mems.push(PlanMem { win, waddr, words });
         }
 
@@ -629,134 +624,115 @@ impl ExecPlan {
             }
         }
 
-        // Slot tables: for each delta of each step, the actions in the
+        // Bucket the specs by step once (a counting sort, declaration
+        // order kept within each step): `bucket[first[s]..first[s + 1]]`
+        // are the spec indices of step `s`. Specs outside `1..=CS_MAX`
+        // never run and are left out.
+        let steps = cs_max as usize;
+        let in_schedule = |sp: &LoweredSpec| (1..=cs_max).contains(&sp.step);
+        let mut first = vec![0usize; steps + 2];
+        for sp in specs.iter().filter(|sp| in_schedule(sp)) {
+            first[sp.step as usize + 1] += 1;
+        }
+        for s in 1..first.len() {
+            first[s] += first[s - 1];
+        }
+        let mut bucket = vec![0usize; first[steps + 1]];
+        let mut fill = first.clone();
+        for (i, sp) in specs.iter().enumerate().filter(|(_, sp)| in_schedule(sp)) {
+            bucket[fill[sp.step as usize]] = i;
+            fill[sp.step as usize] += 1;
+        }
+
+        // The schedule: for each delta of each step, the actions in the
         // kernel's runnable-set order (derived from waiter-list and wake
         // positions; see ARCHITECTURE.md "Two engines, one semantics").
-        let num_slots = cs_max as usize * Phase::ALL.len();
-        let mut slots: Vec<Vec<Action>> = vec![Vec::new(); num_slots];
+        let mut actions: Vec<Action> =
+            Vec::with_capacity(steps * (Phase::ALL.len() + 2 + modules.len()) + 2 * specs.len());
+        let mut bounds: Vec<u32> = Vec::with_capacity(steps * Phase::ALL.len() + 2);
+        bounds.push(0);
         let ph_to = |p: Phase| Action::Control {
             sig: ph,
             value: Value::Num(p.index() as i64),
         };
+        let assert_of = |sp: &LoweredSpec| Action::Assert {
+            src: sp.src,
+            dst: sp.dst,
+            slot: sp.slot,
+            guard: sp.guard,
+        };
+        let release_of = |sp: &LoweredSpec| Action::Release {
+            dst: sp.dst,
+            slot: sp.slot,
+        };
+        if cs_max >= 1 {
+            actions.push(Action::Control {
+                sig: cs,
+                value: Value::Num(1),
+            });
+            actions.push(ph_to(Phase::Ra));
+        }
+        bounds.push(actions.len() as u32);
+        let mut live = Vec::new();
         for s in 1..=cs_max {
-            let base = (s as usize - 1) * Phase::ALL.len();
-            let step_specs = || specs.iter().filter(|sp| sp.step == s);
+            let here = &bucket[first[s as usize]..first[s as usize + 1]];
+            let step_specs = || here.iter().map(|&i| &specs[i]);
+            let phase = |p: Phase| step_specs().filter(move |sp| sp.phase == p);
 
             // ra: step specs wake before the controller (CS is processed
             // before PH in the wake queue). Only Ra specs assert here.
-            let ra = &mut slots[base + Phase::Ra.index() as usize];
-            for sp in step_specs().filter(|sp| sp.phase == Phase::Ra) {
-                ra.push(Action::Assert {
-                    src: sp.src,
-                    dst: sp.dst,
-                    slot: sp.slot,
-                    guard: sp.guard,
-                });
-            }
-            ra.push(ph_to(Phase::Rb));
+            actions.extend(phase(Phase::Ra).map(assert_of));
+            actions.push(ph_to(Phase::Rb));
+            bounds.push(actions.len() as u32);
 
             // rb: controller first, then Ra releases / Rb asserts
             // interleaved in declaration order (both re-registered at the
             // end of PH's waiter list during ra).
-            let rb = &mut slots[base + Phase::Rb.index() as usize];
-            rb.push(ph_to(Phase::Cm));
+            actions.push(ph_to(Phase::Cm));
             for sp in step_specs() {
                 match sp.phase {
-                    Phase::Ra => rb.push(Action::Release {
-                        dst: sp.dst,
-                        slot: sp.slot,
-                    }),
-                    Phase::Rb => rb.push(Action::Assert {
-                        src: sp.src,
-                        dst: sp.dst,
-                        slot: sp.slot,
-                        guard: sp.guard,
-                    }),
+                    Phase::Ra => actions.push(release_of(sp)),
+                    Phase::Rb => actions.push(assert_of(sp)),
                     _ => {}
                 }
             }
+            bounds.push(actions.len() as u32);
 
             // cm: controller, all modules (original waiter positions),
             // then Rb releases.
-            let cm = &mut slots[base + Phase::Cm.index() as usize];
-            cm.push(ph_to(Phase::Wa));
-            for i in 0..modules.len() {
-                cm.push(Action::Eval { module: i });
-            }
-            for sp in step_specs().filter(|sp| sp.phase == Phase::Rb) {
-                cm.push(Action::Release {
-                    dst: sp.dst,
-                    slot: sp.slot,
-                });
-            }
+            actions.push(ph_to(Phase::Wa));
+            actions.extend((0..modules.len()).map(|module| Action::Eval { module }));
+            actions.extend(phase(Phase::Rb).map(release_of));
+            bounds.push(actions.len() as u32);
 
             // wa: controller, then Wa asserts.
-            let wa = &mut slots[base + Phase::Wa.index() as usize];
-            wa.push(ph_to(Phase::Wb));
-            for sp in step_specs().filter(|sp| sp.phase == Phase::Wa) {
-                wa.push(Action::Assert {
-                    src: sp.src,
-                    dst: sp.dst,
-                    slot: sp.slot,
-                    guard: sp.guard,
-                });
-            }
+            actions.push(ph_to(Phase::Wb));
+            actions.extend(phase(Phase::Wa).map(assert_of));
+            bounds.push(actions.len() as u32);
 
             // wb: controller, Wb asserts (original positions), then Wa
             // releases (re-registered at the end during wa).
-            let wb = &mut slots[base + Phase::Wb.index() as usize];
-            wb.push(ph_to(Phase::Cr));
-            for sp in step_specs().filter(|sp| sp.phase == Phase::Wb) {
-                wb.push(Action::Assert {
-                    src: sp.src,
-                    dst: sp.dst,
-                    slot: sp.slot,
-                    guard: sp.guard,
-                });
-            }
-            for sp in step_specs().filter(|sp| sp.phase == Phase::Wa) {
-                wb.push(Action::Release {
-                    dst: sp.dst,
-                    slot: sp.slot,
-                });
-            }
+            actions.push(ph_to(Phase::Cr));
+            actions.extend(phase(Phase::Wb).map(assert_of));
+            actions.extend(phase(Phase::Wa).map(release_of));
+            bounds.push(actions.len() as u32);
 
             // cr: controller advances (CS before PH, matching its push
-            // order; nothing on the last step), registers commit,
+            // order; nothing on the last step), live registers and
             // memories commit, then Wb releases.
-            let cr = &mut slots[base + Phase::Cr.index() as usize];
             if s < cs_max {
-                cr.push(Action::Control {
+                actions.push(Action::Control {
                     sig: cs,
                     value: Value::Num(s as i64 + 1),
                 });
-                cr.push(ph_to(Phase::Ra));
+                actions.push(ph_to(Phase::Ra));
             }
-            for i in 0..regs.len() {
-                cr.push(Action::Commit { reg: i });
-            }
-            for i in 0..mems.len() {
-                cr.push(Action::CommitMem { mem: i });
-            }
-            for sp in step_specs().filter(|sp| sp.phase == Phase::Wb) {
-                cr.push(Action::Release {
-                    dst: sp.dst,
-                    slot: sp.slot,
-                });
-            }
+            live_commits(&sinks, step_specs().map(|sp| sp.dst), &mut live, |a| {
+                actions.push(a)
+            });
+            actions.extend(phase(Phase::Wb).map(release_of));
+            bounds.push(actions.len() as u32);
         }
-
-        let init_actions = if cs_max >= 1 {
-            vec![
-                Action::Control {
-                    sig: cs,
-                    value: Value::Num(1),
-                },
-                ph_to(Phase::Ra),
-            ]
-        } else {
-            Vec::new()
-        };
 
         // A commit at cr(CS_MAX) (and its paired release) leaves pending
         // updates after the last scheduled phase if and only if some
@@ -765,49 +741,6 @@ impl ExecPlan {
             && specs
                 .iter()
                 .any(|sp| sp.phase == Phase::Wb && sp.step == cs_max);
-
-        // Static conflict pre-pass: multiple asserts into one slot of one
-        // signal, reported in slot order then first-drive order.
-        let mut static_conflicts = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            let mut counts: Vec<(usize, usize)> = Vec::new();
-            for action in slot {
-                if let Action::Assert { dst, .. } = action {
-                    match counts.iter_mut().find(|(d, _)| d == dst) {
-                        Some((_, n)) => *n += 1,
-                        None => counts.push((*dst, 1)),
-                    }
-                }
-            }
-            for (dst, n) in counts.into_iter().filter(|&(_, n)| n > 1) {
-                let at = PhaseTime::from_active_delta(i as u64 + 1)
-                    .expect("slot deltas are active by construction");
-                let (site, name) = match &signals[dst].role {
-                    SignalRole::Bus(n) => (ConflictSite::Bus, n.clone()),
-                    SignalRole::ModIn1(n) | SignalRole::ModIn2(n) => {
-                        (ConflictSite::ModulePort, n.clone())
-                    }
-                    SignalRole::ModOp(n) => (ConflictSite::ModuleOpPort, n.clone()),
-                    SignalRole::ModOut(n) => (ConflictSite::ModuleOut, n.clone()),
-                    SignalRole::RegIn(n) => (ConflictSite::RegisterPort, n.clone()),
-                    SignalRole::RegOut(n) => (ConflictSite::RegisterValue, n.clone()),
-                    SignalRole::MemWin(n) | SignalRole::MemWaddr(n) => {
-                        (ConflictSite::MemoryPort, n.clone())
-                    }
-                    SignalRole::MemWord { mem, index } => (
-                        ConflictSite::MemoryWord,
-                        SignalRole::mem_word_name(mem, *index),
-                    ),
-                    SignalRole::ControlStep | SignalRole::PhaseSignal => continue,
-                };
-                static_conflicts.push(StaticConflict {
-                    name,
-                    site,
-                    at,
-                    drivers: n,
-                });
-            }
-        }
 
         // Analytic kernel statistics (derived in closed form; the
         // differential suite pins them against the interpreted run).
@@ -824,17 +757,18 @@ impl ExecPlan {
         ExecPlan {
             cs_max,
             signals,
+            roles: roles.into(),
+            sinks,
             regs,
             modules,
             mems,
             guards,
-            init_actions,
-            slots,
+            actions,
+            bounds,
             flush,
             specs,
             spec_tuple,
             tuple_count: model.tuples().len(),
-            static_conflicts,
             process_count,
             activations,
             wake_hits,
@@ -854,9 +788,34 @@ impl ExecPlan {
     }
 
     /// The statically detected multiply driven slots (see
-    /// [`StaticConflict`]).
-    pub fn static_conflicts(&self) -> &[StaticConflict] {
-        &self.static_conflicts
+    /// [`StaticConflict`]), in slot order then first-drive order. Computed
+    /// from the schedule on each call.
+    pub fn static_conflicts(&self) -> Vec<StaticConflict> {
+        let mut found = Vec::new();
+        for d in 1..self.bounds.len() - 1 {
+            let mut counts: Vec<(usize, usize)> = Vec::new();
+            for action in self.delta_actions(d) {
+                if let Action::Assert { dst, .. } = action {
+                    match counts.iter_mut().find(|(d, _)| d == dst) {
+                        Some((_, n)) => *n += 1,
+                        None => counts.push((*dst, 1)),
+                    }
+                }
+            }
+            for (dst, n) in counts.into_iter().filter(|&(_, n)| n > 1) {
+                let Some((site, name)) = self.roles[dst].conflict_site() else {
+                    continue;
+                };
+                found.push(StaticConflict {
+                    name,
+                    site,
+                    at: PhaseTime::from_active_delta(d as u64)
+                        .expect("slot deltas are active by construction"),
+                    drivers: n,
+                });
+            }
+        }
+        found
     }
 
     /// The scheduled actions of one `(step, phase)` slot, or `None` when
@@ -865,8 +824,57 @@ impl ExecPlan {
         if step < 1 || step > self.cs_max {
             return None;
         }
-        let i = (step as usize - 1) * Phase::ALL.len() + phase.index() as usize;
-        Some(self.slots[i].as_slice())
+        let d = (step as usize - 1) * Phase::ALL.len() + phase.index() as usize + 1;
+        Some(self.delta_actions(d))
+    }
+
+    /// The actions of delta `d`: initialization at 0, then one slot per
+    /// `(step, phase)`; empty for the trailing flush delta.
+    pub(crate) fn delta_actions(&self, d: usize) -> &[Action] {
+        match (self.bounds.get(d), self.bounds.get(d + 1)) {
+            (Some(&lo), Some(&hi)) => &self.actions[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// A fresh trace holding every signal's initial value at time zero —
+    /// what the kernel records on initialization.
+    pub(crate) fn initial_trace(&self) -> Trace<Value> {
+        let mut trace = Trace::new();
+        for (i, s) in self.signals.iter().enumerate() {
+            trace.push(SimTime::ZERO, SignalId::from_index(i), s.init);
+        }
+        trace
+    }
+
+    /// The run summary and waveform of a finished walk: final register
+    /// and memory-word values, and on traced runs the conflict report
+    /// (extracted now, since every report prints it) plus the recording.
+    pub(crate) fn outcome(
+        &self,
+        values: &[Value],
+        stats: SimStats,
+        trace: Option<Trace<Value>>,
+    ) -> ExecOutcome {
+        let mut registers: Vec<(String, Value)> = self
+            .regs
+            .iter()
+            .map(|r| (r.name.clone(), values[r.output]))
+            .collect();
+        for m in &self.mems {
+            for &w in &m.words {
+                registers.push((self.roles[w].signal_name(), values[w]));
+            }
+        }
+        let waveform = trace.map(|t| Waveform::new(t, Arc::clone(&self.roles)));
+        ExecOutcome {
+            summary: RunSummary {
+                stats,
+                registers,
+                conflicts: waveform.as_ref().map(Waveform::conflicts),
+            },
+            waveform,
+        }
     }
 
     /// Walks the plan and harvests the observable output.
@@ -903,15 +911,7 @@ impl ExecPlan {
             .collect();
         let mut busy: Vec<u32> = vec![0; self.modules.len()];
 
-        let mut trace: Option<Trace<Value>> = options.trace.then(Trace::new);
-        // (delta, signal, value) of every event, for conflict/commit
-        // extraction; only kept while tracing.
-        let mut events: Vec<(u64, usize, Value)> = Vec::new();
-        if let Some(t) = &mut trace {
-            for (i, s) in self.signals.iter().enumerate() {
-                t.push(SimTime::ZERO, SignalId::from_index(i), s.init);
-            }
-        }
+        let mut trace: Option<Trace<Value>> = options.trace.then(|| self.initial_trace());
 
         let mut stats = SimStats {
             process_activations: self.activations,
@@ -949,21 +949,13 @@ impl ExecPlan {
                             SignalId::from_index(sig),
                             effective,
                         );
-                        events.push((d, sig, effective));
                     }
                 }
             }
 
-            // Run phase: the slot's straight-line actions.
-            let actions: &[Action] = if d == 0 {
-                &self.init_actions
-            } else {
-                self.slots
-                    .get(d as usize - 1)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]) // trailing flush delta: updates only
-            };
-            for &action in actions {
+            // Run phase: the slot's straight-line actions (none in the
+            // trailing flush delta: updates only).
+            for &action in self.delta_actions(d as usize) {
                 match action {
                     Action::Control { sig, value } => pending.push((sig, 0, value)),
                     Action::Assert {
@@ -1061,95 +1053,7 @@ impl ExecPlan {
             }
         }
         stats.delta_cycles = needed;
-
-        let mut registers: Vec<(String, Value)> = self
-            .regs
-            .iter()
-            .map(|r| (r.name.clone(), values[r.output]))
-            .collect();
-        for m in &self.mems {
-            for &w in &m.words {
-                registers.push((self.signals[w].name.clone(), values[w]));
-            }
-        }
-
-        let conflicts = trace.as_ref().map(|_| self.dynamic_conflicts(&events));
-        let commits = trace.as_ref().map(|_| self.commit_log(&events));
-        let vcd = trace.as_ref().map(|t| {
-            let names: Vec<String> = self.signals.iter().map(|s| s.name.clone()).collect();
-            t.to_vcd(&names)
-        });
-
-        Ok(ExecOutcome {
-            summary: RunSummary {
-                stats,
-                registers,
-                conflicts,
-            },
-            commits,
-            vcd,
-        })
-    }
-
-    /// `ILLEGAL`-valued events localized to step and phase (the same
-    /// extraction `RtSimulation::conflicts` performs on the trace).
-    pub(crate) fn dynamic_conflicts(&self, events: &[(u64, usize, Value)]) -> ConflictReport {
-        let mut conflicts = Vec::new();
-        for &(delta, sig, value) in events {
-            if value != Value::Illegal {
-                continue;
-            }
-            let Some(visible_at) = PhaseTime::from_active_delta(delta) else {
-                continue;
-            };
-            let (site, name) = match &self.signals[sig].role {
-                SignalRole::Bus(n) => (ConflictSite::Bus, n.clone()),
-                SignalRole::ModIn1(n) | SignalRole::ModIn2(n) => {
-                    (ConflictSite::ModulePort, n.clone())
-                }
-                SignalRole::ModOp(n) => (ConflictSite::ModuleOpPort, n.clone()),
-                SignalRole::ModOut(n) => (ConflictSite::ModuleOut, n.clone()),
-                SignalRole::RegIn(n) => (ConflictSite::RegisterPort, n.clone()),
-                SignalRole::RegOut(n) => (ConflictSite::RegisterValue, n.clone()),
-                SignalRole::MemWin(n) | SignalRole::MemWaddr(n) => {
-                    (ConflictSite::MemoryPort, n.clone())
-                }
-                SignalRole::MemWord { mem, index } => (
-                    ConflictSite::MemoryWord,
-                    SignalRole::mem_word_name(mem, *index),
-                ),
-                SignalRole::ControlStep | SignalRole::PhaseSignal => continue,
-            };
-            conflicts.push(Conflict {
-                site,
-                name,
-                visible_at,
-            });
-        }
-        ConflictReport { conflicts }
-    }
-
-    /// Register-output and memory-word events attributed to the storing
-    /// step (the same extraction `RtSimulation::register_commits`
-    /// performs).
-    pub(crate) fn commit_log(&self, events: &[(u64, usize, Value)]) -> Vec<RegisterCommit> {
-        let mut commits = Vec::new();
-        for &(delta, sig, value) in events {
-            let register = match &self.signals[sig].role {
-                SignalRole::RegOut(name) => name.clone(),
-                SignalRole::MemWord { mem, index } => SignalRole::mem_word_name(mem, *index),
-                _ => continue,
-            };
-            let Some(pt) = PhaseTime::from_active_delta(delta) else {
-                continue; // initial value, not a commit
-            };
-            commits.push(RegisterCommit {
-                register,
-                step: pt.step - 1,
-                value,
-            });
-        }
-        commits
+        Ok(self.outcome(&values, stats, trace))
     }
 
     // ------------------------------------------------------------------
@@ -1238,9 +1142,9 @@ impl ExecPlan {
         register: &str,
     ) -> Result<PlanDelta, String> {
         let bus_sig = self
-            .signals
+            .roles
             .iter()
-            .position(|s| matches!(&s.role, SignalRole::Bus(n) if n == bus))
+            .position(|r| matches!(r, SignalRole::Bus(n) if n == bus))
             .ok_or_else(|| format!("unknown bus `{bus}`"))?;
         let src = self.reg_by_name(register)?.output;
         if step < 1 || step > self.cs_max {
@@ -1350,9 +1254,9 @@ impl ExecPlan {
             .signals
             .iter()
             .map(|s| {
-                self.signals
+                self.roles
                     .iter()
-                    .position(|ps| match (&s.kind, &ps.role) {
+                    .position(|role| match (&s.kind, role) {
                         (SignalKind::Register, SignalRole::RegOut(n)) => *n == s.name,
                         (SignalKind::MemoryWord, SignalRole::MemWord { mem, index }) => {
                             SignalRole::mem_word_name(mem, *index) == s.name
@@ -1654,14 +1558,14 @@ impl ExecPlan {
         };
 
         let cs_sig = self
-            .signals
+            .roles
             .iter()
-            .position(|s| matches!(s.role, SignalRole::ControlStep))
+            .position(|r| matches!(r, SignalRole::ControlStep))
             .expect("plan has a CS signal");
         let ph_sig = self
-            .signals
+            .roles
             .iter()
-            .position(|s| matches!(s.role, SignalRole::PhaseSignal))
+            .position(|r| matches!(r, SignalRole::PhaseSignal))
             .expect("plan has a PH signal");
         let ph_to = |p: Phase| Action::Control {
             sig: ph_sig,
@@ -1670,6 +1574,7 @@ impl ExecPlan {
 
         let num_slots = self.cs_max as usize * Phase::ALL.len();
         let mut sched: Vec<Vec<(Action, u64)>> = vec![Vec::new(); num_slots];
+        let mut live = Vec::new();
         for s in 1..=self.cs_max {
             let base = (s as usize - 1) * Phase::ALL.len();
             let entries = &by_step[s as usize];
@@ -1798,12 +1703,15 @@ impl ExecPlan {
                 ));
                 cr.push((ph_to(Phase::Ra), full));
             }
-            for i in 0..self.regs.len() {
-                cr.push((Action::Commit { reg: i }, full));
-            }
-            for i in 0..self.mems.len() {
-                cr.push((Action::CommitMem { mem: i }, full));
-            }
+            // The live-commit rule over the union of the columns: a
+            // column whose own schedule leaves the port undriven reads
+            // `DISC` there and pushes nothing.
+            live_commits(
+                &self.sinks,
+                entries.iter().map(|&(i, _)| spec(i).dst),
+                &mut live,
+                |a| cr.push((a, full)),
+            );
             for &(i, m) in entries.iter().filter(|&&(i, _)| spec(i).phase == Phase::Wb) {
                 let sp = spec(i);
                 cr.push((
@@ -1816,7 +1724,7 @@ impl ExecPlan {
             }
         }
         let mut init_sched: Vec<(Action, u64)> =
-            self.init_actions.iter().map(|&a| (a, full)).collect();
+            self.delta_actions(0).iter().map(|&a| (a, full)).collect();
 
         // `-O` gated stream tweaks, mirroring [`OptPlan`] on the merged
         // masked schedule. Because the schedule is rebuilt per chunk the
@@ -1860,56 +1768,31 @@ impl ExecPlan {
             // Dead-spur elimination on the union schedule: an assert's
             // presence in `by_step` for *any* column (base, moved-in,
             // flipped or forced — guard edits only gate the driven
-            // value, never the dst) marks its dst active, so an action
-            // is elided only when it is dead in every column. Spur
-            // asserts target the shadow module and a bus, never a
-            // golden module's operand ports, and `init_edits` only
-            // touch register outputs, which no elimination reads.
-            let steps = self.cs_max as usize;
-            let mut port_active = vec![vec![false; steps]; self.modules.len()];
-            let mut reg_in_active = vec![vec![false; steps]; self.regs.len()];
-            let mut mem_win_active = vec![vec![false; steps]; self.mems.len()];
-            for s in 0..steps {
-                for &(i, _) in &by_step[s + 1] {
-                    let dst_sig = self.specs[i].dst;
-                    for (m, pm) in self.modules.iter().enumerate() {
-                        if dst_sig == pm.in1 || dst_sig == pm.in2 || Some(dst_sig) == pm.op {
-                            port_active[m][s] = true;
-                        }
-                    }
-                    for (r, pr) in self.regs.iter().enumerate() {
-                        if dst_sig == pr.input {
-                            reg_in_active[r][s] = true;
-                        }
-                    }
-                    for (w, pw) in self.mems.iter().enumerate() {
-                        if dst_sig == pw.win {
-                            mem_win_active[w][s] = true;
-                        }
-                    }
-                }
-            }
-            let eval_dead = |m: usize, s: usize| -> bool {
-                let window = 2 * self.modules[m].timing.latency() as usize + 2;
-                (s.saturating_sub(window)..=s).all(|t| !port_active[m][t])
-            };
+            // value, never the dst) marks its dst active, so an eval is
+            // elided only when it is dead in every column. Spur asserts
+            // target the shadow module and a bus, never a golden
+            // module's operand ports.
+            let activity = PortActivity::new(
+                self,
+                by_step
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(s, v)| v.iter().map(move |&(i, _)| (s as Step, i)))
+                    .map(|(s, i)| (s, self.specs[i].dst)),
+            );
             for (slot, actions) in sched.iter_mut().enumerate() {
                 let s = slot / Phase::ALL.len();
+                // A dead eval's row is a perfect no-op (all inputs `DISC`
+                // across the window, pipeline drained), but it still
+                // counted one pending row and one driver update per
+                // column — credit those, no event.
                 actions.retain(|&(a, _)| match a {
-                    // A dead eval's row is a perfect no-op (all inputs
-                    // `DISC` across the window, pipeline drained), but
-                    // it still counted one pending row and one driver
-                    // update per column — credit those, no event.
                     Action::Eval { module }
-                        if module < self.modules.len() && eval_dead(module, s) =>
+                        if module < self.modules.len() && activity.eval_dead(self, module, s) =>
                     {
                         elided_du[slot + 2] += 1;
                         false
                     }
-                    // Commits push a row only for live (non-`DISC`)
-                    // inputs, so eliding a never-live commit is free.
-                    Action::Commit { reg } => reg_in_active[reg][s],
-                    Action::CommitMem { mem } => mem_win_active[mem][s],
                     _ => true,
                 });
             }
@@ -1990,7 +1873,7 @@ impl ExecPlan {
                 };
                 let eligible = if sig < s0 {
                     !matches!(
-                        self.signals[sig].role,
+                        self.roles[sig],
                         SignalRole::ControlStep | SignalRole::PhaseSignal
                     )
                 } else {
@@ -2246,30 +2129,13 @@ impl ExecPlan {
                 .collect();
             for m in &self.mems {
                 for &w in &m.words {
-                    registers.push((self.signals[w].name.clone(), values[w * n + c]));
+                    registers.push((self.roles[w].signal_name(), values[w * n + c]));
                 }
             }
             let first_conflict = first_ill[c].and_then(|(sig, delta)| {
                 let visible_at = PhaseTime::from_active_delta(delta)?;
                 let (site, name) = if sig < s0 {
-                    match &self.signals[sig].role {
-                        SignalRole::Bus(nm) => (ConflictSite::Bus, nm.clone()),
-                        SignalRole::ModIn1(nm) | SignalRole::ModIn2(nm) => {
-                            (ConflictSite::ModulePort, nm.clone())
-                        }
-                        SignalRole::ModOp(nm) => (ConflictSite::ModuleOpPort, nm.clone()),
-                        SignalRole::ModOut(nm) => (ConflictSite::ModuleOut, nm.clone()),
-                        SignalRole::RegIn(nm) => (ConflictSite::RegisterPort, nm.clone()),
-                        SignalRole::RegOut(nm) => (ConflictSite::RegisterValue, nm.clone()),
-                        SignalRole::MemWin(nm) | SignalRole::MemWaddr(nm) => {
-                            (ConflictSite::MemoryPort, nm.clone())
-                        }
-                        SignalRole::MemWord { mem, index } => (
-                            ConflictSite::MemoryWord,
-                            SignalRole::mem_word_name(mem, *index),
-                        ),
-                        SignalRole::ControlStep | SignalRole::PhaseSignal => return None,
-                    }
+                    self.roles[sig].conflict_site()?
                 } else {
                     let name = d
                         .spur
@@ -2359,6 +2225,78 @@ fn analytic_stats(
     (activations, wake_hits, wake_misses)
 }
 
+/// Emits one step's `cr` commits under the live-commit rule: one per
+/// register or memory whose input port some spec of the step drives
+/// (`dsts` are the step's spec destinations), registers before memories,
+/// each in declaration order. A commit whose port no spec of its step
+/// drives reads `DISC` at `cr` — every transfer releases its drive one
+/// phase after asserting it — and would push nothing, so it is never
+/// emitted. `live` is scratch space.
+fn live_commits(
+    sinks: &[Sink],
+    dsts: impl Iterator<Item = usize>,
+    live: &mut Vec<Sink>,
+    mut emit: impl FnMut(Action),
+) {
+    live.clear();
+    live.extend(
+        dsts.map(|d| sinks[d])
+            .filter(|k| matches!(k, Sink::Reg(_) | Sink::Mem(_))),
+    );
+    live.sort_unstable();
+    live.dedup();
+    for &k in live.iter() {
+        match k {
+            Sink::Reg(reg) => emit(Action::Commit { reg: reg as usize }),
+            Sink::Mem(mem) => emit(Action::CommitMem { mem: mem as usize }),
+            Sink::Module(_) | Sink::None => unreachable!("filtered above"),
+        }
+    }
+}
+
+/// Per-step operand-port activity of every module: the table dead-spur
+/// elimination decides on, built in one pass over assert placements. The
+/// solo optimizer ([`crate::OptPlan`]) and the batched walk (over the
+/// union of its columns) share it.
+#[derive(Debug, Clone)]
+pub(crate) struct PortActivity {
+    steps: usize,
+    /// `active[m * steps + s]`: some assert drives an operand port of
+    /// module `m` in 0-based step `s` (guards ignored — a disabled assert
+    /// still drives `DISC`, and presence is all the window needs).
+    active: Vec<bool>,
+}
+
+impl PortActivity {
+    /// Builds the table from `(step, destination signal)` placements of
+    /// every assert; placements outside `1..=CS_MAX` never run and are
+    /// ignored.
+    pub(crate) fn new(
+        plan: &ExecPlan,
+        asserts: impl Iterator<Item = (Step, usize)>,
+    ) -> PortActivity {
+        let steps = plan.cs_max as usize;
+        let mut active = vec![false; plan.modules.len() * steps];
+        for (step, dst) in asserts.filter(|(step, _)| (1..=plan.cs_max).contains(step)) {
+            if let Sink::Module(m) = plan.sinks[dst] {
+                active[m as usize * steps + step as usize - 1] = true;
+            }
+        }
+        PortActivity { steps, active }
+    }
+
+    /// Whether module `m`'s evaluation in 0-based step `s` is dead: no
+    /// operand-port assert lands within the last `2·latency + 2` steps,
+    /// so the operands are `DISC`, the pipeline has drained, the
+    /// initiation counter is zero and the output already reads `DISC` —
+    /// the push would be a perfect no-op.
+    pub(crate) fn eval_dead(&self, plan: &ExecPlan, m: usize, s: usize) -> bool {
+        let window = 2 * plan.modules[m].timing.latency() as usize + 2;
+        let row = &self.active[m * self.steps..(m + 1) * self.steps];
+        row[s.saturating_sub(window)..=s].iter().all(|&a| !a)
+    }
+}
+
 /// Combines module operand ports into a result, mirroring the module
 /// process: the op port (when present) selects the operation by index;
 /// `DISC` selection with live operands and out-of-range selections are
@@ -2414,8 +2352,8 @@ mod tests {
             c.summary.conflicts.as_ref().map(|r| &r.conflicts),
             "conflicts"
         );
-        assert_eq!(i.commits, c.commits, "commits");
-        assert_eq!(i.vcd, c.vcd, "vcd");
+        assert_eq!(i.commits(), c.commits(), "commits");
+        assert_eq!(i.vcd(), c.vcd(), "vcd");
     }
 
     #[test]
@@ -2572,7 +2510,7 @@ mod tests {
         let plan = ExecPlan::lower(&model);
         let stat = plan
             .static_conflicts()
-            .iter()
+            .into_iter()
             .find(|c| c.name == "B1")
             .expect("static pre-pass flags the shared bus");
         assert_eq!(stat.site, ConflictSite::Bus);

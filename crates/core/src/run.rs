@@ -3,10 +3,15 @@
 //! [`RtSimulation`] owns an elaborated model plus its kernel simulator and
 //! provides RT-level observation: current step/phase, register and bus
 //! values, per-commit logs and the conflict report promised by §2.7.
+//! [`Waveform`] is a traced run's recording, the one form in which both
+//! engines hand their events over; the conflict and commit extractors
+//! below are shared by both.
 
-use clockless_kernel::{KernelError, SimStats, Simulator, StepOutcome};
+use std::sync::Arc;
 
-use crate::diag::{Conflict, ConflictReport, ConflictSite};
+use clockless_kernel::{KernelError, SimStats, Simulator, StepOutcome, Trace, TraceEvent};
+
+use crate::diag::{Conflict, ConflictReport};
 use crate::elaborate::{elaborate, ElaborateOptions, SignalLayout, SignalRole};
 use crate::model::RtModel;
 use crate::phase::{PhaseTime, Step, PHASES_PER_STEP};
@@ -21,6 +26,88 @@ pub struct RegisterCommit {
     pub step: Step,
     /// The stored value.
     pub value: Value,
+}
+
+/// The recording of one traced run: every signal event, once, in
+/// chronological order, plus the roles that name and classify the
+/// signals.
+///
+/// Both engines return one in [`ExecOutcome`](crate::ExecOutcome). The
+/// roles are shared (a cached compiled plan hands out the same table to
+/// every run), and nothing is rendered until asked for: the commit log
+/// and the VCD document are derived from the events on each call.
+#[derive(Debug, Clone)]
+pub struct Waveform {
+    trace: Trace<Value>,
+    roles: Arc<[SignalRole]>,
+}
+
+impl Waveform {
+    /// Wraps a recording whose signal ids index `roles`.
+    pub(crate) fn new(trace: Trace<Value>, roles: Arc<[SignalRole]>) -> Waveform {
+        Waveform { trace, roles }
+    }
+
+    /// The conflict report: every `ILLEGAL` event located to the step and
+    /// phase at which it became visible (§2.7).
+    pub fn conflicts(&self) -> ConflictReport {
+        conflict_report(self.trace.events(), &self.roles)
+    }
+
+    /// The register-commit log (see [`RtSimulation::register_commits`]).
+    pub fn commits(&self) -> Vec<RegisterCommit> {
+        commit_log(self.trace.events(), &self.roles)
+    }
+
+    /// Renders the waveform as a VCD document, signals named after their
+    /// roles.
+    pub fn vcd(&self) -> String {
+        let names: Vec<String> = self.roles.iter().map(SignalRole::signal_name).collect();
+        self.trace.to_vcd(&names)
+    }
+}
+
+/// `ILLEGAL`-valued events localized to step and phase — the conflict
+/// extractor of both engines.
+fn conflict_report(events: &[TraceEvent<Value>], roles: &[SignalRole]) -> ConflictReport {
+    let conflicts = events
+        .iter()
+        .filter(|e| e.value == Value::Illegal)
+        .filter_map(|e| {
+            let visible_at = PhaseTime::from_active_delta(e.at.delta)?;
+            let (site, name) = roles[e.signal.index()].conflict_site()?;
+            Some(Conflict {
+                site,
+                name,
+                visible_at,
+            })
+        })
+        .collect();
+    ConflictReport { conflicts }
+}
+
+/// Register-output and memory-word events attributed to the storing
+/// step — the commit extractor of both engines.
+fn commit_log(events: &[TraceEvent<Value>], roles: &[SignalRole]) -> Vec<RegisterCommit> {
+    events
+        .iter()
+        .filter_map(|e| {
+            let register = match &roles[e.signal.index()] {
+                SignalRole::RegOut(name) => name.clone(),
+                SignalRole::MemWord { mem, index } => SignalRole::mem_word_name(mem, *index),
+                _ => return None,
+            };
+            // Initial values are not commits. The output changes in the
+            // delta after cr, i.e. at ra of the following step; attribute
+            // the commit to the storing step.
+            let pt = PhaseTime::from_active_delta(e.at.delta)?;
+            Some(RegisterCommit {
+                register,
+                step: pt.step - 1,
+                value: e.value,
+            })
+        })
+        .collect()
 }
 
 /// Summary of a completed run.
@@ -294,39 +381,7 @@ impl RtSimulation {
     /// simulation was not traced.
     pub fn conflicts(&self) -> Option<ConflictReport> {
         let trace = self.sim.trace()?;
-        let mut conflicts = Vec::new();
-        for e in trace.events() {
-            if e.value != Value::Illegal {
-                continue;
-            }
-            let Some(visible_at) = PhaseTime::from_active_delta(e.at.delta) else {
-                continue;
-            };
-            let (site, name) = match self.layout.role(e.signal) {
-                SignalRole::Bus(n) => (ConflictSite::Bus, n.clone()),
-                SignalRole::ModIn1(n) | SignalRole::ModIn2(n) => {
-                    (ConflictSite::ModulePort, n.clone())
-                }
-                SignalRole::ModOp(n) => (ConflictSite::ModuleOpPort, n.clone()),
-                SignalRole::ModOut(n) => (ConflictSite::ModuleOut, n.clone()),
-                SignalRole::RegIn(n) => (ConflictSite::RegisterPort, n.clone()),
-                SignalRole::RegOut(n) => (ConflictSite::RegisterValue, n.clone()),
-                SignalRole::MemWin(n) | SignalRole::MemWaddr(n) => {
-                    (ConflictSite::MemoryPort, n.clone())
-                }
-                SignalRole::MemWord { mem, index } => (
-                    ConflictSite::MemoryWord,
-                    SignalRole::mem_word_name(mem, *index),
-                ),
-                SignalRole::ControlStep | SignalRole::PhaseSignal => continue,
-            };
-            conflicts.push(Conflict {
-                site,
-                name,
-                visible_at,
-            });
-        }
-        Some(ConflictReport { conflicts })
+        Some(conflict_report(trace.events(), &self.layout.roles))
     }
 
     /// The observable register commits: each change of a register's
@@ -338,39 +393,28 @@ impl RtSimulation {
     /// compare final values as well.
     pub fn register_commits(&self) -> Option<Vec<RegisterCommit>> {
         let trace = self.sim.trace()?;
-        let mut commits = Vec::new();
-        for e in trace.events() {
-            let register = match self.layout.role(e.signal) {
-                SignalRole::RegOut(name) => name.clone(),
-                SignalRole::MemWord { mem, index } => SignalRole::mem_word_name(mem, *index),
-                _ => continue,
-            };
-            let Some(pt) = PhaseTime::from_active_delta(e.at.delta) else {
-                continue; // initial value, not a commit
-            };
-            // The output changes in the delta after cr, i.e. at ra of the
-            // following step; attribute the commit to the storing step.
-            commits.push(RegisterCommit {
-                register,
-                step: pt.step - 1,
-                value: e.value,
-            });
-        }
-        Some(commits)
+        Some(commit_log(trace.events(), &self.layout.roles))
     }
 
     /// Renders the recorded waveform as a VCD document, or `None` when
     /// the simulation was not traced.
     pub fn to_vcd(&self) -> Option<String> {
-        let trace = self.sim.trace()?;
-        let names: Vec<String> = self.sim.signal_names().map(str::to_string).collect();
-        Some(trace.to_vcd(&names))
+        let names: Vec<&str> = self.sim.signal_names().collect();
+        Some(self.sim.trace()?.to_vcd(&names))
+    }
+
+    /// Consumes the simulation, keeping only its recording (`None` when
+    /// the simulation was not traced).
+    pub fn into_waveform(mut self) -> Option<Waveform> {
+        let trace = self.sim.take_trace()?;
+        Some(Waveform::new(trace, self.layout.roles.into()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::ConflictSite;
     use crate::model::fig1_model;
     use crate::op::Op;
     use crate::phase::Phase;

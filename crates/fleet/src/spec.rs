@@ -317,7 +317,9 @@ fn synthesize_workload(workload: &HlsWorkload) -> Result<RtModel, String> {
 }
 
 /// Rebuilds `model` with a new `CS_MAX` and/or register-init overrides,
-/// revalidating every transfer against the new parameters.
+/// revalidating every transfer against the new parameters. Registers
+/// keep their declaration order; array and memory declarations carry
+/// over.
 fn rebuild_with_overrides(
     model: &RtModel,
     steps: Option<Step>,
@@ -328,15 +330,42 @@ fn rebuild_with_overrides(
             return Err(format!("init override names unknown register `{reg}`"));
         }
     }
-    let mut m = RtModel::new(model.name(), steps.unwrap_or(model.cs_max()));
-    for r in model.registers() {
-        let init = overrides
+    let init_of = |name: &str, init: Value| {
+        overrides
             .iter()
             .rev() // later overrides win
-            .find(|(name, _)| *name == r.name)
-            .map(|(_, v)| Value::Num(*v))
-            .unwrap_or(r.init);
-        m.add_register_init(&r.name, init)
+            .find(|(n, _)| n == name)
+            .map_or(init, |(_, v)| Value::Num(*v))
+    };
+    let mut m = RtModel::new(model.name(), steps.unwrap_or(model.cs_max()));
+    let regs = model.registers();
+    let mut i = 0;
+    while i < regs.len() {
+        // Array elements are contiguous registers `A[0]`…; re-declaring
+        // the array recreates them in place, then each keeps its own init.
+        let array = model
+            .arrays()
+            .iter()
+            .find(|a| regs[i].name == format!("{}[0]", a.name));
+        let elements = match array {
+            Some(a) => {
+                m.add_array(&a.name, a.len, a.init)
+                    .map_err(|e| e.to_string())?;
+                a.len as usize
+            }
+            None => {
+                m.add_register(&regs[i].name).map_err(|e| e.to_string())?;
+                1
+            }
+        };
+        for r in &regs[i..i + elements] {
+            m.set_register_init(&r.name, init_of(&r.name, r.init))
+                .map_err(|e| e.to_string())?;
+        }
+        i += elements;
+    }
+    for mem in model.memories() {
+        m.add_memory(&mem.name, mem.len, mem.init)
             .map_err(|e| e.to_string())?;
     }
     for b in model.buses() {
@@ -672,6 +701,66 @@ mod tests {
         job.overrides = vec![("NOPE".into(), 1)];
         let err = job.resolve().expect_err("unknown register");
         assert!(err.to_string().contains("unknown register"));
+    }
+
+    fn corpus_text(model: &str) -> String {
+        let path = format!("{}/../../models/{model}.rtl", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).expect("corpus model")
+    }
+
+    /// Runs `job` in a one-job batch; it must not be quarantined.
+    fn run_alone(job: JobSpec) -> crate::JobResult {
+        let report = crate::run_batch(&BatchSpec { jobs: vec![job] }, 1).expect("batch runs");
+        match report.jobs.into_iter().next() {
+            Some(crate::JobOutcome::Ok(result)) => *result,
+            other => panic!("job quarantined: {other:?}"),
+        }
+    }
+
+    /// `init` and `steps` overrides on models with a memory or an array
+    /// rebuild them with their storage intact: each job resolves to, and
+    /// reports exactly what, the model with that edit made in its text
+    /// does.
+    #[test]
+    fn overrides_keep_memories_and_arrays() {
+        let memory = corpus_text("memory");
+        let guarded = corpus_text("guarded");
+        let cases = [
+            (
+                &memory,
+                None,
+                Some(("IDX", 1)),
+                memory.replace("register IDX init 2", "register IDX init 1"),
+            ),
+            (
+                &memory,
+                Some(8),
+                None,
+                memory.replace("model memory steps 6", "model memory steps 8"),
+            ),
+            (
+                &guarded,
+                Some(7),
+                Some(("B", 4)),
+                guarded
+                    .replace("model guarded steps 6", "model guarded steps 7")
+                    .replace("register B init 17", "register B init 4"),
+            ),
+        ];
+        for (text, steps, init, edited) in cases {
+            let mut job = JobSpec::new("job", JobSource::RtlText(text.clone()));
+            job.steps = steps;
+            job.overrides = init.map(|(r, v)| (r.to_string(), v)).into_iter().collect();
+            let reference = JobSpec::new("job", JobSource::RtlText(edited));
+            assert_eq!(
+                clockless_core::text::to_text(&job.resolve().expect("rebuilds")),
+                clockless_core::text::to_text(&reference.resolve().expect("parses")),
+            );
+            let (got, want) = (run_alone(job), run_alone(reference));
+            assert!(got.conflicts.is_clean(), "{}", got.conflicts);
+            assert_eq!(got.registers, want.registers);
+            assert_eq!(got.stats, want.stats);
+        }
     }
 
     #[test]

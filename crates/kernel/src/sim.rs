@@ -728,6 +728,12 @@ impl<V: SimValue> Simulator<V> {
         self.trace.as_ref()
     }
 
+    /// Moves the recorded waveform out, leaving tracing disabled — for
+    /// callers that keep the recording after the simulator is gone.
+    pub fn take_trace(&mut self) -> Option<Trace<V>> {
+        self.trace.take()
+    }
+
     /// Enables commit observation for `signals`: every subsequent change
     /// of an observed signal's effective value is appended to the
     /// [commit log](Self::commit_log) as `(delta, signal, value)`.

@@ -89,13 +89,14 @@ impl<V: Display> Trace<V> {
     ///
     /// Values are emitted as VCD `real` changes via their `Display` form
     /// when numeric, or as string changes otherwise.
-    pub fn to_vcd(&self, names: &[String]) -> String {
-        let mut out = String::new();
+    pub fn to_vcd<S: AsRef<str>>(&self, names: &[S]) -> String {
+        let mut out = String::with_capacity(128 + 24 * names.len() + 12 * self.events.len());
         out.push_str("$date clockless $end\n$version clockless-kernel $end\n");
         out.push_str("$timescale 1fs $end\n$scope module top $end\n");
-        for (i, name) in names.iter().enumerate() {
-            let ident = vcd_ident(i);
+        let idents: Vec<String> = (0..names.len()).map(vcd_ident).collect();
+        for (ident, name) in idents.iter().zip(names) {
             let clean: String = name
+                .as_ref()
                 .chars()
                 .map(|c| if c.is_whitespace() { '_' } else { c })
                 .collect();
@@ -113,8 +114,12 @@ impl<V: Display> Trace<V> {
                 let _ = writeln!(out, "#{step}");
                 last_at = Some(e.at);
             }
-            let ident = vcd_ident(e.signal.index());
-            let _ = writeln!(out, "s{} {}", e.value, ident);
+            let _ = write!(out, "s{} ", e.value);
+            match idents.get(e.signal.index()) {
+                Some(ident) => out.push_str(ident),
+                None => out.push_str(&vcd_ident(e.signal.index())),
+            }
+            out.push('\n');
         }
         out
     }

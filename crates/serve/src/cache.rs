@@ -325,7 +325,7 @@ mod tests {
             let out = c.execute(&ExecOptions::traced()).expect("runs");
             assert_eq!(base.summary.registers, out.summary.registers);
             assert_eq!(base.summary.stats, out.summary.stats);
-            assert_eq!(base.vcd, out.vcd);
+            assert_eq!(base.vcd(), out.vcd());
         }
     }
 

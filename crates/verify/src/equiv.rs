@@ -373,18 +373,16 @@ fn backend_equiv_with(model: &RtModel, options: &ExecOptions) -> Result<(), Back
                     format!("{:?}", b.summary.conflicts),
                 ));
             }
-            if a.commits != b.commits {
-                return Err(diverge(
-                    "commits",
-                    format!("{:?}", a.commits),
-                    format!("{:?}", b.commits),
-                ));
+            let (ac, bc) = (a.commits(), b.commits());
+            if ac != bc {
+                return Err(diverge("commits", format!("{ac:?}"), format!("{bc:?}")));
             }
-            if a.vcd != b.vcd {
+            let (av, bv) = (a.vcd(), b.vcd());
+            if av != bv {
                 return Err(diverge(
                     "vcd",
-                    a.vcd.unwrap_or_else(|| "<none>".into()),
-                    b.vcd.unwrap_or_else(|| "<none>".into()),
+                    av.unwrap_or_else(|| "<none>".into()),
+                    bv.unwrap_or_else(|| "<none>".into()),
                 ));
             }
             Ok(())

@@ -27,6 +27,9 @@ echo "== bench crate (build + unit tests; benches run via 'cargo bench')"
 cargo test -q --manifest-path crates/bench/Cargo.toml --offline
 cargo build --benches --manifest-path crates/bench/Cargo.toml --offline
 
+echo "== perfbench smoke (every benchmark workload on the production path, one epoch each)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== fault-campaign smoke (stuck/drivers must detect, never corrupt silently)"
 faults_out="$(./target/release/clockless faults models/fig1.rtl --classes stuck,drivers)"
 grep -q "detected (100%)" <<<"$faults_out"
@@ -101,6 +104,18 @@ faults_o2="$(./target/release/clockless faults models/iks_fir.rtl --json --backe
 fleet_o0="$(./target/release/clockless fleet models/demo.fleet --jobs 2 --json --backend compiled --opt 0)"
 fleet_o2="$(./target/release/clockless fleet models/demo.fleet --jobs 2 --json --backend compiled --opt 2)"
 [ "$fleet_o0" = "$fleet_o2" ]
+
+echo "== waveform sweep (run --vcd byte-identical across backends and -O levels)"
+vcd_dir="$(mktemp -d)"
+for model in models/*.rtl; do
+  ./target/release/clockless run "$model" --vcd "$vcd_dir/interpreted.vcd" >/dev/null
+  for lvl in 0 1 2; do
+    ./target/release/clockless run "$model" --backend compiled --opt "$lvl" \
+      --vcd "$vcd_dir/compiled.vcd" >/dev/null
+    cmp "$vcd_dir/interpreted.vcd" "$vcd_dir/compiled.vcd"
+  done
+done
+rm -rf "$vcd_dir"
 
 echo "== campaign engine sweep (batched engine must be byte-identical to legacy)"
 for model in models/*.rtl; do

@@ -268,7 +268,7 @@ fn cmd_run(
             None => print!("{doc}"),
         }
         if let Some(out) = vcd {
-            let doc = outcome.vcd.as_deref().expect("traced run exports VCD");
+            let doc = outcome.vcd().expect("traced run exports VCD");
             std::fs::write(out, doc).map_err(|e| format!("cannot write {out}: {e}"))?;
         }
         return match &verdict {
@@ -293,7 +293,7 @@ fn cmd_run(
         print!("{conflicts}");
     }
     if let Some(out) = vcd {
-        let doc = outcome.vcd.as_deref().expect("traced run exports VCD");
+        let doc = outcome.vcd().expect("traced run exports VCD");
         std::fs::write(out, doc).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("waveform written to {out}");
     }

@@ -750,3 +750,42 @@ fn memory_corpus_model_matches_goldens() {
         "{run_golden}"
     );
 }
+
+// ------------------------------------------------------------ VCD goldens
+
+/// `run --vcd` writes the same waveform, byte for byte, on every engine
+/// and at every optimization level: the documents are pinned by
+/// `tests/golden/run_<model>.vcd` (a clean run, a bus conflict, guarded
+/// transfers over an array, and memory words).
+#[test]
+fn run_vcd_matches_goldens_on_every_backend_and_level() {
+    for model in ["fig1", "conflict", "guarded", "memory"] {
+        let golden = std::fs::read_to_string(repo_path(&format!("tests/golden/run_{model}.vcd")))
+            .expect("golden present");
+        for backend in ["interpreted", "compiled"] {
+            for opt in ["0", "1", "2"] {
+                let vcd_path = std::env::temp_dir().join(format!(
+                    "clockless_cli_golden_{}_{model}_{backend}_{opt}.vcd",
+                    std::process::id()
+                ));
+                let out = cli()
+                    .args([
+                        "run",
+                        &repo_path(&format!("models/{model}.rtl")),
+                        "--vcd",
+                        &vcd_path.to_string_lossy(),
+                        "--backend",
+                        backend,
+                        "--opt",
+                        opt,
+                    ])
+                    .output()
+                    .expect("binary runs");
+                assert!(out.status.success(), "{out:?}");
+                let vcd = std::fs::read_to_string(&vcd_path).expect("vcd written");
+                let _ = std::fs::remove_file(&vcd_path);
+                assert_eq!(vcd, golden, "{model} VCD drifted on {backend} -O{opt}");
+            }
+        }
+    }
+}
