@@ -77,8 +77,7 @@ pub enum OptLevel {
     O0,
     /// Slot fusion + resolution specialization: one contiguous micro-op
     /// stream with precomputed delta boundaries; single-driver asserts
-    /// compile to direct stores that skip `resolve()` and the driver
-    /// buffers.
+    /// compile to direct stores that keep no driver slots or tally.
     O1,
     /// Everything in `O1` plus control-trajectory constant folding and
     /// dead-spur elimination (statically decided guards, elided control
@@ -164,7 +163,7 @@ pub struct OptConfig {
     /// one contiguous micro-op stream with precomputed delta boundaries.
     pub fuse: bool,
     /// Resolution specialization: single-driver asserts become direct
-    /// compare-and-store, skipping `resolve()` and the driver buffers.
+    /// compare-and-store, keeping no driver slots or tally.
     pub specialize: bool,
     /// Control-trajectory constant folding: the CS/PH trajectory is
     /// static, so statically decided guards are pre-evaluated and

@@ -214,6 +214,17 @@ impl Invariant {
         }
     }
 
+    /// The signals the invariant reads: `(sig, sig)` for the single-signal
+    /// kinds, `(a, b)` for the relations.
+    fn operands(&self) -> (usize, usize) {
+        match *self {
+            Invariant::Range { sig, .. } | Invariant::Reachable { sig, .. } => (sig, sig),
+            Invariant::Eq { a, b } | Invariant::Le { a, b } | Invariant::Offset { a, b, .. } => {
+                (a, b)
+            }
+        }
+    }
+
     /// Evaluates the invariant against one value row; on violation
     /// returns the attributed signal index and its offending value.
     fn violated(&self, row: &[Value]) -> Option<(usize, Value)> {
@@ -365,31 +376,94 @@ impl CheckReport {
     }
 }
 
-/// The checking state machine. Feed it the end-of-delta values of every
-/// executed delta cycle in order via [`observe`](Self::observe), then
-/// call [`finish`](Self::finish); it latches the *first* violation of
-/// each detector family.
+/// The lookups that let [`CheckEval`] re-check only what a delta changed,
+/// built once per program (once per campaign) by [`CheckIndex::new`].
 ///
-/// Runs shorter than the golden table are extended with their frozen
-/// final values (a quiesced run holds them forever); runs longer than
-/// the table are compared against the table's final row. Both engines
-/// drive this same machine, so verdicts agree byte-for-byte.
+/// A monitor entry can first mismatch only at a delta where the run's
+/// value or the golden row changed, and an invariant can first fail only
+/// where one of its operands changed; these tables name both.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CheckIndex {
+    /// The invariants reading each signal, ascending.
+    invariants: Vec<Vec<usize>>,
+    /// Per delta of the golden table, the signals whose value differs
+    /// from the previous delta's, ascending (none at delta 0; past the
+    /// table's end the row holds).
+    golden: Vec<Vec<usize>>,
+}
+
+impl CheckIndex {
+    /// Indexes `program`: signal → invariants and delta → golden-row
+    /// changes.
+    pub fn new(program: &CheckProgram) -> CheckIndex {
+        let width = program.width();
+        let mut invariants = vec![Vec::new(); width];
+        for (k, inv) in program.invariants.iter().enumerate() {
+            let (a, b) = inv.operands();
+            invariants[a].push(k);
+            if b != a {
+                invariants[b].push(k);
+            }
+        }
+        let golden = match &program.monitor {
+            Some(table) => {
+                let deltas = usize::try_from(table.deltas).unwrap_or(usize::MAX);
+                let rows: Vec<&[Value]> = table.values.chunks(width.max(1)).take(deltas).collect();
+                (0..rows.len())
+                    .map(|d| match d {
+                        0 => Vec::new(),
+                        d => (0..width)
+                            .filter(|&i| rows[d - 1][i] != rows[d][i])
+                            .collect(),
+                    })
+                    .collect()
+            }
+            None => Vec::new(),
+        };
+        CheckIndex { invariants, golden }
+    }
+
+    /// The signals whose golden value changes at delta `d`.
+    fn golden_changes(&self, d: u64) -> &[usize] {
+        usize::try_from(d)
+            .ok()
+            .and_then(|d| self.golden.get(d))
+            .map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The checking state machine. Feed it every executed delta cycle in
+/// order via [`observe`](Self::observe), then call
+/// [`finish`](Self::finish); it latches the *first* violation of each
+/// detector family, exactly as a full scan of every row would.
+///
+/// Observation is event-driven: the first observation reads the whole
+/// row, and each later one reads only the signals the delta changed,
+/// re-checking just the monitor entries whose run or golden value moved
+/// and the invariants over a changed operand ([`CheckIndex`]). Runs
+/// shorter than the golden table are extended with their frozen final
+/// values (a quiesced run holds them forever); runs longer than the table
+/// are compared against the table's final row. Both engines drive this
+/// same machine, so verdicts agree byte-for-byte.
 #[derive(Debug)]
 pub struct CheckEval<'p> {
     program: &'p CheckProgram,
+    index: &'p CheckIndex,
     /// Deltas observed so far (== the next expected delta index).
     observed: u64,
-    /// The most recent observed row.
+    /// The current value of every signal.
     last: Vec<Value>,
     monitor: Option<MonitorViolation>,
     invariant: Option<InvariantViolation>,
 }
 
 impl<'p> CheckEval<'p> {
-    /// A fresh evaluator for `program`.
-    pub fn new(program: &'p CheckProgram) -> CheckEval<'p> {
+    /// A fresh evaluator for `program`, whose lookups `index` holds (see
+    /// [`CheckIndex::new`]).
+    pub fn new(program: &'p CheckProgram, index: &'p CheckIndex) -> CheckEval<'p> {
         CheckEval {
             program,
+            index,
             observed: 0,
             last: vec![Value::Disc; program.width()],
             monitor: None,
@@ -399,52 +473,81 @@ impl<'p> CheckEval<'p> {
 
     /// Observes the end-of-delta values of delta cycle `delta` (must be
     /// called with consecutive deltas starting at 0). `get(i)` is the
-    /// value of `program.signals[i]`.
-    pub fn observe(&mut self, delta: u64, mut get: impl FnMut(usize) -> Value) {
-        for i in 0..self.program.width() {
-            self.last[i] = get(i);
+    /// value of `program.signals[i]`. The first observation reads every
+    /// signal; later ones read only `changed`, the signals whose value
+    /// may differ from the previous delta — duplicates and unchanged
+    /// entries are harmless, omissions are not.
+    pub fn observe(&mut self, delta: u64, changed: &[usize], mut get: impl FnMut(usize) -> Value) {
+        if self.observed == 0 {
+            let all = 0..self.program.width();
+            for i in all.clone() {
+                self.last[i] = get(i);
+            }
+            self.check(delta, all);
+        } else {
+            for &i in changed {
+                self.last[i] = get(i);
+            }
+            self.check(delta, changed.iter().copied());
         }
-        self.check_monitor(delta);
-        self.check_invariants(delta);
         self.observed = delta + 1;
     }
 
-    fn check_monitor(&mut self, delta: u64) {
-        if self.monitor.is_some() {
+    /// Re-checks delta `delta` given the signals the run changed since
+    /// the previous delta (every signal on the first observation).
+    fn check(&mut self, delta: u64, changed: impl Iterator<Item = usize> + Clone) {
+        if self.monitor.is_none() {
+            self.check_monitor(delta, changed.clone());
+        }
+        if self.invariant.is_some() {
             return;
         }
+        // The first violation in program order: the lowest-indexed
+        // failing invariant over a changed operand. Every other
+        // invariant holds as it did at the previous delta.
+        let mut first: Option<(usize, (usize, Value))> = None;
+        for i in changed {
+            for &k in &self.index.invariants[i] {
+                if first.is_some_and(|(f, _)| f <= k) {
+                    break;
+                }
+                if let Some(hit) = self.program.invariants[k].violated(&self.last) {
+                    first = Some((k, hit));
+                }
+            }
+        }
+        if let Some((k, (sig, got))) = first {
+            self.invariant = Some(InvariantViolation {
+                rule: self.program.invariants[k].render(&self.program.signals),
+                signal: self.program.signals[sig].name.clone(),
+                delta,
+                got,
+            });
+        }
+    }
+
+    /// Latches the lowest-indexed signal diverging from the golden row
+    /// at `delta`, among those the run changed (`changed`) or the golden
+    /// table changed — every other signal matched at the previous delta
+    /// and still does.
+    fn check_monitor(&mut self, delta: u64, changed: impl Iterator<Item = usize>) {
         let Some(table) = &self.program.monitor else {
             return;
         };
         let row = table.row(self.program.width(), delta);
-        for (i, (got, expected)) in self.last.iter().zip(row).enumerate() {
-            if got != expected {
-                self.monitor = Some(MonitorViolation {
-                    signal: self.program.signals[i].name.clone(),
-                    kind: self.program.signals[i].kind,
-                    delta,
-                    expected: *expected,
-                    got: *got,
-                });
-                return;
-            }
-        }
-    }
-
-    fn check_invariants(&mut self, delta: u64) {
-        if self.invariant.is_some() {
-            return;
-        }
-        for inv in &self.program.invariants {
-            if let Some((sig, got)) = inv.violated(&self.last) {
-                self.invariant = Some(InvariantViolation {
-                    rule: inv.render(&self.program.signals),
-                    signal: self.program.signals[sig].name.clone(),
-                    delta,
-                    got,
-                });
-                return;
-            }
+        let golden = self.index.golden_changes(delta).iter().copied();
+        let first = changed
+            .chain(golden)
+            .filter(|&i| self.last[i] != row[i])
+            .min();
+        if let Some(i) = first {
+            self.monitor = Some(MonitorViolation {
+                signal: self.program.signals[i].name.clone(),
+                kind: self.program.signals[i].kind,
+                delta,
+                expected: row[i],
+                got: self.last[i],
+            });
         }
     }
 
@@ -455,8 +558,13 @@ impl<'p> CheckEval<'p> {
     pub fn finish(&mut self) -> CheckReport {
         if let Some(table) = &self.program.monitor {
             let mut d = self.observed;
+            if d == 0 && table.deltas > 0 {
+                // Nothing observed: the all-`DISC` row meets every entry.
+                self.check_monitor(0, 0..self.program.width());
+                d = 1;
+            }
             while self.monitor.is_none() && d < table.deltas {
-                self.check_monitor(d);
+                self.check_monitor(d, std::iter::empty());
                 d += 1;
             }
         }
@@ -628,15 +736,20 @@ pub fn execute_checked(
     match backend {
         Backend::Interpreted => {
             let run = run_observed(model, &program.signals, options)?;
-            let mut eval = CheckEval::new(program);
+            let index = CheckIndex::new(program);
+            let mut eval = CheckEval::new(program, &index);
+            // The commit log lists exactly each delta's changes.
             let mut cur = run.inits.clone();
+            let mut changed = Vec::new();
             let mut k = 0;
             for d in 0..run.deltas {
+                changed.clear();
                 while k < run.log.len() && run.log[k].0 == d {
                     cur[run.log[k].1] = run.log[k].2;
+                    changed.push(run.log[k].1);
                     k += 1;
                 }
-                eval.observe(d, |i| cur[i]);
+                eval.observe(d, &changed, |i| cur[i]);
             }
             Ok((run.outcome, eval.finish()))
         }
@@ -775,8 +888,9 @@ mod tests {
             }),
             invariants: Vec::new(),
         };
-        let mut eval = CheckEval::new(&program);
-        eval.observe(0, |_| Value::Num(1));
+        let index = CheckIndex::new(&program);
+        let mut eval = CheckEval::new(&program, &index);
+        eval.observe(0, &[], |_| Value::Num(1));
         let report = eval.finish();
         let v = report.monitor.expect("frozen value diverges at delta 1");
         assert_eq!(v.delta, 1);
@@ -805,5 +919,192 @@ mod tests {
             assert!(matches!(err, CheckedError::Signals(_)), "{err}");
             assert!(err.to_string().contains("NOPE"), "{err}");
         }
+    }
+
+    /// The full-row scan reference: every delta compares the whole row
+    /// against the golden table and evaluates every invariant in order,
+    /// then a short run's frozen row meets the remaining golden rows.
+    fn full_scan(program: &CheckProgram, rows: &[Vec<Value>]) -> CheckReport {
+        let w = program.width();
+        let mut monitor: Option<MonitorViolation> = None;
+        let mut invariant: Option<InvariantViolation> = None;
+        let mut last = vec![Value::Disc; w];
+        let scan = |d: u64, last: &[Value], monitor: &mut Option<MonitorViolation>| {
+            let Some(table) = &program.monitor else {
+                return;
+            };
+            let row = table.row(w, d);
+            if monitor.is_none() {
+                *monitor = (0..w)
+                    .find(|&i| last[i] != row[i])
+                    .map(|i| MonitorViolation {
+                        signal: program.signals[i].name.clone(),
+                        kind: program.signals[i].kind,
+                        delta: d,
+                        expected: row[i],
+                        got: last[i],
+                    });
+            }
+        };
+        for (d, row) in rows.iter().enumerate() {
+            last.clone_from(row);
+            scan(d as u64, &last, &mut monitor);
+            if invariant.is_none() {
+                invariant = program.invariants.iter().find_map(|inv| {
+                    inv.violated(&last).map(|(sig, got)| InvariantViolation {
+                        rule: inv.render(&program.signals),
+                        signal: program.signals[sig].name.clone(),
+                        delta: d as u64,
+                        got,
+                    })
+                });
+            }
+        }
+        if let Some(table) = &program.monitor {
+            for d in rows.len() as u64..table.deltas {
+                scan(d, &last, &mut monitor);
+            }
+        }
+        CheckReport { monitor, invariant }
+    }
+
+    /// Random programs — a golden table plus every invariant kind — and
+    /// random runs shorter than, as long as and longer than the table,
+    /// fed with changed lists padded by duplicates and unchanged extras:
+    /// the event-driven evaluator reports exactly what the full scan
+    /// does.
+    #[test]
+    fn event_driven_checks_equal_the_full_scan() {
+        use Value::*;
+        let palette = [
+            Disc,
+            Illegal,
+            Num(0),
+            Num(1),
+            Num(2),
+            Num(3),
+            Num(-2),
+            Num(i64::MAX),
+        ];
+        let mut rng = 0xc4ec_u64;
+        let mut next = move |n: u64| crate::splitmix64(&mut rng) % n.max(1);
+        let (mut shorter, mut equal, mut longer, mut fired) = (0, 0, 0, 0);
+        for trial in 0..3000 {
+            let width = 1 + next(6) as usize;
+            let signals: Vec<CheckSignal> = (0..width)
+                .map(|i| CheckSignal {
+                    name: format!("S{i}"),
+                    kind: [
+                        SignalKind::Register,
+                        SignalKind::MemoryWord,
+                        SignalKind::Bus,
+                    ][next(3) as usize],
+                })
+                .collect();
+            // Golden rows: a random walk over a small palette.
+            let deltas = 1 + next(10);
+            let mut golden: Vec<Vec<Value>> = Vec::new();
+            let mut row: Vec<Value> = (0..width).map(|_| palette[next(8) as usize]).collect();
+            for _ in 0..deltas {
+                for v in row.iter_mut() {
+                    if next(4) == 0 {
+                        *v = palette[next(8) as usize];
+                    }
+                }
+                golden.push(row.clone());
+            }
+            let mut invariants = Vec::new();
+            for _ in 0..next(7) {
+                let (a, b) = (next(width as u64) as usize, next(width as u64) as usize);
+                let lo = next(4) as i64 - 1;
+                invariants.push(match next(5) {
+                    0 => Invariant::Range {
+                        sig: a,
+                        min: lo,
+                        max: lo + next(4) as i64,
+                    },
+                    1 => {
+                        let mut values: Vec<i64> =
+                            (0..1 + next(3)).map(|_| next(4) as i64).collect();
+                        values.sort_unstable();
+                        values.dedup();
+                        Invariant::Reachable { sig: a, values }
+                    }
+                    2 => Invariant::Eq { a, b },
+                    3 => Invariant::Le { a, b },
+                    _ => Invariant::Offset {
+                        a,
+                        b,
+                        delta: next(3) as i64 - 1,
+                    },
+                });
+            }
+            let program = CheckProgram {
+                signals,
+                monitor: (next(4) != 0).then(|| MonitorTable {
+                    deltas,
+                    values: golden.concat(),
+                }),
+                invariants,
+            };
+            // The run: the golden rows (clamped past the end) with rare
+            // random divergences.
+            let len = match next(3) {
+                0 if deltas > 1 => {
+                    shorter += 1;
+                    1 + next(deltas - 1)
+                }
+                2 => {
+                    longer += 1;
+                    deltas + 1 + next(4)
+                }
+                _ => {
+                    equal += 1;
+                    deltas
+                }
+            };
+            let mut rows: Vec<Vec<Value>> = Vec::new();
+            let mut cur = golden[0].clone();
+            for d in 0..len {
+                let g = &golden[(d.min(deltas - 1)) as usize];
+                for i in 0..width {
+                    if next(3) == 0 {
+                        cur[i] = g[i];
+                    }
+                    if next(12) == 0 {
+                        cur[i] = palette[next(8) as usize];
+                    }
+                }
+                rows.push(cur.clone());
+            }
+
+            let index = CheckIndex::new(&program);
+            let mut eval = CheckEval::new(&program, &index);
+            for (d, row) in rows.iter().enumerate() {
+                let mut changed: Vec<usize> = (0..width)
+                    .filter(|&i| d == 0 || rows[d - 1][i] != row[i])
+                    .collect();
+                for _ in 0..next(3) {
+                    changed.push(changed.get(next(4) as usize).copied().unwrap_or(0));
+                    changed.push(next(width as u64) as usize);
+                }
+                for i in (1..changed.len()).rev() {
+                    changed.swap(i, next(i as u64 + 1) as usize);
+                }
+                eval.observe(d as u64, &changed, |i| row[i]);
+            }
+            let report = eval.finish();
+            assert_eq!(
+                report,
+                full_scan(&program, &rows),
+                "trial {trial}: {program:?} {rows:?}"
+            );
+            fired += usize::from(!report.is_clean());
+        }
+        assert!(
+            shorter > 500 && equal > 500 && longer > 500,
+            "{shorter}/{equal}/{longer}"
+        );
+        assert!(fired > 1000, "only {fired} runs tripped a checker");
     }
 }

@@ -108,7 +108,7 @@ pub use backend::{
     InterpretedBackend, OptConfig, OptLevel, ParseBackendError, ParseOptLevelError,
 };
 pub use check::{
-    check_signals, execute_checked, record_table, CheckEval, CheckProgram, CheckReport,
+    check_signals, execute_checked, record_table, CheckEval, CheckIndex, CheckProgram, CheckReport,
     CheckSignal, CheckedError, Invariant, InvariantViolation, MonitorTable, MonitorViolation,
     SignalKind,
 };
@@ -130,7 +130,7 @@ pub use tuples::{
     CmpOp, Endpoint, Guard, GuardClause, GuardOperand, MemAddr, OperandRoute, ParseGuardError,
     TransferSpec, TransferTuple, WriteRoute,
 };
-pub use value::{resolve, Value};
+pub use value::{resolve, DriverTally, Value};
 pub use vhdl::{emit_vhdl, EmitVhdlError};
 pub use vhdl_parse::{parse_vhdl, ParseVhdlError, ParsedDesign};
 
@@ -147,4 +147,15 @@ pub mod prelude {
     pub use crate::run::{RegisterCommit, RtSimulation, RunSummary, Waveform};
     pub use crate::tuples::TransferTuple;
     pub use crate::value::Value;
+}
+
+/// splitmix64, the deterministic generator of the crate's seeded property
+/// tests (the same one the fault campaign samples with).
+#[cfg(test)]
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }

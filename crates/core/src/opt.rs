@@ -2,8 +2,8 @@
 //! and execution.
 //!
 //! [`ExecPlan::execute`] interprets a generic [`Action`]
-//! enum per slot, re-reads statically known controller values and routes
-//! every assert through the generic `resolve()` even when a slot provably
+//! enum per slot, re-reads statically known controller values and
+//! resolves every assert through a driver tally even when a slot provably
 //! has one driver. This module compiles the lowered plan one stage
 //! further, into an [`OptPlan`]: one contiguous **micro-op stream** with
 //! precomputed delta boundaries, walked by a loop that never touches the
@@ -20,9 +20,11 @@
 //!    slot)` destination is classified statically. Unresolved signals
 //!    and resolved signals with exactly one driver compile to **direct
 //!    stores**: the pushed value *is* the effective value (`resolve` is
-//!    the identity on singleton driver sets), so the per-delta driver
-//!    buffers and the resolution call disappear. Only genuinely
-//!    multi-driven signals keep rows in a flat driver buffer.
+//!    the identity on singleton driver sets), so they keep no driver
+//!    state at all. Only genuinely multi-driven signals keep their
+//!    driver slots plus a [`DriverTally`](crate::value::DriverTally),
+//!    which resolves each update in O(1) instead of rescanning the
+//!    slots (without this pass, every resolved signal is tallied).
 //! 3. **Control-trajectory constant folding** (`fold`) — the CS/PH
 //!    trajectory is statically fixed (the paper's central observation),
 //!    so guards whose operands are all literals are pre-evaluated:
@@ -66,24 +68,24 @@ use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace};
 
 use crate::backend::{ExecOptions, ExecOutcome, OptConfig};
 use crate::phase::Phase;
-use crate::plan::{combine, Action, ExecPlan, GuardSig, PortActivity, Source};
+use crate::plan::{combine, Action, DriverLayout, ExecPlan, GuardSig, PortActivity, Source};
 use crate::resource::ModuleTiming;
-use crate::value::{resolve, Value};
+use crate::value::Value;
 
-/// Sentinel row index marking a direct-store destination (no driver
-/// buffer, no resolution call).
-const NO_ROW: u32 = u32::MAX;
+/// Sentinel slot marking a direct-store destination (no driver state, no
+/// resolution).
+const NO_SLOT: u32 = u32::MAX;
 
 /// Sentinel guard index for unconditional ops.
 const NO_GUARD: u16 = u16::MAX;
 
-/// A compile-time-resolved destination: the driven signal plus either a
-/// row in the flat driver buffer or [`NO_ROW`] for specialized direct
-/// stores.
+/// A compile-time-resolved destination: the driven signal plus either
+/// its driver slot, when the signal resolves through a tally, or
+/// [`NO_SLOT`] for direct stores.
 #[derive(Debug, Clone, Copy)]
 struct Dst {
     sig: u32,
-    row: u32,
+    slot: u32,
 }
 
 /// One specialized instruction of the fused stream.
@@ -142,11 +144,8 @@ pub struct OptPlan {
     /// module evaluations (indexed by the delta the eliminated push
     /// would have been applied in).
     phantom: Vec<u32>,
-    /// Per signal: `(start, len)` row span in the flat driver buffer;
-    /// `len == 0` marks a direct-store signal.
-    span: Vec<(u32, u32)>,
-    /// Initial contents of the flat driver buffer.
-    dbuf_init: Vec<Value>,
+    /// Driver slots and tallies of the signals that resolve through one.
+    layout: DriverLayout,
 }
 
 impl OptPlan {
@@ -171,30 +170,22 @@ impl OptPlan {
         let needed = plan.total_deltas();
         let phases = Phase::ALL.len();
 
-        // Pass 2 (specialization): row spans. A signal keeps driver
-        // rows only when its effective value genuinely depends on more
+        // Pass 2 (specialization): a signal keeps driver slots and a
+        // tally only when its effective value genuinely depends on more
         // than the pushed value: resolved with more than one driver, or
         // any resolved signal when specialization is off. Unresolved
         // signals read back exactly what was pushed in both engines.
-        let mut span: Vec<(u32, u32)> = Vec::with_capacity(plan.signals.len());
-        let mut dbuf_init: Vec<Value> = Vec::new();
-        for s in &plan.signals {
-            let rows = if s.resolved && (s.drivers > 1 || !config.specialize) {
-                s.drivers
-            } else {
-                0
-            };
-            span.push((dbuf_init.len() as u32, rows as u32));
-            dbuf_init.extend(std::iter::repeat_n(s.init, rows));
-        }
+        let layout = DriverLayout::new(
+            plan.signals.iter().map(|s| (s.resolved, s.drivers)),
+            config.specialize,
+        );
         let dst = |sig: usize, slot: usize| -> Dst {
-            let (start, len) = span[sig];
             Dst {
                 sig: sig as u32,
-                row: if len == 0 {
-                    NO_ROW
+                slot: if layout.tallied(sig) {
+                    slot as u32
                 } else {
-                    start + slot as u32
+                    NO_SLOT
                 },
             }
         };
@@ -318,8 +309,7 @@ impl OptPlan {
             ops,
             bounds,
             phantom,
-            span,
-            dbuf_init,
+            layout,
         }
     }
 
@@ -357,7 +347,7 @@ impl OptPlan {
         }
 
         let mut values: Vec<Value> = plan.signals.iter().map(|s| s.init).collect();
-        let mut dbuf: Vec<Value> = self.dbuf_init.clone();
+        let mut drivers = self.layout.state(1);
         let mut pipes: Vec<VecDeque<Value>> = plan
             .modules
             .iter()
@@ -395,15 +385,13 @@ impl OptPlan {
             stats.events += carry;
             carry = 0;
 
-            for &(sig, row, value) in &cur {
+            for &(sig, slot, value) in &cur {
                 stats.driver_updates += 1;
                 let sig = sig as usize;
-                let effective = if row == NO_ROW {
+                let effective = if slot == NO_SLOT {
                     value
                 } else {
-                    dbuf[row as usize] = value;
-                    let (start, len) = self.span[sig];
-                    resolve(&dbuf[start as usize..(start + len) as usize])
+                    drivers.drive(sig, slot as usize, 0, value)
                 };
                 if effective != values[sig] {
                     values[sig] = effective;
@@ -431,7 +419,7 @@ impl OptPlan {
                             // increments and PH always changes phase.
                             carry += 1;
                         } else {
-                            nxt.push((sig, NO_ROW, v));
+                            nxt.push((sig, NO_SLOT, v));
                         }
                     }
                     MicroOp::Const { dst, guard, v } => {
@@ -442,7 +430,7 @@ impl OptPlan {
                         } else {
                             Value::Disc
                         };
-                        nxt.push((dst.sig, dst.row, v));
+                        nxt.push((dst.sig, dst.slot, v));
                     }
                     MicroOp::Copy { dst, guard, src } => {
                         let v = if guard == NO_GUARD
@@ -452,7 +440,7 @@ impl OptPlan {
                         } else {
                             Value::Disc
                         };
-                        nxt.push((dst.sig, dst.row, v));
+                        nxt.push((dst.sig, dst.slot, v));
                     }
                     MicroOp::MemRead {
                         dst,
@@ -473,7 +461,7 @@ impl OptPlan {
                         } else {
                             Value::Disc
                         };
-                        nxt.push((dst.sig, dst.row, v));
+                        nxt.push((dst.sig, dst.slot, v));
                     }
                     MicroOp::Eval { module } => {
                         let module = module as usize;
@@ -499,9 +487,9 @@ impl OptPlan {
                         }
                         let pipe = &mut pipes[module];
                         match pipe.pop_front() {
-                            None => nxt.push((m.out as u32, NO_ROW, result)),
+                            None => nxt.push((m.out as u32, NO_SLOT, result)),
                             Some(due) => {
-                                nxt.push((m.out as u32, NO_ROW, due));
+                                nxt.push((m.out as u32, NO_SLOT, due));
                                 pipe.push_back(result);
                             }
                         }
@@ -510,7 +498,7 @@ impl OptPlan {
                         let r = &plan.regs[reg as usize];
                         let v = values[r.input];
                         if v != Value::Disc {
-                            nxt.push((r.output as u32, NO_ROW, v));
+                            nxt.push((r.output as u32, NO_SLOT, v));
                         }
                     }
                     MicroOp::CommitMem { mem } => {
@@ -519,11 +507,11 @@ impl OptPlan {
                         if v != Value::Disc {
                             match values[m.waddr].num() {
                                 Some(a) if (0..m.words.len() as i64).contains(&a) => {
-                                    nxt.push((m.words[a as usize] as u32, NO_ROW, v));
+                                    nxt.push((m.words[a as usize] as u32, NO_SLOT, v));
                                 }
                                 _ => {
                                     for &w in &m.words {
-                                        nxt.push((w as u32, NO_ROW, Value::Illegal));
+                                        nxt.push((w as u32, NO_SLOT, Value::Illegal));
                                     }
                                 }
                             }

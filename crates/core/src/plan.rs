@@ -42,7 +42,7 @@ use std::sync::Arc;
 use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace};
 
 use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome};
-use crate::check::{CheckEval, CheckProgram, SignalKind};
+use crate::check::{CheckEval, CheckIndex, CheckProgram, SignalKind};
 use crate::diag::{Conflict, ConflictSite};
 use crate::elaborate::SignalRole;
 use crate::model::RtModel;
@@ -51,7 +51,7 @@ use crate::phase::{Phase, PhaseTime, Step};
 use crate::resource::ModuleTiming;
 use crate::run::{RunSummary, Waveform};
 use crate::tuples::{CmpOp, Endpoint, Guard, GuardOperand, MemAddr};
-use crate::value::{resolve, Value};
+use crate::value::{DriverTally, Value};
 
 /// Where an [`Action::Assert`] takes its value from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,8 +141,12 @@ pub enum Action {
 pub struct PlanChecks {
     /// Dense signal index of each program signal, in program order.
     sigs: Vec<usize>,
+    /// The program indices of each dense signal (usually none or one).
+    watch: Vec<Vec<usize>>,
     /// The program itself (owned so the handle is self-contained).
     program: CheckProgram,
+    /// The program's event-driven lookups.
+    index: CheckIndex,
 }
 
 /// A multiply driven slot found by the static conflict pre-pass.
@@ -356,11 +360,10 @@ pub struct ExecPlan {
     /// is step `s`, phase `p`. The trailing flush delta has no actions.
     pub(crate) actions: Vec<Action>,
     pub(crate) bounds: Vec<u32>,
-    /// Whether a trailing flush delta follows `cr(CS_MAX)`. Statically
-    /// determined: some transfer asserts a register input at
-    /// `wb(CS_MAX)`, so its commit and release are still pending after
-    /// the last scheduled phase.
-    pub(crate) flush: bool,
+    /// How many specs assert at `wb(CS_MAX)`. A trailing flush delta
+    /// follows `cr(CS_MAX)` exactly when there is one: its commit and
+    /// release are still pending after the last scheduled phase.
+    pub(crate) last_writes: u64,
     /// Lowered transfer specs in attachment order (the source of the
     /// schedule), kept so plan deltas can edit it.
     pub(crate) specs: Vec<LoweredSpec>,
@@ -737,10 +740,10 @@ impl ExecPlan {
         // A commit at cr(CS_MAX) (and its paired release) leaves pending
         // updates after the last scheduled phase if and only if some
         // transfer asserts a register input at wb(CS_MAX).
-        let flush = cs_max >= 1
-            && specs
-                .iter()
-                .any(|sp| sp.phase == Phase::Wb && sp.step == cs_max);
+        let last_writes = specs
+            .iter()
+            .filter(|sp| is_last_write(cs_max, sp.step, sp.phase))
+            .count() as u64;
 
         // Analytic kernel statistics (derived in closed form; the
         // differential suite pins them against the interpreted run).
@@ -765,7 +768,7 @@ impl ExecPlan {
             guards,
             actions,
             bounds,
-            flush,
+            last_writes,
             specs,
             spec_tuple,
             tuple_count: model.tuples().len(),
@@ -784,7 +787,7 @@ impl ExecPlan {
     /// Exact number of delta cycles a run of this plan executes — fixed
     /// by the schedule, known before anything runs.
     pub fn total_deltas(&self) -> u64 {
-        1 + self.cs_max as u64 * Phase::ALL.len() as u64 + u64::from(self.flush)
+        schedule_deltas(self.cs_max, self.last_writes)
     }
 
     /// The statically detected multiply driven slots (see
@@ -899,11 +902,10 @@ impl ExecPlan {
         }
 
         let mut values: Vec<Value> = self.signals.iter().map(|s| s.init).collect();
-        let mut drivers: Vec<Vec<Value>> = self
-            .signals
-            .iter()
-            .map(|s| vec![s.init; s.drivers])
-            .collect();
+        // The generic walk resolves every resolved signal, through its
+        // tally.
+        let layout = DriverLayout::new(self.signals.iter().map(|s| (s.resolved, s.drivers)), false);
+        let mut drivers = layout.state(1);
         let mut pipes: Vec<VecDeque<Value>> = self
             .modules
             .iter()
@@ -934,11 +936,10 @@ impl ExecPlan {
             let updates = std::mem::take(&mut pending);
             for (sig, slot, value) in updates {
                 stats.driver_updates += 1;
-                drivers[sig][slot] = value;
-                let effective = if self.signals[sig].resolved {
-                    resolve(&drivers[sig])
+                let effective = if layout.tallied(sig) {
+                    drivers.drive(sig, slot, 0, value)
                 } else {
-                    drivers[sig][0]
+                    value
                 };
                 if effective != values[sig] {
                     values[sig] = effective;
@@ -1267,17 +1268,24 @@ impl ExecPlan {
                     .ok_or_else(|| format!("unknown {} `{}`", s.kind, s.name))
             })
             .collect::<Result<Vec<usize>, String>>()?;
+        let mut watch = vec![Vec::new(); self.signals.len()];
+        for (i, &s) in sigs.iter().enumerate() {
+            watch[s].push(i);
+        }
         Ok(PlanChecks {
             sigs,
+            watch,
             program: program.clone(),
+            index: CheckIndex::new(program),
         })
     }
 
     /// [`execute_batch`](Self::execute_batch) with value checkers: after
-    /// every column's update phase the monitored signals are fed to a
-    /// per-column [`CheckEval`], so each [`BatchOutcome`] additionally
-    /// carries the first monitor/invariant violation. Overflowed columns
-    /// never run and report no verdict (`check: None`).
+    /// every column's update phase the monitored signals that changed
+    /// are fed to a per-column [`CheckEval`], so each [`BatchOutcome`]
+    /// additionally carries the first monitor/invariant violation.
+    /// Overflowed columns never run and report no verdict (`check:
+    /// None`).
     ///
     /// # Errors
     ///
@@ -1296,6 +1304,52 @@ impl ExecPlan {
         Ok(out)
     }
 
+    /// One mutant's delta count and closed-form kernel counters, derived
+    /// from the golden plan's in O(edits): a dropped spec takes its
+    /// [`spec_counts`] share away, a re-stepped one moves it, and a spur
+    /// adds one fixed process (the shadow module) plus its two specs.
+    /// Guard edits leave the schedule shape, and so the counters, alone.
+    fn lane_schedule(&self, d: &PlanDelta) -> (u64, SimStats) {
+        let cs_max = self.cs_max;
+        let steps = cs_max as u64;
+        let last = |step: Step, phase: Phase| u64::from(is_last_write(cs_max, step, phase));
+        let mut activations = self.activations;
+        let mut hits = self.wake_hits;
+        let mut procs = self.process_count;
+        let mut last_writes = self.last_writes;
+        for &i in &d.disabled_specs {
+            let sp = &self.specs[i];
+            let (a, h) = spec_counts(cs_max, sp.step, sp.phase);
+            activations -= a;
+            hits -= h;
+            procs -= 1;
+            last_writes -= last(sp.step, sp.phase);
+        }
+        for &(i, step) in &d.moved_specs {
+            let sp = &self.specs[i];
+            let (a, h) = spec_counts(cs_max, sp.step, sp.phase);
+            let (a2, h2) = spec_counts(cs_max, step, sp.phase);
+            activations = activations + a2 - a;
+            hits = hits + h2 - h;
+            last_writes = last_writes + last(step, sp.phase) - last(sp.step, sp.phase);
+        }
+        if let Some(spur) = &d.spur {
+            let (ra, rh) = spec_counts(cs_max, spur.step, Phase::Ra);
+            let (ba, bh) = spec_counts(cs_max, spur.step, Phase::Rb);
+            activations += 1 + steps + ra + ba;
+            hits += steps + rh + bh;
+            procs += 3;
+        }
+        let stats = SimStats {
+            process_activations: activations,
+            wake_filter_hits: hits,
+            wake_filter_misses: self.wake_misses,
+            peak_runnable: procs,
+            ..SimStats::default()
+        };
+        (schedule_deltas(cs_max, last_writes), stats)
+    }
+
     /// Runs one chunk of up to [`BATCH_WIDTH`] columns to completion.
     fn execute_chunk(
         &self,
@@ -1308,39 +1362,18 @@ impl ExecPlan {
         let bit = |c: usize| 1u64 << c;
         let cfg = options.opt.config();
         let delta_limit = options.delta_limit.unwrap_or(100_000_000);
-        let base_fixed = (self.regs.len() + self.modules.len() + self.mems.len()) as u64;
 
-        // Per-column schedule summary: effective specs → flush, exact
-        // delta count, closed-form kernel counters. The budget precheck
-        // mirrors `execute`: an over-budget column never runs at all.
+        // Per-column schedule summary, derived from the golden plan's in
+        // O(edits). The budget precheck mirrors `execute`: an over-budget
+        // column never runs at all.
         let mut needed = vec![0u64; n];
         let mut col_stats = vec![SimStats::default(); n];
         let mut overflow = vec![false; n];
         let mut full: u64 = 0;
         for (c, d) in chunk.iter().enumerate() {
-            let mut summaries: Vec<(Step, Phase)> = Vec::with_capacity(self.specs.len() + 2);
-            for (i, sp) in self.specs.iter().enumerate() {
-                if d.disabled_specs.contains(&i) {
-                    continue;
-                }
-                let step = d
-                    .moved_specs
-                    .iter()
-                    .find(|&&(m, _)| m == i)
-                    .map_or(sp.step, |&(_, s)| s);
-                summaries.push((step, sp.phase));
-            }
-            if let Some(spur) = &d.spur {
-                summaries.push((spur.step, Phase::Ra));
-                summaries.push((spur.step, Phase::Rb));
-            }
-            let fixed = base_fixed + u64::from(d.spur.is_some());
-            let flush = self.cs_max >= 1
-                && summaries
-                    .iter()
-                    .any(|&(step, phase)| phase == Phase::Wb && step == self.cs_max);
-            needed[c] = 1 + self.cs_max as u64 * Phase::ALL.len() as u64 + u64::from(flush);
-            if needed[c] > delta_limit {
+            let (deltas, stats) = self.lane_schedule(d);
+            needed[c] = deltas;
+            if deltas > delta_limit {
                 overflow[c] = true;
                 col_stats[c] = SimStats {
                     delta_cycles: delta_limit,
@@ -1348,15 +1381,7 @@ impl ExecPlan {
                 };
                 continue;
             }
-            let (activations, wake_hits, wake_misses) =
-                analytic_stats(self.cs_max, fixed, summaries.iter().copied());
-            col_stats[c] = SimStats {
-                process_activations: activations,
-                wake_filter_hits: wake_hits,
-                wake_filter_misses: wake_misses,
-                peak_runnable: 1 + fixed + summaries.len() as u64,
-                ..SimStats::default()
-            };
+            col_stats[c] = stats;
             full |= bit(c);
         }
 
@@ -1376,8 +1401,11 @@ impl ExecPlan {
 
         // Driver-slot layout: golden counts plus one shared extra slot
         // per spur-driven bus. Columns that never drive a slot leave it
-        // `DISC`, which the resolution function ignores — the reason the
-        // golden layout can serve every mutant.
+        // `DISC`, which resolution ignores — the reason the golden layout
+        // can serve every mutant. Slots and tallies exist per (tallied
+        // signal, column) only; under `specialize` a single-slot resolved
+        // signal stores directly (a spur-driven bus grows an extra
+        // chunk-local slot, which keeps it tallied).
         let mut slot_count: Vec<usize> = self.signals.iter().map(|s| s.drivers).collect();
         let mut spur_bus_slot: Vec<(usize, usize)> = Vec::new();
         for &(_, spur) in &spur_cols {
@@ -1398,33 +1426,30 @@ impl ExecPlan {
             slot_count.push(0); // spur in2: never driven (stays DISC)
             slot_count.push(1); // spur out: driven by the module proc
         }
-        let mut slot_base: Vec<usize> = Vec::with_capacity(sig_count);
-        let mut total_slots = 0usize;
-        for &k in &slot_count {
-            slot_base.push(total_slots);
-            total_slots += k;
-        }
-
-        // SoA state: `values[sig * n + col]`,
-        // `drivers[(slot_base[sig] + slot) * n + col]`. Driver slots
-        // start at the (per-column) initial signal value, like the
-        // kernel's elaboration.
-        let mut values: Vec<Value> = vec![Value::Disc; sig_count * n];
-        for (c, d) in chunk.iter().enumerate() {
-            for (sig, s) in self.signals.iter().enumerate() {
-                values[sig * n + c] = s.init;
+        let resolved = |sig: usize| {
+            if sig < s0 {
+                self.signals[sig].resolved
+            } else {
+                sig != spur_out
             }
+        };
+        let layout = DriverLayout::new(
+            (0..sig_count).map(|sig| (resolved(sig), slot_count[sig])),
+            cfg.specialize,
+        );
+        let mut drivers = layout.state(n);
+
+        // SoA values, `values[sig * n + col]`, starting at each column's
+        // initial signal values.
+        let mut values: Vec<Value> = self
+            .signals
+            .iter()
+            .flat_map(|s| std::iter::repeat_n(s.init, n))
+            .collect();
+        values.resize(sig_count * n, Value::Disc);
+        for (c, d) in chunk.iter().enumerate() {
             for &(sig, v) in &d.init_edits {
                 values[sig * n + c] = v;
-            }
-        }
-        let mut drivers: Vec<Value> = vec![Value::Disc; total_slots * n];
-        for sig in 0..s0 {
-            for k in 0..self.signals[sig].drivers {
-                let row = (slot_base[sig] + k) * n;
-                for c in 0..n {
-                    drivers[row + c] = values[sig * n + c];
-                }
             }
         }
 
@@ -1825,8 +1850,19 @@ impl ExecPlan {
         let mut vals: Vec<Value> = Vec::new();
 
         let mut evals: Vec<CheckEval<'_>> = match checks {
-            Some(ck) => (0..n).map(|_| CheckEval::new(&ck.program)).collect(),
+            Some(ck) => (0..n)
+                .map(|_| CheckEval::new(&ck.program, &ck.index))
+                .collect(),
             None => Vec::new(),
+        };
+        // Per column, the program indices of the monitored signals this
+        // delta changed, recorded where events are counted.
+        let mut changed: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let watched = |sig: usize| -> &[usize] {
+            match checks {
+                Some(ck) if sig < s0 => &ck.watch[sig],
+                _ => &[],
+            }
         };
 
         let max_needed = (0..n)
@@ -1865,63 +1901,23 @@ impl ExecPlan {
             // each column's effective value one transaction at a time.
             for (e, &(sig, slot, m)) in meta.iter().enumerate() {
                 let row = e * n;
-                let dbase = slot_base[sig] + slot;
-                let resolved = if sig < s0 {
-                    self.signals[sig].resolved
-                } else {
-                    sig != spur_out
-                };
-                let eligible = if sig < s0 {
-                    !matches!(
+                let tallied = layout.tallied(sig);
+                let eligible = sig >= s0
+                    || !matches!(
                         self.roles[sig],
                         SignalRole::ControlStep | SignalRole::PhaseSignal
-                    )
-                } else {
-                    true
-                };
-                // Resolution specialization: a resolved signal with one
-                // driver slot (note: a spur-driven bus grows an extra
-                // chunk-local slot, disqualifying it) resolves to the
-                // just-pushed value — `resolve` of a singleton is the
-                // identity on `DISC`/`ILLEGAL`/`Num` alike — so the
-                // driver buffer is neither written nor scanned.
-                let direct = cfg.specialize && resolved && slot_count[sig] == 1;
+                    );
+                let watch = watched(sig);
                 let mut mm = m;
                 while mm != 0 {
                     let c = mm.trailing_zeros() as usize;
                     mm &= mm - 1;
                     du_count[c] += 1;
-                    let effective = if direct {
-                        vals[row + c]
-                    } else if resolved {
-                        drivers[dbase * n + c] = vals[row + c];
-                        let mut seen: Option<Value> = None;
-                        let mut acc = Value::Disc;
-                        for k in 0..slot_count[sig] {
-                            match drivers[(slot_base[sig] + k) * n + c] {
-                                Value::Disc => {}
-                                Value::Illegal => {
-                                    acc = Value::Illegal;
-                                    break;
-                                }
-                                v @ Value::Num(_) => {
-                                    if seen.is_some() {
-                                        acc = Value::Illegal;
-                                        break;
-                                    }
-                                    seen = Some(v);
-                                    acc = v;
-                                }
-                            }
-                        }
-                        if acc == Value::Illegal {
-                            acc
-                        } else {
-                            seen.unwrap_or(Value::Disc)
-                        }
+                    let pushed = vals[row + c];
+                    let effective = if tallied {
+                        drivers.drive(sig, slot, c, pushed)
                     } else {
-                        drivers[dbase * n + c] = vals[row + c];
-                        drivers[slot_base[sig] * n + c]
+                        pushed
                     };
                     let vi = sig * n + c;
                     if effective != values[vi] {
@@ -1930,21 +1926,23 @@ impl ExecPlan {
                         if effective == Value::Illegal && eligible && first_ill[c].is_none() {
                             first_ill[c] = Some((sig, d));
                         }
+                        changed[c].extend_from_slice(watch);
                     }
                 }
             }
             meta.clear();
             vals.clear();
 
-            // Check phase: the end-of-delta values just computed are fed
-            // to each live column's evaluator — the same observation the
-            // interpreter's commit hook reconstructs, so verdicts agree
+            // Check phase: each live column's evaluator sees the monitored
+            // signals this delta changed — the same observation the
+            // interpreter's commit log reconstructs, so verdicts agree
             // byte-for-byte.
             if let Some(ck) = checks {
                 for c in 0..n {
                     if full & bit(c) != 0 && d < needed[c] {
-                        evals[c].observe(d, |i| values[ck.sigs[i] * n + c]);
+                        evals[c].observe(d, &changed[c], |i| values[ck.sigs[i] * n + c]);
                     }
+                    changed[c].clear();
                 }
             }
 
@@ -2186,9 +2184,9 @@ const BATCH_WIDTH: usize = 64;
 /// Closed-form kernel statistics — `(activations, wake_hits,
 /// wake_misses)` — of a schedule with `fixed_procs` register/module
 /// processes and the given transfer-spec `(step, phase)` summaries over
-/// `cs_max` steps. Shared between [`ExecPlan::lower`] (the golden
-/// schedule) and the batched executor (per-column mutant schedules), so
-/// the two derivations cannot drift.
+/// `cs_max` steps: the golden plan's, derived once by
+/// [`ExecPlan::lower`]. The batched executor adjusts them per mutant by
+/// the same [`spec_counts`], so the two derivations cannot drift.
 fn analytic_stats(
     cs_max: Step,
     fixed_procs: u64,
@@ -2202,27 +2200,46 @@ fn analytic_stats(
     let mut wake_hits = fixed_procs * steps;
     let wake_misses = 0;
     for (step, phase) in specs {
-        if (1..=cs_max).contains(&step) {
-            // CS filter: one hit when CS arrives at the spec's step.
-            wake_hits += 1;
-            if phase == Phase::Ra {
-                // init + assert + release; PH filter hits once (the
-                // release phase).
-                activations += 3;
-                wake_hits += 1;
-            } else {
-                // init + arm + assert + release; PH filter hits twice
-                // (the assert phase and the release phase).
-                activations += 4;
-                wake_hits += 2;
-            }
-        } else {
-            // Defensive: a spec outside the schedule only ever runs its
-            // init resume; its CS bucket never fires.
-            activations += 1;
-        }
+        let (a, h) = spec_counts(cs_max, step, phase);
+        activations += a;
+        wake_hits += h;
     }
     (activations, wake_hits, wake_misses)
+}
+
+/// One transfer spec's share of [`analytic_stats`]: `(activations,
+/// wake_hits)`.
+fn spec_counts(cs_max: Step, step: Step, phase: Phase) -> (u64, u64) {
+    if (1..=cs_max).contains(&step) {
+        // The CS filter hits once, when CS arrives at the spec's step.
+        if phase == Phase::Ra {
+            // init + assert + release; PH filter hits once (the release
+            // phase).
+            (3, 2)
+        } else {
+            // init + arm + assert + release; PH filter hits twice (the
+            // assert phase and the release phase).
+            (4, 3)
+        }
+    } else {
+        // Defensive: a spec outside the schedule only ever runs its init
+        // resume; its CS bucket never fires.
+        (1, 0)
+    }
+}
+
+/// Whether a spec placed at `(step, phase)` asserts at `wb(CS_MAX)` —
+/// the placement that adds the trailing flush delta.
+fn is_last_write(cs_max: Step, step: Step, phase: Phase) -> bool {
+    phase == Phase::Wb && step == cs_max
+}
+
+/// The delta count of a schedule over `cs_max` steps with `last_writes`
+/// asserts at `wb(CS_MAX)`: initialization, six phases per step, and the
+/// trailing flush delta when a last-step write is still pending.
+fn schedule_deltas(cs_max: Step, last_writes: u64) -> u64 {
+    let flush = cs_max >= 1 && last_writes > 0;
+    1 + cs_max as u64 * Phase::ALL.len() as u64 + u64::from(flush)
 }
 
 /// Emits one step's `cr` commits under the live-commit rule: one per
@@ -2294,6 +2311,86 @@ impl PortActivity {
         let window = 2 * plan.modules[m].timing.latency() as usize + 2;
         let row = &self.active[m * self.steps..(m + 1) * self.steps];
         row[s.saturating_sub(window)..=s].iter().all(|&a| !a)
+    }
+}
+
+/// [`DriverLayout`]'s marker of a signal that keeps no driver state.
+const DIRECT: u32 = u32::MAX;
+
+/// Where a compiled walk keeps driver state. Each *tallied* signal owns
+/// a run of slot rows — an update must know the value it replaces — and
+/// one [`DriverTally`] row, so resolving an update costs O(1) however
+/// many drivers the signal has. A push on any other signal *is* its
+/// effective value: unresolved signals have exactly one driver, and
+/// `resolve` is the identity on a singleton. Only resolved signals are
+/// tallied, and they start `DISC`, so every slot starts `DISC` and every
+/// tally empty.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DriverLayout {
+    /// Per signal: `(first slot row, tally row)`, `DIRECT` for untallied
+    /// signals.
+    at: Vec<(u32, u32)>,
+    slot_rows: usize,
+    tally_rows: usize,
+}
+
+impl DriverLayout {
+    /// Lays out signals given as `(resolved, driver slots)`: every
+    /// resolved signal is tallied, except — when `specialize` is set —
+    /// those with a single slot.
+    pub(crate) fn new(signals: impl Iterator<Item = (bool, usize)>, specialize: bool) -> Self {
+        let mut layout = DriverLayout::default();
+        for (resolved, slots) in signals {
+            layout.at.push(if resolved && (slots > 1 || !specialize) {
+                let at = (layout.slot_rows as u32, layout.tally_rows as u32);
+                layout.slot_rows += slots;
+                layout.tally_rows += 1;
+                at
+            } else {
+                (DIRECT, DIRECT)
+            });
+        }
+        layout
+    }
+
+    /// Whether updates of `sig` resolve through its tally.
+    #[inline]
+    pub(crate) fn tallied(&self, sig: usize) -> bool {
+        self.at[sig].0 != DIRECT
+    }
+
+    /// Fresh driver state, `lanes` columns wide.
+    pub(crate) fn state(&self, lanes: usize) -> Drivers<'_> {
+        Drivers {
+            layout: self,
+            lanes,
+            slots: vec![Value::Disc; self.slot_rows * lanes],
+            tallies: vec![DriverTally::default(); self.tally_rows * lanes],
+        }
+    }
+}
+
+/// The driver state of one walk: `slots[row * lanes + lane]` and
+/// `tallies[tally * lanes + lane]` over a [`DriverLayout`].
+#[derive(Debug, Clone)]
+pub(crate) struct Drivers<'a> {
+    layout: &'a DriverLayout,
+    lanes: usize,
+    slots: Vec<Value>,
+    tallies: Vec<DriverTally>,
+}
+
+impl Drivers<'_> {
+    /// Applies one driver update — `v` on slot `slot` of the tallied
+    /// signal `sig`, in `lane` — and returns the signal's resolved value.
+    #[inline]
+    pub(crate) fn drive(&mut self, sig: usize, slot: usize, lane: usize, v: Value) -> Value {
+        let (first, tally) = self.layout.at[sig];
+        let s = (first as usize + slot) * self.lanes + lane;
+        let t = tally as usize * self.lanes + lane;
+        let old = std::mem::replace(&mut self.slots[s], v);
+        self.tallies[t].update(old, v);
+        self.tallies[t].value()
     }
 }
 
@@ -2418,7 +2515,7 @@ mod tests {
     fn write_at_last_step_takes_the_flush_delta() {
         let model = flush_model();
         let plan = ExecPlan::lower(&model);
-        assert!(plan.flush);
+        assert_eq!(plan.last_writes, 1);
         assert_eq!(plan.total_deltas(), 14); // 1 + 2*6 + flush
         assert_equivalent(&model);
         let out = compiled_traced(&model);
@@ -2432,7 +2529,7 @@ mod tests {
         model.add_register_init("R1", Value::Num(9)).unwrap();
         model.add_bus("B1").unwrap();
         let plan = ExecPlan::lower(&model);
-        assert!(!plan.flush);
+        assert_eq!(plan.last_writes, 0);
         assert_eq!(plan.total_deltas(), 19);
         assert_equivalent(&model);
     }

@@ -178,6 +178,73 @@ pub fn resolve(drivers: &[Value]) -> Value {
     seen.unwrap_or(Value::Disc)
 }
 
+/// [`resolve`] kept incrementally: the count of `Num` drivers, the count
+/// of `ILLEGAL` drivers and the wrapping sum of the `Num` payloads.
+///
+/// A driver update `old → new` adjusts the tally in O(1), and
+/// [`value`](Self::value) reads `resolve`'s truth table off the counts:
+/// `ILLEGAL` when any driver is `ILLEGAL` or two or more are `Num`, the
+/// sum when exactly one is `Num` (wrapping arithmetic makes the sum of a
+/// single remaining payload exact), `DISC` otherwise. The default tally
+/// is that of any number of `DISC` drivers. The compiled walkers keep one
+/// per multiply driven signal instead of rescanning its driver slots on
+/// every update.
+///
+/// # Examples
+///
+/// ```
+/// use clockless_core::value::{DriverTally, Value};
+///
+/// let mut bus = DriverTally::default(); // two drivers, both DISC
+/// bus.update(Value::Disc, Value::Num(4));
+/// assert_eq!(bus.value(), Value::Num(4));
+/// bus.update(Value::Disc, Value::Num(5));
+/// assert_eq!(bus.value(), Value::Illegal);
+/// bus.update(Value::Num(4), Value::Disc);
+/// assert_eq!(bus.value(), Value::Num(5));
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DriverTally {
+    nums: u32,
+    illegals: u32,
+    sum: i64,
+}
+
+impl DriverTally {
+    /// Accounts for one driver changing from `old` to `new`.
+    #[inline]
+    pub fn update(&mut self, old: Value, new: Value) {
+        match old {
+            Value::Disc => {}
+            Value::Illegal => self.illegals -= 1,
+            Value::Num(n) => {
+                self.nums -= 1;
+                self.sum = self.sum.wrapping_sub(n);
+            }
+        }
+        match new {
+            Value::Disc => {}
+            Value::Illegal => self.illegals += 1,
+            Value::Num(n) => {
+                self.nums += 1;
+                self.sum = self.sum.wrapping_add(n);
+            }
+        }
+    }
+
+    /// The resolved value: always [`resolve`] of the tallied drivers.
+    #[inline]
+    pub fn value(self) -> Value {
+        if self.illegals > 0 || self.nums > 1 {
+            Value::Illegal
+        } else if self.nums == 1 {
+            Value::Num(self.sum)
+        } else {
+            Value::Disc
+        }
+    }
+}
+
 /// A [`clockless_kernel::Resolver`] wrapping [`resolve`], ready to attach
 /// to kernel signals.
 pub fn kernel_resolver() -> clockless_kernel::Resolver<Value> {
@@ -244,6 +311,85 @@ mod tests {
         // A quiet bus stays DISC for any number of released drivers.
         for n in 0..32 {
             assert_eq!(resolve(&vec![Disc; n]), Disc, "{n} DISC drivers");
+        }
+    }
+
+    /// Random driver updates over 1–64 slots: after every update the
+    /// tally reads exactly `resolve` of the slots. Values mix the
+    /// sentinels, negatives and the `i64` extremes, and same-value
+    /// rewrites are frequent.
+    #[test]
+    fn tally_is_resolve_under_random_updates() {
+        use Value::*;
+        let palette = [
+            Disc,
+            Illegal,
+            Num(0),
+            Num(1),
+            Num(-1),
+            Num(-7),
+            Num(42),
+            Num(i64::MIN),
+            Num(i64::MAX),
+            Num(i64::MAX - 1),
+            Num(i64::MIN + 1),
+        ];
+        let mut rng = 0x7a11_u64;
+        for trial in 0..400 {
+            let width = 1 + (crate::splitmix64(&mut rng) % 64) as usize;
+            let mut slots = vec![Disc; width];
+            let mut tally = DriverTally::default();
+            for step in 0..200 {
+                let slot = (crate::splitmix64(&mut rng) % width as u64) as usize;
+                let r = crate::splitmix64(&mut rng);
+                let new = match r % 8 {
+                    // Half the draws release or rewrite what is there.
+                    0 | 1 => Disc,
+                    2 => slots[slot],
+                    3 => Num(r as i64 >> 3),
+                    _ => palette[(r >> 8) as usize % palette.len()],
+                };
+                let old = std::mem::replace(&mut slots[slot], new);
+                tally.update(old, new);
+                assert_eq!(
+                    tally.value(),
+                    resolve(&slots),
+                    "trial {trial} step {step}: {slots:?}"
+                );
+            }
+            let fresh = slots.iter().fold(DriverTally::default(), |mut t, &v| {
+                t.update(Disc, v);
+                t
+            });
+            assert_eq!(
+                tally, fresh,
+                "trial {trial}: counts drift from a fresh tally"
+            );
+        }
+    }
+
+    #[test]
+    fn tally_sum_wraps_back_to_the_remaining_driver() {
+        use Value::*;
+        // Two large payloads overflow the sum; releasing either leaves
+        // the other's payload exactly.
+        for (a, b) in [
+            (i64::MAX, i64::MAX),
+            (i64::MAX, 1),
+            (i64::MIN, -1),
+            (i64::MIN, i64::MAX),
+        ] {
+            let mut slots = [Num(a), Num(b)];
+            let mut tally = DriverTally::default();
+            tally.update(Disc, Num(a));
+            tally.update(Disc, Num(b));
+            assert_eq!(tally.value(), Illegal);
+            tally.update(Num(a), Disc);
+            slots[0] = Disc;
+            assert_eq!(tally.value(), Num(b));
+            assert_eq!(tally.value(), resolve(&slots));
+            tally.update(Num(b), Num(b));
+            assert_eq!(tally.value(), Num(b), "same-value rewrite");
         }
     }
 

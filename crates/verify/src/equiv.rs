@@ -488,6 +488,12 @@ mod tests {
             let syn = synthesize(g, &resources, &inputs).expect("synthesis");
             backend_equiv(&syn.model).unwrap_or_else(|d| panic!("{}: {d}", g.name()));
         }
+        // The same 24-node DAG under 2 units per class shares its buses
+        // widely: resolution over many drivers at every opt level.
+        let wide = crate::wide_bus_dag();
+        let width = crate::widest_bus(&wide);
+        assert!(width >= 24, "widest bus has only {width} drivers");
+        backend_equiv(&wide).unwrap_or_else(|d| panic!("wide-bus dag: {d}"));
     }
 
     #[test]

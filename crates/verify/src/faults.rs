@@ -2008,6 +2008,14 @@ mod tests {
     }
 
     #[test]
+    fn batched_and_legacy_agree_on_a_wide_bus_dag() {
+        let model = crate::wide_bus_dag();
+        let width = crate::widest_bus(&model);
+        assert!(width >= 24, "widest bus has only {width} drivers");
+        assert_engines_agree(&model, "wide-bus dag");
+    }
+
+    #[test]
     fn batched_and_legacy_agree_on_the_iks_chips() {
         use clockless_iks::prelude::*;
         let constants = IkConstants::new(ArmGeometry::new(1.0, 1.0));

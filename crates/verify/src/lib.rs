@@ -87,3 +87,40 @@ pub use semantics::{merge_partials, reconstruct_partials, roundtrip_check, Seman
 pub use sweep::{conflict_sweep, ConflictSweep, SweepRow};
 pub use symbolic::{symbolic_run, Expr, SymbolicError};
 pub use vhdl_import::{model_from_design, model_from_vhdl, ImportVhdlError};
+
+/// `hls::random_dag(42, 24, 4)` synthesized under 2 units per class: its
+/// shared buses make it the widest input of the differential sweeps.
+#[cfg(test)]
+pub(crate) fn wide_bus_dag() -> clockless_core::RtModel {
+    use clockless_hls::{random_dag, synthesize, ResourceSet};
+    let dfg = random_dag(42, 24, 4);
+    let mut classes = ResourceSet::unconstrained(&dfg).classes().to_vec();
+    for class in &mut classes {
+        class.count = 2;
+    }
+    let names = dfg.inputs();
+    let inputs: std::collections::HashMap<&str, i64> = names
+        .iter()
+        .enumerate()
+        .map(|(i, n)| (n.as_str(), i as i64 + 1))
+        .collect();
+    synthesize(&dfg, &ResourceSet::new(classes), &inputs)
+        .expect("a random DAG synthesizes under any non-empty resource set")
+        .model
+}
+
+/// The driver count of `model`'s widest bus: the transfer specs that
+/// drive it, counted from the model's tuples.
+#[cfg(test)]
+pub(crate) fn widest_bus(model: &clockless_core::RtModel) -> usize {
+    use clockless_core::Endpoint;
+    let mut drivers: std::collections::HashMap<String, usize> = Default::default();
+    for tuple in model.tuples() {
+        for spec in tuple.expand_in(model) {
+            if let Endpoint::Bus(bus) = spec.dst {
+                *drivers.entry(bus).or_default() += 1;
+            }
+        }
+    }
+    drivers.into_values().max().unwrap_or(0)
+}

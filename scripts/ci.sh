@@ -127,8 +127,8 @@ faults_batched_compiled="$(./target/release/clockless faults models/iks_fir.rtl 
 faults_legacy_compiled="$(./target/release/clockless faults models/iks_fir.rtl --json --engine legacy --backend compiled)"
 [ "$faults_batched_compiled" = "$faults_legacy_compiled" ]
 # Checked campaigns carry the same obligation: engines and backends must
-# agree byte-for-byte with the value checkers armed.
-for model in models/fig1.rtl models/iks_fir.rtl; do
+# agree byte-for-byte with the value checkers armed, on every model.
+for model in models/*.rtl; do
   checked_batched="$(./target/release/clockless faults "$model" --json --checkers all)"
   checked_legacy="$(./target/release/clockless faults "$model" --json --checkers all --engine legacy --jobs 3)"
   checked_compiled="$(./target/release/clockless faults "$model" --json --checkers all --backend compiled)"
