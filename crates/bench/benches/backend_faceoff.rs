@@ -1,7 +1,6 @@
 //! Writes `BENCH_backend.json` at the repository root: the interpreted
 //! delta kernel vs the compiled phase-schedule engine — at `-O0` (the
-//! generic schedule walker) and `-O2` (the specialized micro-op
-//! stream) — head to head on the Fig. 1 model and the IKS chip corpus,
+//! plain micro-op stream) and `-O2` (the specialized one) — head to head on the Fig. 1 model and the IKS chip corpus,
 //! single-threaded.
 //!
 //! Per the workspace convention, counters (`cs_max`, `tuples`,

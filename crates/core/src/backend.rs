@@ -10,10 +10,10 @@
 //!   is the faithful rendering of the paper's VHDL construction.
 //! * [`CompiledBackend`] — the phase-schedule engine
 //!   ([`ExecPlan`]): the model is lowered to a flat
-//!   per-`(step, phase)` action schedule and walked in a fixed number of
-//!   iterations with no event machinery at all, exploiting the paper's
-//!   central observation that six-phase delta timing makes the schedule
-//!   *static*.
+//!   per-`(step, phase)` action schedule, compiled to a micro-op stream
+//!   ([`crate::opt`]) and walked in a fixed number of iterations with no
+//!   event machinery at all, exploiting the paper's central observation
+//!   that six-phase delta timing makes the schedule *static*.
 //!
 //! Both backends produce **byte-identical observable output** (registers,
 //! conflicts with exact step and phase, trace/VCD, `SimStats`); the
@@ -53,11 +53,11 @@ use crate::value::Value;
 /// Optimization level of the compiled engine's plan optimizer
 /// ([`crate::opt`]).
 ///
-/// The levels are strictly cumulative pipelines over the lowered
-/// [`ExecPlan`]; every level produces **byte-identical observables** to
-/// `O0` and to the interpreter — the optimizer only ever changes how the
-/// schedule is walked, never what it computes. The interpreted backend
-/// ignores the level entirely.
+/// The levels are strictly cumulative pass sets over one micro-op
+/// stream; every level produces **byte-identical observables** to the
+/// interpreter — the optimizer only ever changes how the schedule is
+/// walked, never what it computes. The interpreted backend ignores the
+/// level entirely.
 ///
 /// # Examples
 ///
@@ -72,12 +72,12 @@ use crate::value::Value;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum OptLevel {
-    /// No optimization: interpret the generic per-`(step, phase)` action
-    /// schedule exactly as [`ExecPlan::execute`] does.
+    /// No optimization passes: the plain micro-op stream, one op per
+    /// scheduled action, every resolved signal resolved through its
+    /// driver tally.
     O0,
-    /// Slot fusion + resolution specialization: one contiguous micro-op
-    /// stream with precomputed delta boundaries; single-driver asserts
-    /// compile to direct stores that keep no driver slots or tally.
+    /// Resolution specialization: single-driver asserts compile to direct
+    /// stores that keep no driver slots or tally.
     O1,
     /// Everything in `O1` plus control-trajectory constant folding and
     /// dead-spur elimination (statically decided guards, elided control
@@ -94,20 +94,12 @@ impl OptLevel {
     /// The per-pass toggle set this level enables.
     pub fn config(self) -> OptConfig {
         match self {
-            OptLevel::O0 => OptConfig {
-                fuse: false,
-                specialize: false,
-                fold: false,
-                dse: false,
-            },
+            OptLevel::O0 => OptConfig::default(),
             OptLevel::O1 => OptConfig {
-                fuse: true,
                 specialize: true,
-                fold: false,
-                dse: false,
+                ..OptConfig::default()
             },
             OptLevel::O2 => OptConfig {
-                fuse: true,
                 specialize: true,
                 fold: true,
                 dse: true,
@@ -154,14 +146,11 @@ impl FromStr for OptLevel {
 /// Individual pass toggles of the optimizer pipeline.
 ///
 /// [`OptLevel::config`] maps the user-facing levels onto these; the
-/// benchmarks flip passes one at a time for per-pass attribution.
-/// `fuse` is the carrier pass — the others rewrite the fused stream, so
-/// they are only meaningful when `fuse` is set.
+/// benchmarks flip passes one at a time for per-pass attribution. Every
+/// toggle set compiles the same micro-op stream (all off is `-O0`); each
+/// pass only specializes or shrinks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptConfig {
-    /// Slot fusion: translate the `(step, phase)` action schedule into
-    /// one contiguous micro-op stream with precomputed delta boundaries.
-    pub fuse: bool,
     /// Resolution specialization: single-driver asserts become direct
     /// compare-and-store, keeping no driver slots or tally.
     pub specialize: bool,
@@ -314,7 +303,7 @@ impl ExecBackend for InterpretedBackend {
 }
 
 /// The compiled phase-schedule engine: lowers the model to an
-/// [`ExecPlan`] and walks its schedule.
+/// [`ExecPlan`] and walks its micro-op stream at `options.opt`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompiledBackend;
 
@@ -324,11 +313,7 @@ impl ExecBackend for CompiledBackend {
     }
 
     fn execute(&self, model: &RtModel, options: &ExecOptions) -> Result<ExecOutcome, KernelError> {
-        let plan = ExecPlan::lower(model);
-        match options.opt {
-            OptLevel::O0 => plan.execute(options),
-            level => crate::opt::OptPlan::from_plan(plan, level.config()).execute(options),
-        }
+        ExecPlan::lower(model).execute(options)
     }
 }
 

@@ -45,8 +45,9 @@ use clockless_kernel::{KernelError, SignalId};
 use crate::backend::{Backend, ExecOptions, ExecOutcome};
 use crate::elaborate::ElaborateOptions;
 use crate::model::RtModel;
+use crate::opt::Stream;
 use crate::phase::PhaseTime;
-use crate::plan::{ExecPlan, PlanDelta};
+use crate::plan::ExecPlan;
 use crate::run::RtSimulation;
 use crate::value::Value;
 
@@ -685,6 +686,25 @@ fn run_observed(
     })
 }
 
+impl ObservedRun {
+    /// Replays the commit log: `visit(delta, changed, values)` once per
+    /// executed delta, with the indices the delta changed and every
+    /// observed signal's end-of-delta value.
+    fn replay(&self, mut visit: impl FnMut(u64, &[usize], &[Value])) {
+        let mut cur = self.inits.clone();
+        let mut changed = Vec::new();
+        let mut log = self.log.iter().peekable();
+        for d in 0..self.deltas {
+            changed.clear();
+            while let Some(&(_, i, v)) = log.next_if(|&&(delta, ..)| delta == d) {
+                cur[i] = v;
+                changed.push(i);
+            }
+            visit(d, &changed, &cur);
+        }
+    }
+}
+
 /// Records the per-delta value table of a clean interpreter run of
 /// `model` over `signals` — the golden monitor table, and the data the
 /// invariant miner learns from. Both backends produce byte-identical
@@ -699,17 +719,8 @@ pub fn record_table(
     signals: &[CheckSignal],
 ) -> Result<MonitorTable, CheckedError> {
     let run = run_observed(model, signals, &ExecOptions::default())?;
-    let width = signals.len();
-    let mut values = Vec::with_capacity(run.deltas as usize * width);
-    let mut cur = run.inits.clone();
-    let mut k = 0;
-    for d in 0..run.deltas {
-        while k < run.log.len() && run.log[k].0 == d {
-            cur[run.log[k].1] = run.log[k].2;
-            k += 1;
-        }
-        values.extend_from_slice(&cur);
-    }
+    let mut values = Vec::with_capacity(run.deltas as usize * signals.len());
+    run.replay(|_, _, cur| values.extend_from_slice(cur));
     Ok(MonitorTable {
         deltas: run.deltas,
         values,
@@ -720,8 +731,9 @@ pub fn record_table(
 /// the normal observable outcome plus the check verdict.
 ///
 /// The interpreted engine feeds the evaluator from the kernel's commit
-/// observation hook; the compiled engine evaluates its SoA value columns
-/// through the identity batch path. Verdicts are byte-identical.
+/// observation hook; the compiled engine feeds it from the same walk
+/// that produces the outcome, at `options.opt`. Verdicts are
+/// byte-identical.
 ///
 /// # Errors
 ///
@@ -739,18 +751,7 @@ pub fn execute_checked(
             let index = CheckIndex::new(program);
             let mut eval = CheckEval::new(program, &index);
             // The commit log lists exactly each delta's changes.
-            let mut cur = run.inits.clone();
-            let mut changed = Vec::new();
-            let mut k = 0;
-            for d in 0..run.deltas {
-                changed.clear();
-                while k < run.log.len() && run.log[k].0 == d {
-                    cur[run.log[k].1] = run.log[k].2;
-                    changed.push(run.log[k].1);
-                    k += 1;
-                }
-                eval.observe(d, &changed, |i| cur[i]);
-            }
+            run.replay(|d, changed, cur| eval.observe(d, changed, |i| cur[i]));
             Ok((run.outcome, eval.finish()))
         }
         Backend::Compiled => {
@@ -758,14 +759,9 @@ pub fn execute_checked(
             let checks = plan
                 .resolve_checks(program)
                 .map_err(CheckedError::Signals)?;
-            let outcome = plan.execute(options)?;
-            let report = plan
-                .execute_batch_checked(&[PlanDelta::default()], options, &checks)?
-                .into_iter()
-                .next()
-                .and_then(|col| col.check)
-                .unwrap_or_default();
-            Ok((outcome, report))
+            let (outcome, report) =
+                Stream::solo(&plan, options.opt.config()).execute(&plan, options, Some(&checks))?;
+            Ok((outcome, report.unwrap_or_default()))
         }
     }
 }
@@ -773,7 +769,21 @@ pub fn execute_checked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::OptLevel;
     use crate::model::fig1_model;
+
+    /// Every engine configuration a checked run can take: the kernel, and
+    /// the compiled walk at every level, each traced and untraced.
+    fn configurations() -> Vec<(Backend, ExecOptions)> {
+        let mut runs = Vec::new();
+        for options in [ExecOptions::default(), ExecOptions::traced()] {
+            runs.push((Backend::Interpreted, options));
+            for level in OptLevel::ALL {
+                runs.push((Backend::Compiled, options.at_opt(level)));
+            }
+        }
+        runs
+    }
 
     fn fig1_program(monitor: bool) -> (RtModel, CheckProgram) {
         let model = fig1_model(3, 4);
@@ -815,11 +825,18 @@ mod tests {
     #[test]
     fn clean_run_is_clean_on_both_backends() {
         let (model, program) = fig1_program(true);
-        for backend in [Backend::Interpreted, Backend::Compiled] {
+        let kernel = Backend::Interpreted
+            .execute(&model, &ExecOptions::traced())
+            .expect("runs");
+        for (backend, options) in configurations() {
             let (outcome, report) =
-                execute_checked(&model, backend, &ExecOptions::traced(), &program).expect("runs");
+                execute_checked(&model, backend, &options, &program).expect("runs");
             assert_eq!(outcome.summary.register("R1"), Some(Value::Num(7)));
-            assert!(report.is_clean(), "{backend}: {report:?}");
+            assert_eq!(outcome.summary.stats, kernel.summary.stats, "{options:?}");
+            if options.trace {
+                assert_eq!(outcome.vcd(), kernel.vcd(), "{backend} {options:?}");
+            }
+            assert!(report.is_clean(), "{backend} {options:?}: {report:?}");
         }
     }
 
@@ -828,9 +845,8 @@ mod tests {
         let (_, program) = fig1_program(true);
         let mutant = fig1_model(5, 4);
         let mut reports = Vec::new();
-        for backend in [Backend::Interpreted, Backend::Compiled] {
-            let (_, report) =
-                execute_checked(&mutant, backend, &ExecOptions::default(), &program).expect("runs");
+        for (backend, options) in configurations() {
+            let (_, report) = execute_checked(&mutant, backend, &options, &program).expect("runs");
             let v = report.monitor.clone().expect("diverges");
             assert_eq!(v.signal, "R1");
             assert_eq!(v.delta, 0);
@@ -839,7 +855,7 @@ mod tests {
             assert!(v.to_string().contains("at initialization"), "{v}");
             reports.push(report);
         }
-        assert_eq!(reports[0], reports[1]);
+        assert!(reports.iter().all(|r| *r == reports[0]), "{reports:?}");
     }
 
     #[test]
@@ -861,9 +877,8 @@ mod tests {
                 },
             ],
         };
-        for backend in [Backend::Interpreted, Backend::Compiled] {
-            let (_, report) =
-                execute_checked(&model, backend, &ExecOptions::default(), &program).expect("runs");
+        for (backend, options) in configurations() {
+            let (_, report) = execute_checked(&model, backend, &options, &program).expect("runs");
             let v = report.invariant.clone().expect("fires");
             assert_eq!(v.signal, "R1");
             assert_eq!(v.rule, "R1 in [3, 6]");

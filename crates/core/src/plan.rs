@@ -7,8 +7,9 @@
 //! delta when the last step commits a register). The interpreted kernel
 //! discovers that schedule dynamically through sensitivity lists and wake
 //! filters; [`ExecPlan::lower`] instead precomputes it as one flat array
-//! of straight-line [`Action`]s with per-`(step, phase)` offsets, and
-//! [`ExecPlan::execute`] walks it in a fixed number of iterations with no
+//! of straight-line [`Action`]s with per-`(step, phase)` offsets, which
+//! [`crate::opt`] compiles into the micro-op stream that
+//! [`ExecPlan::execute`] walks in a fixed number of iterations with no
 //! event machinery at all.
 //!
 //! The walk is *observationally identical* to the interpreted kernel:
@@ -28,6 +29,14 @@
 //! port. Any other commit would read a `DISC` port and push nothing, so
 //! leaving it out changes no observable at any optimization level.
 //!
+//! **Plan deltas** ([`PlanDelta`]) turn the golden plan into fault
+//! mutants without re-lowering. [`ExecPlan::execute_batch`] applies up to
+//! 64 of them at once as per-lane masks over the golden specs — a
+//! spurious driver becomes two appended specs plus one shadow module —
+//! and places the result by the same kernel-order rules lowering uses
+//! (one placement function), so the lanes go through the same stream
+//! compiler and the same loop as a solo run.
+//!
 //! [`ExecPlan::static_conflicts`] is a **static conflict pre-pass**, run
 //! on request: two [`Action::Assert`]s landing in the same slot of the
 //! same resolved signal are reported as a [`StaticConflict`] *before*
@@ -36,17 +45,17 @@
 //! cleanly — so the dynamic `ILLEGAL` events remain the ground truth the
 //! paper describes.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace};
 
-use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome};
-use crate::check::{CheckEval, CheckIndex, CheckProgram, SignalKind};
+use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome, OptConfig};
+use crate::check::{CheckIndex, CheckProgram, CheckReport, SignalKind};
 use crate::diag::{Conflict, ConflictSite};
 use crate::elaborate::SignalRole;
 use crate::model::RtModel;
 use crate::op::Op;
+use crate::opt::{LaneCounts, Stream};
 use crate::phase::{Phase, PhaseTime, Step};
 use crate::resource::ModuleTiming;
 use crate::run::{RunSummary, Waveform};
@@ -103,7 +112,7 @@ pub enum Action {
         slot: usize,
         /// Index into the plan's guard table, when the transfer is
         /// conditional.
-        guard: Option<u16>,
+        guard: Option<u32>,
     },
     /// Transfer release: schedule `DISC` on driver `slot` of `dst`.
     Release {
@@ -140,13 +149,13 @@ pub enum Action {
 #[derive(Debug, Clone)]
 pub struct PlanChecks {
     /// Dense signal index of each program signal, in program order.
-    sigs: Vec<usize>,
+    pub(crate) sigs: Vec<usize>,
     /// The program indices of each dense signal (usually none or one).
-    watch: Vec<Vec<usize>>,
+    pub(crate) watch: Vec<Vec<usize>>,
     /// The program itself (owned so the handle is self-contained).
-    program: CheckProgram,
+    pub(crate) program: CheckProgram,
     /// The program's event-driven lookups.
-    index: CheckIndex,
+    pub(crate) index: CheckIndex,
 }
 
 /// A multiply driven slot found by the static conflict pre-pass.
@@ -269,13 +278,6 @@ impl PlanGuard {
         });
         conj != self.negated
     }
-
-    fn flipped(&self) -> PlanGuard {
-        PlanGuard {
-            negated: !self.negated,
-            clauses: self.clauses.clone(),
-        }
-    }
 }
 
 /// A transfer spec resolved to dense indices. Retained by the plan so
@@ -288,11 +290,11 @@ pub(crate) struct LoweredSpec {
     pub(crate) src: Source,
     pub(crate) dst: usize,
     pub(crate) slot: usize,
-    pub(crate) guard: Option<u16>,
+    pub(crate) guard: Option<u32>,
 }
 
-/// A spurious extra bus driver expressed at plan level: the batched
-/// executor materializes it as a shadow combinational module (the same
+/// A spurious extra bus driver expressed at plan level: a lane chunk
+/// appends it as a shadow combinational module (the same
 /// `SPUR_<bus>_<step>` PassA module the legacy mutation adds) plus the
 /// two specs its transfer tuple would lower to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -355,11 +357,8 @@ pub struct ExecPlan {
     pub(crate) mems: Vec<PlanMem>,
     /// Lowered transfer guards, indexed by [`LoweredSpec::guard`].
     pub(crate) guards: Vec<PlanGuard>,
-    /// The schedule, flat: delta `d` runs `actions[bounds[d]..bounds[d +
-    /// 1]]`. Delta 0 is initialization; delta `(s-1)*6 + p.index() + 1`
-    /// is step `s`, phase `p`. The trailing flush delta has no actions.
-    pub(crate) actions: Vec<Action>,
-    pub(crate) bounds: Vec<u32>,
+    /// The golden schedule (no lane masks).
+    pub(crate) schedule: Schedule,
     /// How many specs assert at `wb(CS_MAX)`. A trailing flush delta
     /// follows `cr(CS_MAX)` exactly when there is one: its commit and
     /// release are still pending after the last scheduled phase.
@@ -575,7 +574,7 @@ impl ExecPlan {
         let mut guards: Vec<PlanGuard> = Vec::new();
         for (tuple_index, tuple) in model.tuples().iter().enumerate() {
             let guard = tuple.guard.as_ref().map(|g| {
-                let gi = guards.len() as u16;
+                let gi = guards.len() as u32;
                 guards.push(lower_guard(g));
                 gi
             });
@@ -627,116 +626,6 @@ impl ExecPlan {
             }
         }
 
-        // Bucket the specs by step once (a counting sort, declaration
-        // order kept within each step): `bucket[first[s]..first[s + 1]]`
-        // are the spec indices of step `s`. Specs outside `1..=CS_MAX`
-        // never run and are left out.
-        let steps = cs_max as usize;
-        let in_schedule = |sp: &LoweredSpec| (1..=cs_max).contains(&sp.step);
-        let mut first = vec![0usize; steps + 2];
-        for sp in specs.iter().filter(|sp| in_schedule(sp)) {
-            first[sp.step as usize + 1] += 1;
-        }
-        for s in 1..first.len() {
-            first[s] += first[s - 1];
-        }
-        let mut bucket = vec![0usize; first[steps + 1]];
-        let mut fill = first.clone();
-        for (i, sp) in specs.iter().enumerate().filter(|(_, sp)| in_schedule(sp)) {
-            bucket[fill[sp.step as usize]] = i;
-            fill[sp.step as usize] += 1;
-        }
-
-        // The schedule: for each delta of each step, the actions in the
-        // kernel's runnable-set order (derived from waiter-list and wake
-        // positions; see ARCHITECTURE.md "Two engines, one semantics").
-        let mut actions: Vec<Action> =
-            Vec::with_capacity(steps * (Phase::ALL.len() + 2 + modules.len()) + 2 * specs.len());
-        let mut bounds: Vec<u32> = Vec::with_capacity(steps * Phase::ALL.len() + 2);
-        bounds.push(0);
-        let ph_to = |p: Phase| Action::Control {
-            sig: ph,
-            value: Value::Num(p.index() as i64),
-        };
-        let assert_of = |sp: &LoweredSpec| Action::Assert {
-            src: sp.src,
-            dst: sp.dst,
-            slot: sp.slot,
-            guard: sp.guard,
-        };
-        let release_of = |sp: &LoweredSpec| Action::Release {
-            dst: sp.dst,
-            slot: sp.slot,
-        };
-        if cs_max >= 1 {
-            actions.push(Action::Control {
-                sig: cs,
-                value: Value::Num(1),
-            });
-            actions.push(ph_to(Phase::Ra));
-        }
-        bounds.push(actions.len() as u32);
-        let mut live = Vec::new();
-        for s in 1..=cs_max {
-            let here = &bucket[first[s as usize]..first[s as usize + 1]];
-            let step_specs = || here.iter().map(|&i| &specs[i]);
-            let phase = |p: Phase| step_specs().filter(move |sp| sp.phase == p);
-
-            // ra: step specs wake before the controller (CS is processed
-            // before PH in the wake queue). Only Ra specs assert here.
-            actions.extend(phase(Phase::Ra).map(assert_of));
-            actions.push(ph_to(Phase::Rb));
-            bounds.push(actions.len() as u32);
-
-            // rb: controller first, then Ra releases / Rb asserts
-            // interleaved in declaration order (both re-registered at the
-            // end of PH's waiter list during ra).
-            actions.push(ph_to(Phase::Cm));
-            for sp in step_specs() {
-                match sp.phase {
-                    Phase::Ra => actions.push(release_of(sp)),
-                    Phase::Rb => actions.push(assert_of(sp)),
-                    _ => {}
-                }
-            }
-            bounds.push(actions.len() as u32);
-
-            // cm: controller, all modules (original waiter positions),
-            // then Rb releases.
-            actions.push(ph_to(Phase::Wa));
-            actions.extend((0..modules.len()).map(|module| Action::Eval { module }));
-            actions.extend(phase(Phase::Rb).map(release_of));
-            bounds.push(actions.len() as u32);
-
-            // wa: controller, then Wa asserts.
-            actions.push(ph_to(Phase::Wb));
-            actions.extend(phase(Phase::Wa).map(assert_of));
-            bounds.push(actions.len() as u32);
-
-            // wb: controller, Wb asserts (original positions), then Wa
-            // releases (re-registered at the end during wa).
-            actions.push(ph_to(Phase::Cr));
-            actions.extend(phase(Phase::Wb).map(assert_of));
-            actions.extend(phase(Phase::Wa).map(release_of));
-            bounds.push(actions.len() as u32);
-
-            // cr: controller advances (CS before PH, matching its push
-            // order; nothing on the last step), live registers and
-            // memories commit, then Wb releases.
-            if s < cs_max {
-                actions.push(Action::Control {
-                    sig: cs,
-                    value: Value::Num(s as i64 + 1),
-                });
-                actions.push(ph_to(Phase::Ra));
-            }
-            live_commits(&sinks, step_specs().map(|sp| sp.dst), &mut live, |a| {
-                actions.push(a)
-            });
-            actions.extend(phase(Phase::Wb).map(release_of));
-            bounds.push(actions.len() as u32);
-        }
-
         // A commit at cr(CS_MAX) (and its paired release) leaves pending
         // updates after the last scheduled phase if and only if some
         // transfer asserts a register input at wb(CS_MAX).
@@ -757,7 +646,7 @@ impl ExecPlan {
         );
         let process_count = 1 + fixed_procs + specs.len() as u64;
 
-        ExecPlan {
+        let mut plan = ExecPlan {
             cs_max,
             signals,
             roles: roles.into(),
@@ -766,8 +655,7 @@ impl ExecPlan {
             modules,
             mems,
             guards,
-            actions,
-            bounds,
+            schedule: Schedule::default(),
             last_writes,
             specs,
             spec_tuple,
@@ -776,7 +664,156 @@ impl ExecPlan {
             activations,
             wake_hits,
             wake_misses,
+        };
+        plan.schedule = plan.place(&plan.specs, None, 1, 0);
+        plan
+    }
+
+    /// The placement rules: the schedule of `specs`, each action in the
+    /// kernel's runnable-set order (derived from waiter-list and wake
+    /// positions; see ARCHITECTURE.md "Two engines, one semantics").
+    /// Lowering places the golden specs; a lane chunk places its specs
+    /// with `lanes`, one lane mask per spec gating its assert and its
+    /// release (a solo schedule keeps no masks). Controller pushes, golden
+    /// module evaluations and commits run in every lane of `full`; an
+    /// appended shadow module (index `modules.len()`) evaluates in the
+    /// `shadow` lanes. Specs outside `1..=CS_MAX` never run.
+    pub(crate) fn place(
+        &self,
+        specs: &[LoweredSpec],
+        lanes: Option<&[u64]>,
+        full: u64,
+        shadow: u64,
+    ) -> Schedule {
+        let cs_max = self.cs_max;
+        // Bucket the specs by step with a stable counting sort: step
+        // `s`'s spec indices, in spec order, are
+        // `order[first[s]..first[s + 1]]`.
+        let runs = |sp: &&LoweredSpec| (1..=cs_max).contains(&sp.step);
+        let mut first = vec![0usize; cs_max as usize + 2];
+        for sp in specs.iter().filter(runs) {
+            first[sp.step as usize + 1] += 1;
         }
+        for s in 1..first.len() {
+            first[s] += first[s - 1];
+        }
+        let mut fill = first.clone();
+        let mut order = vec![0u32; first[cs_max as usize + 1]];
+        for (i, sp) in specs.iter().enumerate().filter(|(_, sp)| runs(sp)) {
+            order[fill[sp.step as usize]] = i as u32;
+            fill[sp.step as usize] += 1;
+        }
+
+        let mut out = Schedule {
+            actions: Vec::with_capacity(
+                cs_max as usize * (Phase::ALL.len() + 2 + self.modules.len()) + 2 * order.len(),
+            ),
+            masks: Vec::new(),
+            bounds: vec![0],
+            full,
+        };
+        let push = |out: &mut Schedule, action: Action, mask: u64| {
+            out.actions.push(action);
+            if lanes.is_some() {
+                out.masks.push(mask);
+            }
+        };
+        let close = |out: &mut Schedule| out.bounds.push(out.actions.len() as u32);
+        let control = |out: &mut Schedule, sig: usize, value: usize| {
+            let value = Value::Num(value as i64);
+            push(out, Action::Control { sig, value }, full);
+        };
+        let ph_to = |out: &mut Schedule, p: Phase| control(out, PH, p.index() as usize);
+        // Spec `i`'s assert (`assert`) or release, in its lanes.
+        let drive = |out: &mut Schedule, i: u32, assert: bool| {
+            let sp = &specs[i as usize];
+            let (src, dst, slot, guard) = (sp.src, sp.dst, sp.slot, sp.guard);
+            let action = match assert {
+                true => Action::Assert {
+                    src,
+                    dst,
+                    slot,
+                    guard,
+                },
+                false => Action::Release { dst, slot },
+            };
+            push(out, action, lanes.map_or(full, |l| l[i as usize]));
+        };
+        let phase = |i: u32| specs[i as usize].phase;
+
+        if cs_max >= 1 {
+            control(&mut out, CS, 1);
+            ph_to(&mut out, Phase::Ra);
+        }
+        close(&mut out);
+        let mut live = Vec::new();
+        for s in 1..=cs_max {
+            let here = &order[first[s as usize]..first[s as usize + 1]];
+            let drives = |out: &mut Schedule, p: Phase, assert: bool| {
+                for &i in here.iter().filter(|&&i| phase(i) == p) {
+                    drive(out, i, assert);
+                }
+            };
+
+            // ra: step specs wake before the controller (CS is processed
+            // before PH in the wake queue). Only Ra specs assert here.
+            drives(&mut out, Phase::Ra, true);
+            ph_to(&mut out, Phase::Rb);
+            close(&mut out);
+
+            // rb: controller first, then Ra releases / Rb asserts
+            // interleaved in declaration order (both re-registered at the
+            // end of PH's waiter list during ra).
+            ph_to(&mut out, Phase::Cm);
+            for &i in here
+                .iter()
+                .filter(|&&i| matches!(phase(i), Phase::Ra | Phase::Rb))
+            {
+                drive(&mut out, i, phase(i) == Phase::Rb);
+            }
+            close(&mut out);
+
+            // cm: controller, all modules (original waiter positions, the
+            // shadow module last), then Rb releases.
+            ph_to(&mut out, Phase::Wa);
+            for module in 0..self.modules.len() {
+                push(&mut out, Action::Eval { module }, full);
+            }
+            if shadow != 0 {
+                let module = self.modules.len();
+                push(&mut out, Action::Eval { module }, shadow);
+            }
+            drives(&mut out, Phase::Rb, false);
+            close(&mut out);
+
+            // wa: controller, then Wa asserts.
+            ph_to(&mut out, Phase::Wb);
+            drives(&mut out, Phase::Wa, true);
+            close(&mut out);
+
+            // wb: controller, Wb asserts (original positions), then Wa
+            // releases (re-registered at the end during wa).
+            ph_to(&mut out, Phase::Cr);
+            drives(&mut out, Phase::Wb, true);
+            drives(&mut out, Phase::Wa, false);
+            close(&mut out);
+
+            // cr: controller advances (CS before PH, matching its push
+            // order; nothing on the last step), live registers and
+            // memories commit, then Wb releases. Commits follow the
+            // live-commit rule over every lane's specs: a lane whose own
+            // schedule leaves the port undriven reads `DISC` there and
+            // pushes nothing.
+            if s < cs_max {
+                control(&mut out, CS, s as usize + 1);
+                ph_to(&mut out, Phase::Ra);
+            }
+            let dsts = here.iter().map(|&i| specs[i as usize].dst);
+            live_commits(&self.sinks, dsts, &mut live, |a| push(&mut out, a, full));
+            drives(&mut out, Phase::Wb, false);
+            close(&mut out);
+        }
+        out
     }
 
     /// Maximum control step of the lowered model.
@@ -795,7 +832,7 @@ impl ExecPlan {
     /// from the schedule on each call.
     pub fn static_conflicts(&self) -> Vec<StaticConflict> {
         let mut found = Vec::new();
-        for d in 1..self.bounds.len() - 1 {
+        for d in 1..self.schedule.bounds.len() - 1 {
             let mut counts: Vec<(usize, usize)> = Vec::new();
             for action in self.delta_actions(d) {
                 if let Action::Assert { dst, .. } = action {
@@ -834,10 +871,7 @@ impl ExecPlan {
     /// The actions of delta `d`: initialization at 0, then one slot per
     /// `(step, phase)`; empty for the trailing flush delta.
     pub(crate) fn delta_actions(&self, d: usize) -> &[Action] {
-        match (self.bounds.get(d), self.bounds.get(d + 1)) {
-            (Some(&lo), Some(&hi)) => &self.actions[lo as usize..hi as usize],
-            _ => &[],
-        }
+        &self.schedule.actions[self.schedule.delta(d)]
     }
 
     /// A fresh trace holding every signal's initial value at time zero —
@@ -859,16 +893,7 @@ impl ExecPlan {
         stats: SimStats,
         trace: Option<Trace<Value>>,
     ) -> ExecOutcome {
-        let mut registers: Vec<(String, Value)> = self
-            .regs
-            .iter()
-            .map(|r| (r.name.clone(), values[r.output]))
-            .collect();
-        for m in &self.mems {
-            for &w in &m.words {
-                registers.push((self.roles[w].signal_name(), values[w]));
-            }
-        }
+        let registers = self.registers(values, 1, 0);
         let waveform = trace.map(|t| Waveform::new(t, Arc::clone(&self.roles)));
         ExecOutcome {
             summary: RunSummary {
@@ -880,7 +905,20 @@ impl ExecPlan {
         }
     }
 
-    /// Walks the plan and harvests the observable output.
+    /// Final register and memory-word values of lane `c` of `values`
+    /// (`values[sig * n + lane]`), in declaration order.
+    pub(crate) fn registers(&self, values: &[Value], n: usize, c: usize) -> Vec<(String, Value)> {
+        let regs = self.regs.iter().map(|r| (r.name.clone(), r.output));
+        let words =
+            (self.mems.iter().flat_map(|m| &m.words)).map(|&w| (self.roles[w].signal_name(), w));
+        regs.chain(words)
+            .map(|(name, sig)| (name, values[sig * n + c]))
+            .collect()
+    }
+
+    /// Walks the plan at `options.opt` and harvests the observable output:
+    /// the schedule is compiled to its micro-op stream ([`crate::opt`])
+    /// and walked as one lane.
     ///
     /// # Errors
     ///
@@ -889,172 +927,9 @@ impl ExecPlan {
     /// is static), [`KernelError::WallBudgetExceeded`] when the deadline
     /// passes mid-walk.
     pub fn execute(&self, options: &ExecOptions) -> Result<ExecOutcome, KernelError> {
-        let delta_limit = options.delta_limit.unwrap_or(100_000_000);
-        let needed = self.total_deltas();
-        if needed > delta_limit {
-            return Err(KernelError::DeltaOverflow {
-                at: SimTime {
-                    fs: 0,
-                    delta: delta_limit,
-                },
-                limit: delta_limit,
-            });
-        }
-
-        let mut values: Vec<Value> = self.signals.iter().map(|s| s.init).collect();
-        // The generic walk resolves every resolved signal, through its
-        // tally.
-        let layout = DriverLayout::new(self.signals.iter().map(|s| (s.resolved, s.drivers)), false);
-        let mut drivers = layout.state(1);
-        let mut pipes: Vec<VecDeque<Value>> = self
-            .modules
-            .iter()
-            .map(|m| VecDeque::from(vec![Value::Disc; m.timing.latency() as usize]))
-            .collect();
-        let mut busy: Vec<u32> = vec![0; self.modules.len()];
-
-        let mut trace: Option<Trace<Value>> = options.trace.then(|| self.initial_trace());
-
-        let mut stats = SimStats {
-            process_activations: self.activations,
-            wake_filter_hits: self.wake_hits,
-            wake_filter_misses: self.wake_misses,
-            // The initialization delta runs every process at once — the
-            // high-water mark of the whole run.
-            peak_runnable: self.process_count,
-            ..SimStats::default()
-        };
-
-        let mut pending: Vec<(usize, usize, Value)> = Vec::new();
-        for d in 0..needed {
-            stats.peak_pending_updates = stats.peak_pending_updates.max(pending.len() as u64);
-
-            // Update phase: apply scheduled driver transactions in push
-            // order, recomputing effective values one transaction at a
-            // time (two drives of one signal in one delta each produce
-            // their own event, exactly like the kernel).
-            let updates = std::mem::take(&mut pending);
-            for (sig, slot, value) in updates {
-                stats.driver_updates += 1;
-                let effective = if layout.tallied(sig) {
-                    drivers.drive(sig, slot, 0, value)
-                } else {
-                    value
-                };
-                if effective != values[sig] {
-                    values[sig] = effective;
-                    stats.events += 1;
-                    if let Some(t) = &mut trace {
-                        t.push(
-                            SimTime { fs: 0, delta: d },
-                            SignalId::from_index(sig),
-                            effective,
-                        );
-                    }
-                }
-            }
-
-            // Run phase: the slot's straight-line actions (none in the
-            // trailing flush delta: updates only).
-            for &action in self.delta_actions(d as usize) {
-                match action {
-                    Action::Control { sig, value } => pending.push((sig, 0, value)),
-                    Action::Assert {
-                        src,
-                        dst,
-                        slot,
-                        guard,
-                    } => {
-                        let enabled =
-                            guard.is_none_or(|gi| self.guards[gi as usize].eval(|s| values[s]));
-                        let v = if !enabled {
-                            Value::Disc
-                        } else {
-                            match src {
-                                Source::Signal(s) => values[s],
-                                Source::Const(v) => v,
-                                Source::MemRead { addr, base, len } => match values[addr].num() {
-                                    Some(a) if (0..i64::from(len)).contains(&a) => {
-                                        values[base + a as usize]
-                                    }
-                                    _ => Value::Illegal,
-                                },
-                            }
-                        };
-                        pending.push((dst, slot, v));
-                    }
-                    Action::Release { dst, slot } => pending.push((dst, slot, Value::Disc)),
-                    Action::Eval { module } => {
-                        let m = &self.modules[module];
-                        let mut result = combine(
-                            values[m.in1],
-                            values[m.in2],
-                            m.op.map(|p| values[p]),
-                            &m.ops,
-                        );
-                        if let ModuleTiming::Sequential { latency } = m.timing {
-                            if busy[module] > 0 {
-                                busy[module] -= 1;
-                                if result != Value::Disc {
-                                    // Initiation-interval violation:
-                                    // poison the whole pipeline.
-                                    result = Value::Illegal;
-                                    for v in pipes[module].iter_mut() {
-                                        *v = Value::Illegal;
-                                    }
-                                }
-                            } else if result != Value::Disc {
-                                busy[module] = latency.saturating_sub(1);
-                            }
-                        }
-                        let pipe = &mut pipes[module];
-                        match pipe.pop_front() {
-                            None => pending.push((m.out, 0, result)),
-                            Some(due) => {
-                                pending.push((m.out, 0, due));
-                                pipe.push_back(result);
-                            }
-                        }
-                    }
-                    Action::Commit { reg } => {
-                        let r = &self.regs[reg];
-                        let v = values[r.input];
-                        if v != Value::Disc {
-                            pending.push((r.output, 0, v));
-                        }
-                    }
-                    Action::CommitMem { mem } => {
-                        let m = &self.mems[mem];
-                        let v = values[m.win];
-                        if v != Value::Disc {
-                            match values[m.waddr].num() {
-                                Some(a) if (0..m.words.len() as i64).contains(&a) => {
-                                    pending.push((m.words[a as usize], 0, v));
-                                }
-                                _ => {
-                                    for &w in &m.words {
-                                        pending.push((w, 0, Value::Illegal));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            if let Some(deadline) = options.deadline {
-                if std::time::Instant::now() >= deadline {
-                    return Err(KernelError::WallBudgetExceeded {
-                        at: SimTime {
-                            fs: 0,
-                            delta: d + 1,
-                        },
-                    });
-                }
-            }
-        }
-        stats.delta_cycles = needed;
-        Ok(self.outcome(&values, stats, trace))
+        Stream::solo(self, options.opt.config())
+            .execute(self, options, None)
+            .map(|(outcome, _)| outcome)
     }
 
     // ------------------------------------------------------------------
@@ -1206,26 +1081,20 @@ impl ExecPlan {
 
     /// Executes many [`PlanDelta`] mutants of this plan in lockstep.
     ///
-    /// Mutants run in chunks of up to 64 columns over
-    /// structure-of-arrays state: one merged schedule whose actions carry
-    /// per-column bit masks, one value/driver column per mutant. Each
-    /// column's observables — final registers, first conflict, kernel
-    /// counters — are identical to lowering and executing that mutant's
-    /// model on its own (`clockless-verify` pins this differentially
-    /// against the legacy per-mutant path).
+    /// Mutants run in chunks of up to 64 lanes over structure-of-arrays
+    /// state. Each chunk applies its deltas to the golden specs as lane
+    /// masks, places them by lowering's own placement rules, compiles the
+    /// masked schedule at `options.opt` and walks it with the loop
+    /// [`execute`](Self::execute) uses. Each lane's observables — final registers, first conflict,
+    /// kernel counters — are identical to lowering and executing that
+    /// mutant's model on its own (`clockless-verify` pins this
+    /// differentially against the kernel's per-mutant runs).
     ///
-    /// A column whose schedule exceeds `options.delta_limit` is latched
-    /// as [`BatchOutcome::overflowed`] up front (the schedule length is
+    /// A lane whose schedule exceeds `options.delta_limit` is latched as
+    /// [`BatchOutcome::overflowed`] up front (the schedule length is
     /// static, exactly as in [`execute`](Self::execute)) and drops out
-    /// without disturbing the other columns. Tracing is not supported;
+    /// without disturbing the other lanes. Tracing is not supported;
     /// `options.trace` is ignored.
-    ///
-    /// `options.opt` gates the same stream specializations the solo
-    /// compiled backend gets from [`crate::OptPlan`] — single-driver
-    /// resolution bypass, folded control pushes, dead-spur elimination —
-    /// re-derived on each chunk's merged mutant schedule. Elided work is
-    /// re-credited to the per-column counters, so outcomes stay
-    /// byte-identical at every level.
     ///
     /// # Errors
     ///
@@ -1236,11 +1105,7 @@ impl ExecPlan {
         deltas: &[PlanDelta],
         options: &ExecOptions,
     ) -> Result<Vec<BatchOutcome>, KernelError> {
-        let mut out = Vec::with_capacity(deltas.len());
-        for chunk in deltas.chunks(BATCH_WIDTH) {
-            self.execute_chunk(chunk, options, None, &mut out)?;
-        }
-        Ok(out)
+        self.execute_lanes(deltas, options, options.opt.config(), None)
     }
 
     /// Resolves a [`CheckProgram`]'s signal references against this
@@ -1281,11 +1146,11 @@ impl ExecPlan {
     }
 
     /// [`execute_batch`](Self::execute_batch) with value checkers: after
-    /// every column's update phase the monitored signals that changed
-    /// are fed to a per-column [`CheckEval`], so each [`BatchOutcome`]
-    /// additionally carries the first monitor/invariant violation.
-    /// Overflowed columns never run and report no verdict (`check:
-    /// None`).
+    /// every lane's update phase the monitored signals that changed are
+    /// fed to a per-lane [`CheckEval`](crate::CheckEval), so each
+    /// [`BatchOutcome`] additionally carries the first monitor/invariant
+    /// violation. Overflowed lanes never run and report no verdict
+    /// (`check: None`).
     ///
     /// # Errors
     ///
@@ -1297,9 +1162,23 @@ impl ExecPlan {
         options: &ExecOptions,
         checks: &PlanChecks,
     ) -> Result<Vec<BatchOutcome>, KernelError> {
+        self.execute_lanes(deltas, options, options.opt.config(), Some(checks))
+    }
+
+    /// The lane walk behind [`execute_batch`](Self::execute_batch), under
+    /// explicit pass toggles.
+    pub(crate) fn execute_lanes(
+        &self,
+        deltas: &[PlanDelta],
+        options: &ExecOptions,
+        config: OptConfig,
+        checks: Option<&PlanChecks>,
+    ) -> Result<Vec<BatchOutcome>, KernelError> {
+        let delta_limit = options.delta_limit.unwrap_or(100_000_000);
         let mut out = Vec::with_capacity(deltas.len());
-        for chunk in deltas.chunks(BATCH_WIDTH) {
-            self.execute_chunk(chunk, options, Some(checks), &mut out)?;
+        for chunk in deltas.chunks(LANES) {
+            let (lanes, stream) = self.lanes(chunk, delta_limit, config);
+            stream.execute_lanes(self, &lanes, options, checks, &mut out)?;
         }
         Ok(out)
     }
@@ -1350,836 +1229,308 @@ impl ExecPlan {
         (schedule_deltas(cs_max, last_writes), stats)
     }
 
-    /// Runs one chunk of up to [`BATCH_WIDTH`] columns to completion.
-    fn execute_chunk(
+    /// Applies one chunk of up to [`LANES`] deltas to the golden specs as
+    /// lane masks, places the result and compiles it under `config`. Per lane that is the golden
+    /// placement minus its drops and moves plus its moved-in specs; its
+    /// guard edits become flipped or forced variants of a spec, whose
+    /// lanes are disjoint from the spec's own; its spur becomes two
+    /// appended specs plus the shadow module. Every edit keeps spec order
+    /// (drops remove, skews re-step, spurs append last), so each lane's
+    /// masked view of the schedule is exactly its own mutant's schedule.
+    fn lanes<'d>(
         &self,
-        chunk: &[PlanDelta],
-        options: &ExecOptions,
-        checks: Option<&PlanChecks>,
-        out: &mut Vec<BatchOutcome>,
-    ) -> Result<(), KernelError> {
-        let n = chunk.len();
+        deltas: &'d [PlanDelta],
+        delta_limit: u64,
+        config: OptConfig,
+    ) -> (Lanes<'d>, Stream) {
         let bit = |c: usize| 1u64 << c;
-        let cfg = options.opt.config();
-        let delta_limit = options.delta_limit.unwrap_or(100_000_000);
-
-        // Per-column schedule summary, derived from the golden plan's in
-        // O(edits). The budget precheck mirrors `execute`: an over-budget
-        // column never runs at all.
-        let mut needed = vec![0u64; n];
-        let mut col_stats = vec![SimStats::default(); n];
-        let mut overflow = vec![false; n];
-        let mut full: u64 = 0;
-        for (c, d) in chunk.iter().enumerate() {
-            let (deltas, stats) = self.lane_schedule(d);
-            needed[c] = deltas;
-            if deltas > delta_limit {
-                overflow[c] = true;
-                col_stats[c] = SimStats {
-                    delta_cycles: delta_limit,
-                    ..SimStats::default()
-                };
-                continue;
-            }
-            col_stats[c] = stats;
-            full |= bit(c);
-        }
-
-        // Shadow spur signals: three per chunk (in1, in2, out), shared by
-        // every spur column; per-column conflict names live in the delta.
-        let spur_cols: Vec<(usize, &PlanSpur)> = chunk
+        // Per-lane schedule summaries in O(edits): an over-budget lane
+        // never runs and records only the exhausted budget.
+        let schedules: Vec<(u64, SimStats)> = deltas
             .iter()
-            .enumerate()
-            .filter(|&(c, _)| full & bit(c) != 0)
-            .filter_map(|(c, d)| d.spur.as_ref().map(|s| (c, s)))
+            .map(|d| match self.lane_schedule(d) {
+                (needed, _) if needed > delta_limit => {
+                    let budget = SimStats {
+                        delta_cycles: delta_limit,
+                        ..SimStats::default()
+                    };
+                    (0, budget)
+                }
+                summary => summary,
+            })
             .collect();
-        let any_spur = !spur_cols.is_empty();
-        let spur_mask = spur_cols.iter().fold(0u64, |m, &(c, _)| m | bit(c));
-        let s0 = self.signals.len();
-        let (spur_in1, spur_out) = (s0, s0 + 2);
-        let sig_count = s0 + if any_spur { 3 } else { 0 };
+        let full = (0..deltas.len())
+            .filter(|&c| schedules[c].0 > 0)
+            .fold(0, |m, c| m | bit(c));
+        let live = || (deltas.iter().enumerate()).filter(move |&(c, _)| full & bit(c) != 0);
 
-        // Driver-slot layout: golden counts plus one shared extra slot
-        // per spur-driven bus. Columns that never drive a slot leave it
-        // `DISC`, which resolution ignores — the reason the golden layout
-        // can serve every mutant. Slots and tallies exist per (tallied
-        // signal, column) only; under `specialize` a single-slot resolved
-        // signal stores directly (a spur-driven bus grows an extra
-        // chunk-local slot, which keeps it tallied).
-        let mut slot_count: Vec<usize> = self.signals.iter().map(|s| s.drivers).collect();
-        let mut spur_bus_slot: Vec<(usize, usize)> = Vec::new();
-        for &(_, spur) in &spur_cols {
-            if !spur_bus_slot.iter().any(|&(b, _)| b == spur.bus) {
-                spur_bus_slot.push((spur.bus, slot_count[spur.bus]));
-                slot_count[spur.bus] += 1;
-            }
-        }
-        let bus_slot = |bus: usize| -> usize {
-            spur_bus_slot
-                .iter()
-                .find(|&&(b, _)| b == bus)
-                .map(|&(_, s)| s)
-                .expect("spur bus has an allocated slot")
-        };
-        if any_spur {
-            slot_count.push(1); // spur in1: driven by the Rb spec
-            slot_count.push(0); // spur in2: never driven (stays DISC)
-            slot_count.push(1); // spur out: driven by the module proc
-        }
-        let resolved = |sig: usize| {
-            if sig < s0 {
-                self.signals[sig].resolved
-            } else {
-                sig != spur_out
-            }
-        };
-        let layout = DriverLayout::new(
-            (0..sig_count).map(|sig| (resolved(sig), slot_count[sig])),
-            cfg.specialize,
-        );
-        let mut drivers = layout.state(n);
-
-        // SoA values, `values[sig * n + col]`, starting at each column's
-        // initial signal values.
-        let mut values: Vec<Value> = self
-            .signals
-            .iter()
-            .flat_map(|s| std::iter::repeat_n(s.init, n))
-            .collect();
-        values.resize(sig_count * n, Value::Disc);
-        for (c, d) in chunk.iter().enumerate() {
-            for &(sig, v) in &d.init_edits {
-                values[sig * n + c] = v;
-            }
-        }
-
-        // Per-column module state (golden modules plus the shadow spur,
-        // a combinational PassA with an empty pipeline).
-        let spur_ops = [Op::PassA];
-        let mod_count = self.modules.len() + usize::from(any_spur);
-        let module_view = |m: usize| -> (usize, usize, Option<usize>, usize, &[Op], ModuleTiming) {
-            if let Some(pm) = self.modules.get(m) {
-                (pm.in1, pm.in2, pm.op, pm.out, pm.ops.as_slice(), pm.timing)
-            } else {
-                (
-                    spur_in1,
-                    spur_in1 + 1,
-                    None,
-                    spur_out,
-                    &spur_ops,
-                    ModuleTiming::Combinational,
-                )
-            }
-        };
-        let mut pipes: Vec<VecDeque<Value>> = Vec::with_capacity(mod_count * n);
-        for m in &self.modules {
-            for _ in 0..n {
-                pipes.push(VecDeque::from(vec![
-                    Value::Disc;
-                    m.timing.latency() as usize
-                ]));
-            }
-        }
-        if any_spur {
-            pipes.resize_with(mod_count * n, VecDeque::new);
-        }
-        let mut busy: Vec<u32> = vec![0; mod_count * n];
-
-        // Merged schedule: per-step spec activity as `(spec index,
-        // column mask)` — golden placement minus per-column drops and
-        // moves, plus moved-in specs — sorted by spec index. Spec order
-        // is preserved by every mutation (drops remove, skews re-step,
-        // spurs append last), so each column's mask-filtered view is
-        // exactly its own mutant's action order.
-        let mut clear: Vec<u64> = vec![0; self.specs.len()];
-        let mut moved_in: Vec<(usize, Step, u64)> = Vec::new();
-        for (c, d) in chunk.iter().enumerate() {
-            if full & bit(c) == 0 {
-                continue;
-            }
+        // Per spec: the lanes that drop or move it and those that flip or
+        // force its guard; moves as `(spec, step, lanes)`.
+        let specs = self.specs.len();
+        let (mut clear, mut flip, mut force) =
+            (vec![0u64; specs], vec![0u64; specs], vec![0u64; specs]);
+        let mut moved = Vec::new();
+        for (c, d) in live() {
             for &i in &d.disabled_specs {
                 clear[i] |= bit(c);
             }
             for &(i, step) in &d.moved_specs {
                 clear[i] |= bit(c);
-                moved_in.push((i, step, bit(c)));
-            }
-        }
-        let mut by_step: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.cs_max as usize + 1];
-        for (i, sp) in self.specs.iter().enumerate() {
-            if !(1..=self.cs_max).contains(&sp.step) {
-                continue;
-            }
-            let m = full & !clear[i];
-            if m != 0 {
-                by_step[sp.step as usize].push((i, m));
-            }
-        }
-        for (i, step, m) in moved_in {
-            by_step[step as usize].push((i, m));
-        }
-        for v in &mut by_step {
-            v.sort_by_key(|&(i, _)| i);
-        }
-
-        // Guard-fault overrides: per-spec column masks for flipped and
-        // forced guards, plus a chunk-local guard table extended with the
-        // flipped variants. Guard edits leave the schedule shape (and
-        // therefore the analytic stats) untouched — a disabled transfer
-        // still asserts, it just drives `DISC`.
-        let mut flip_mask = vec![0u64; self.specs.len()];
-        let mut force_mask = vec![0u64; self.specs.len()];
-        for (c, d) in chunk.iter().enumerate() {
-            if full & bit(c) == 0 {
-                continue;
-            }
-            for &i in &d.forced_specs {
-                force_mask[i] |= bit(c);
+                moved.push((i, step, bit(c)));
             }
             for &i in &d.flipped_specs {
-                flip_mask[i] |= bit(c);
+                flip[i] |= bit(c);
+            }
+            for &i in &d.forced_specs {
+                force[i] |= bit(c);
             }
         }
-        for (fm, om) in flip_mask.iter_mut().zip(&force_mask) {
-            *fm &= !om; // force wins when combined
-        }
-        let mut chunk_guards: Vec<PlanGuard> = self.guards.clone();
-        let mut flip_of: Vec<Option<u16>> = vec![None; self.guards.len()];
-        for (sp, &mask) in self.specs.iter().zip(&flip_mask) {
-            if mask != 0 {
-                let gi = sp.guard.expect("flipped spec has a guard") as usize;
-                if flip_of[gi].is_none() {
-                    flip_of[gi] = Some(chunk_guards.len() as u16);
-                    let flipped = chunk_guards[gi].flipped();
-                    chunk_guards.push(flipped);
+        moved.sort_unstable_by_key(|&(i, ..)| i);
+
+        // Every placement in spec order, split by guard edits into
+        // variants with disjoint lanes (forcing wins over flipping); then
+        // the spurs' specs. Placement keeps this order within each step.
+        let mut ext = Extension::default();
+        let (mut placed, mut masks) = (Vec::new(), Vec::new());
+        let mut variants = |i: usize, spec: LoweredSpec, lanes: u64| {
+            let forced = lanes & force[i];
+            let flipped = lanes & flip[i] & !forced;
+            let mut push = |guard: Option<u32>, lanes: u64| {
+                if lanes != 0 {
+                    placed.push(LoweredSpec { guard, ..spec });
+                    masks.push(lanes);
                 }
-            }
-        }
-        // Pushes a spec's assert, split into base / flipped / forced
-        // entries by the per-column override masks. Within any single
-        // column exactly one variant is active, so per-column action
-        // order is preserved.
-        let push_assert = |vec: &mut Vec<(Action, u64)>, i: usize, m: u64| {
-            let sp = self.specs[i];
-            let assert = |guard: Option<u16>| Action::Assert {
-                src: sp.src,
-                dst: sp.dst,
-                slot: sp.slot,
-                guard,
             };
-            let fm = m & flip_mask[i];
-            let om = m & force_mask[i];
-            let bm = m & !(fm | om);
-            if bm != 0 {
-                vec.push((assert(sp.guard), bm));
-            }
-            if fm != 0 {
-                let gi = sp.guard.expect("flipped spec has a guard") as usize;
-                vec.push((assert(flip_of[gi]), fm));
-            }
-            if om != 0 {
-                vec.push((assert(None), om));
-            }
-        };
-
-        let cs_sig = self
-            .roles
-            .iter()
-            .position(|r| matches!(r, SignalRole::ControlStep))
-            .expect("plan has a CS signal");
-        let ph_sig = self
-            .roles
-            .iter()
-            .position(|r| matches!(r, SignalRole::PhaseSignal))
-            .expect("plan has a PH signal");
-        let ph_to = |p: Phase| Action::Control {
-            sig: ph_sig,
-            value: Value::Num(p.index() as i64),
-        };
-
-        let num_slots = self.cs_max as usize * Phase::ALL.len();
-        let mut sched: Vec<Vec<(Action, u64)>> = vec![Vec::new(); num_slots];
-        let mut live = Vec::new();
-        for s in 1..=self.cs_max {
-            let base = (s as usize - 1) * Phase::ALL.len();
-            let entries = &by_step[s as usize];
-            let spur_here: Vec<(usize, &PlanSpur)> = spur_cols
-                .iter()
-                .filter(|&&(_, spur)| spur.step == s)
-                .copied()
-                .collect();
-            let spec = |i: usize| self.specs[i];
-
-            let ra = &mut sched[base + Phase::Ra.index() as usize];
-            for &(i, m) in entries.iter().filter(|&&(i, _)| spec(i).phase == Phase::Ra) {
-                push_assert(ra, i, m);
-            }
-            for &(c, spur) in &spur_here {
-                ra.push((
-                    Action::Assert {
-                        src: Source::Signal(spur.src),
-                        dst: spur.bus,
-                        slot: bus_slot(spur.bus),
-                        guard: None,
-                    },
-                    bit(c),
-                ));
-            }
-            ra.push((ph_to(Phase::Rb), full));
-
-            let rb = &mut sched[base + Phase::Rb.index() as usize];
-            rb.push((ph_to(Phase::Cm), full));
-            for &(i, m) in entries {
-                let sp = spec(i);
-                match sp.phase {
-                    Phase::Ra => rb.push((
-                        Action::Release {
-                            dst: sp.dst,
-                            slot: sp.slot,
-                        },
-                        m,
-                    )),
-                    Phase::Rb => push_assert(rb, i, m),
-                    _ => {}
-                }
-            }
-            for &(c, spur) in &spur_here {
-                rb.push((
-                    Action::Release {
-                        dst: spur.bus,
-                        slot: bus_slot(spur.bus),
-                    },
-                    bit(c),
-                ));
-                rb.push((
-                    Action::Assert {
-                        src: Source::Signal(spur.bus),
-                        dst: spur_in1,
-                        slot: 0,
-                        guard: None,
-                    },
-                    bit(c),
-                ));
-            }
-
-            let cm = &mut sched[base + Phase::Cm.index() as usize];
-            cm.push((ph_to(Phase::Wa), full));
-            for i in 0..self.modules.len() {
-                cm.push((Action::Eval { module: i }, full));
-            }
-            if any_spur {
-                cm.push((
-                    Action::Eval {
-                        module: self.modules.len(),
-                    },
-                    spur_mask,
-                ));
-            }
-            for &(i, m) in entries.iter().filter(|&&(i, _)| spec(i).phase == Phase::Rb) {
-                let sp = spec(i);
-                cm.push((
-                    Action::Release {
-                        dst: sp.dst,
-                        slot: sp.slot,
-                    },
-                    m,
-                ));
-            }
-            for &(c, _) in &spur_here {
-                cm.push((
-                    Action::Release {
-                        dst: spur_in1,
-                        slot: 0,
-                    },
-                    bit(c),
-                ));
-            }
-
-            let wa = &mut sched[base + Phase::Wa.index() as usize];
-            wa.push((ph_to(Phase::Wb), full));
-            for &(i, m) in entries.iter().filter(|&&(i, _)| spec(i).phase == Phase::Wa) {
-                push_assert(wa, i, m);
-            }
-
-            let wb = &mut sched[base + Phase::Wb.index() as usize];
-            wb.push((ph_to(Phase::Cr), full));
-            for &(i, m) in entries.iter().filter(|&&(i, _)| spec(i).phase == Phase::Wb) {
-                push_assert(wb, i, m);
-            }
-            for &(i, m) in entries.iter().filter(|&&(i, _)| spec(i).phase == Phase::Wa) {
-                let sp = spec(i);
-                wb.push((
-                    Action::Release {
-                        dst: sp.dst,
-                        slot: sp.slot,
-                    },
-                    m,
-                ));
-            }
-
-            let cr = &mut sched[base + Phase::Cr.index() as usize];
-            if s < self.cs_max {
-                cr.push((
-                    Action::Control {
-                        sig: cs_sig,
-                        value: Value::Num(s as i64 + 1),
-                    },
-                    full,
-                ));
-                cr.push((ph_to(Phase::Ra), full));
-            }
-            // The live-commit rule over the union of the columns: a
-            // column whose own schedule leaves the port undriven reads
-            // `DISC` there and pushes nothing.
-            live_commits(
-                &self.sinks,
-                entries.iter().map(|&(i, _)| spec(i).dst),
-                &mut live,
-                |a| cr.push((a, full)),
-            );
-            for &(i, m) in entries.iter().filter(|&&(i, _)| spec(i).phase == Phase::Wb) {
-                let sp = spec(i);
-                cr.push((
-                    Action::Release {
-                        dst: sp.dst,
-                        slot: sp.slot,
-                    },
-                    m,
-                ));
-            }
-        }
-        let mut init_sched: Vec<(Action, u64)> =
-            self.delta_actions(0).iter().map(|&a| (a, full)).collect();
-
-        // `-O` gated stream tweaks, mirroring [`OptPlan`] on the merged
-        // masked schedule. Because the schedule is rebuilt per chunk the
-        // passes see every mutation (drops, skews, spurs, guard edits)
-        // before deciding what to elide — the "re-optimize per chunk"
-        // obligation. Elided actions credit their exact pending/update/
-        // event contributions back per delta, so every column's counters
-        // stay byte-identical to the unoptimized walk.
-        //
-        // `elided_du[d]` rows would have sat pending at the top of delta
-        // `d` and been applied there (one driver update per `full`
-        // column); `elided_ev[d]` of those were guaranteed events
-        // (control pushes: CS strictly increments, PH always changes).
-        let mut elided_du = vec![0u64; num_slots + 2];
-        let mut elided_ev = vec![0u64; num_slots + 2];
-        if cfg.fold {
-            // Constant folding: CS/PH pushes carry no information the
-            // batch observes — columns are untraced, guards and checkers
-            // read only register/memory/bus values, and the conflict
-            // latch skips control roles — so the rows fold into per-delta
-            // counter credits. The control signals' value cells simply go
-            // stale.
-            let mut fold = |actions: &mut Vec<(Action, u64)>, apply_at: usize| {
-                actions.retain(|&(a, m)| {
-                    if matches!(a, Action::Control { .. }) {
-                        debug_assert_eq!(m, full, "control pushes are unmasked");
-                        elided_du[apply_at] += 1;
-                        elided_ev[apply_at] += 1;
-                        false
-                    } else {
-                        true
-                    }
+            push(spec.guard, lanes & !(forced | flipped));
+            if flipped != 0 {
+                let g = spec.guard.expect("flipped spec has a guard");
+                let k = ext.flips.iter().position(|&f| f == g).unwrap_or_else(|| {
+                    ext.flips.push(g);
+                    ext.flips.len() - 1
                 });
-            };
-            fold(&mut init_sched, 1);
-            for (slot, actions) in sched.iter_mut().enumerate() {
-                fold(actions, slot + 2);
+                push(Some((self.guards.len() + k) as u32), flipped);
             }
-        }
-        if cfg.dse {
-            // Dead-spur elimination on the union schedule: an assert's
-            // presence in `by_step` for *any* column (base, moved-in,
-            // flipped or forced — guard edits only gate the driven
-            // value, never the dst) marks its dst active, so an eval is
-            // elided only when it is dead in every column. Spur asserts
-            // target the shadow module and a bus, never a golden
-            // module's operand ports.
-            let activity = PortActivity::new(
-                self,
-                by_step
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(s, v)| v.iter().map(move |&(i, _)| (s as Step, i)))
-                    .map(|(s, i)| (s, self.specs[i].dst)),
-            );
-            for (slot, actions) in sched.iter_mut().enumerate() {
-                let s = slot / Phase::ALL.len();
-                // A dead eval's row is a perfect no-op (all inputs `DISC`
-                // across the window, pipeline drained), but it still
-                // counted one pending row and one driver update per
-                // column — credit those, no event.
-                actions.retain(|&(a, _)| match a {
-                    Action::Eval { module }
-                        if module < self.modules.len() && activity.eval_dead(self, module, s) =>
-                    {
-                        elided_du[slot + 2] += 1;
-                        false
-                    }
-                    _ => true,
-                });
-            }
-        }
-
-        /// Appends one pending transaction row (`n` wide, `DISC`-filled).
-        fn push_row(
-            meta: &mut Vec<(usize, usize, u64)>,
-            vals: &mut Vec<Value>,
-            n: usize,
-            sig: usize,
-            slot: usize,
-            mask: u64,
-        ) -> usize {
-            meta.push((sig, slot, mask));
-            let row = vals.len();
-            vals.resize(row + n, Value::Disc);
-            row
-        }
-
-        // The lockstep walk. Per-column dynamic counters and the
-        // first-`ILLEGAL` latch replace the solo engines' trace-based
-        // extraction.
-        let mut ev_count = vec![0u64; n];
-        let mut du_count = vec![0u64; n];
-        let mut peak_pending = vec![0u64; n];
-        let mut pend_cnt = vec![0u64; n];
-        let mut first_ill: Vec<Option<(usize, u64)>> = vec![None; n];
-        let mut meta: Vec<(usize, usize, u64)> = Vec::new();
-        let mut vals: Vec<Value> = Vec::new();
-
-        let mut evals: Vec<CheckEval<'_>> = match checks {
-            Some(ck) => (0..n)
-                .map(|_| CheckEval::new(&ck.program, &ck.index))
-                .collect(),
-            None => Vec::new(),
+            push(None, forced);
         };
-        // Per column, the program indices of the monitored signals this
-        // delta changed, recorded where events are counted.
-        let mut changed: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let watched = |sig: usize| -> &[usize] {
-            match checks {
-                Some(ck) if sig < s0 => &ck.watch[sig],
-                _ => &[],
-            }
-        };
-
-        let max_needed = (0..n)
-            .filter(|&c| full & bit(c) != 0)
-            .map(|c| needed[c])
-            .max()
-            .unwrap_or(0);
-        for d in 0..max_needed {
-            pend_cnt.iter_mut().for_each(|x| *x = 0);
-            for &(_, _, m) in &meta {
-                let mut mm = m;
-                while mm != 0 {
-                    pend_cnt[mm.trailing_zeros() as usize] += 1;
-                    mm &= mm - 1;
-                }
-            }
-            // Credit elided rows exactly where they would have been
-            // counted: pending at the top of this delta, applied (one
-            // driver update, and for controls one event) right here.
-            let (carry_du, carry_ev) = (elided_du[d as usize], elided_ev[d as usize]);
-            if carry_du != 0 {
-                let mut mm = full;
-                while mm != 0 {
-                    let c = mm.trailing_zeros() as usize;
-                    mm &= mm - 1;
-                    pend_cnt[c] += carry_du;
-                    du_count[c] += carry_du;
-                    ev_count[c] += carry_ev;
-                }
-            }
-            for c in 0..n {
-                peak_pending[c] = peak_pending[c].max(pend_cnt[c]);
-            }
-
-            // Update phase: apply transactions in push order, recomputing
-            // each column's effective value one transaction at a time.
-            for (e, &(sig, slot, m)) in meta.iter().enumerate() {
-                let row = e * n;
-                let tallied = layout.tallied(sig);
-                let eligible = sig >= s0
-                    || !matches!(
-                        self.roles[sig],
-                        SignalRole::ControlStep | SignalRole::PhaseSignal
-                    );
-                let watch = watched(sig);
-                let mut mm = m;
-                while mm != 0 {
-                    let c = mm.trailing_zeros() as usize;
-                    mm &= mm - 1;
-                    du_count[c] += 1;
-                    let pushed = vals[row + c];
-                    let effective = if tallied {
-                        drivers.drive(sig, slot, c, pushed)
-                    } else {
-                        pushed
-                    };
-                    let vi = sig * n + c;
-                    if effective != values[vi] {
-                        values[vi] = effective;
-                        ev_count[c] += 1;
-                        if effective == Value::Illegal && eligible && first_ill[c].is_none() {
-                            first_ill[c] = Some((sig, d));
-                        }
-                        changed[c].extend_from_slice(watch);
-                    }
-                }
-            }
-            meta.clear();
-            vals.clear();
-
-            // Check phase: each live column's evaluator sees the monitored
-            // signals this delta changed — the same observation the
-            // interpreter's commit log reconstructs, so verdicts agree
-            // byte-for-byte.
-            if let Some(ck) = checks {
-                for c in 0..n {
-                    if full & bit(c) != 0 && d < needed[c] {
-                        evals[c].observe(d, &changed[c], |i| values[ck.sigs[i] * n + c]);
-                    }
-                    changed[c].clear();
-                }
-            }
-
-            // Run phase: the merged slot's masked straight-line actions.
-            let actions: &[(Action, u64)] = if d == 0 {
-                &init_sched
-            } else {
-                sched.get(d as usize - 1).map(Vec::as_slice).unwrap_or(&[])
-            };
-            for &(action, mask) in actions {
-                match action {
-                    Action::Control { sig, value } => {
-                        let row = push_row(&mut meta, &mut vals, n, sig, 0, mask);
-                        let mut mm = mask;
-                        while mm != 0 {
-                            let c = mm.trailing_zeros() as usize;
-                            mm &= mm - 1;
-                            vals[row + c] = value;
-                        }
-                    }
-                    Action::Assert {
-                        src,
-                        dst,
-                        slot,
-                        guard,
-                    } => {
-                        let row = push_row(&mut meta, &mut vals, n, dst, slot, mask);
-                        let mut mm = mask;
-                        while mm != 0 {
-                            let c = mm.trailing_zeros() as usize;
-                            mm &= mm - 1;
-                            let enabled = guard.is_none_or(|gi| {
-                                chunk_guards[gi as usize].eval(|s| values[s * n + c])
-                            });
-                            vals[row + c] = if !enabled {
-                                Value::Disc
-                            } else {
-                                match src {
-                                    Source::Signal(sig) => values[sig * n + c],
-                                    Source::Const(v) => v,
-                                    Source::MemRead { addr, base, len } => {
-                                        match values[addr * n + c].num() {
-                                            Some(a) if (0..i64::from(len)).contains(&a) => {
-                                                values[(base + a as usize) * n + c]
-                                            }
-                                            _ => Value::Illegal,
-                                        }
-                                    }
-                                }
-                            };
-                        }
-                    }
-                    Action::Release { dst, slot } => {
-                        push_row(&mut meta, &mut vals, n, dst, slot, mask);
-                    }
-                    Action::Eval { module } => {
-                        let (in1, in2, op, out_sig, ops, timing) = module_view(module);
-                        let row = push_row(&mut meta, &mut vals, n, out_sig, 0, mask);
-                        let mut mm = mask;
-                        while mm != 0 {
-                            let c = mm.trailing_zeros() as usize;
-                            mm &= mm - 1;
-                            let mut result = combine(
-                                values[in1 * n + c],
-                                values[in2 * n + c],
-                                op.map(|p| values[p * n + c]),
-                                ops,
-                            );
-                            let mslot = module * n + c;
-                            if let ModuleTiming::Sequential { latency } = timing {
-                                if busy[mslot] > 0 {
-                                    busy[mslot] -= 1;
-                                    if result != Value::Disc {
-                                        result = Value::Illegal;
-                                        for v in pipes[mslot].iter_mut() {
-                                            *v = Value::Illegal;
-                                        }
-                                    }
-                                } else if result != Value::Disc {
-                                    busy[mslot] = latency.saturating_sub(1);
-                                }
-                            }
-                            let pipe = &mut pipes[mslot];
-                            vals[row + c] = match pipe.pop_front() {
-                                None => result,
-                                Some(due) => {
-                                    pipe.push_back(result);
-                                    due
-                                }
-                            };
-                        }
-                    }
-                    Action::Commit { reg } => {
-                        let r = &self.regs[reg];
-                        let mut buf = [Value::Disc; BATCH_WIDTH];
-                        let mut live = 0u64;
-                        let mut mm = mask;
-                        while mm != 0 {
-                            let c = mm.trailing_zeros() as usize;
-                            mm &= mm - 1;
-                            let v = values[r.input * n + c];
-                            if v != Value::Disc {
-                                live |= 1u64 << c;
-                                buf[c] = v;
-                            }
-                        }
-                        if live != 0 {
-                            let row = push_row(&mut meta, &mut vals, n, r.output, 0, live);
-                            let mut mm = live;
-                            while mm != 0 {
-                                let c = mm.trailing_zeros() as usize;
-                                mm &= mm - 1;
-                                vals[row + c] = buf[c];
-                            }
-                        }
-                    }
-                    Action::CommitMem { mem } => {
-                        // Classify columns (store-at-word vs poison-all),
-                        // then push one row per word in ascending order —
-                        // each column's masked view matches its solo
-                        // pending order (a single store, or the full
-                        // 0..len poison sweep).
-                        let pm = &self.mems[mem];
-                        let len = pm.words.len();
-                        let mut word_mask = vec![0u64; len];
-                        let mut poison = 0u64;
-                        let mut buf = [Value::Disc; BATCH_WIDTH];
-                        let mut mm = mask;
-                        while mm != 0 {
-                            let c = mm.trailing_zeros() as usize;
-                            mm &= mm - 1;
-                            let v = values[pm.win * n + c];
-                            if v == Value::Disc {
-                                continue;
-                            }
-                            match values[pm.waddr * n + c].num() {
-                                Some(a) if (0..len as i64).contains(&a) => {
-                                    word_mask[a as usize] |= bit(c);
-                                    buf[c] = v;
-                                }
-                                _ => poison |= bit(c),
-                            }
-                        }
-                        for (w, &word) in pm.words.iter().enumerate() {
-                            let m2 = word_mask[w] | poison;
-                            if m2 == 0 {
-                                continue;
-                            }
-                            let row = push_row(&mut meta, &mut vals, n, word, 0, m2);
-                            let mut mm = m2;
-                            while mm != 0 {
-                                let c = mm.trailing_zeros() as usize;
-                                mm &= mm - 1;
-                                vals[row + c] = if poison & bit(c) != 0 {
-                                    Value::Illegal
-                                } else {
-                                    buf[c]
-                                };
-                            }
-                        }
-                    }
-                }
-            }
-
-            if let Some(deadline) = options.deadline {
-                if std::time::Instant::now() >= deadline {
-                    return Err(KernelError::WallBudgetExceeded {
-                        at: SimTime {
-                            fs: 0,
-                            delta: d + 1,
-                        },
-                    });
-                }
+        let mut moved = moved.into_iter().peekable();
+        for (i, &spec) in self.specs.iter().enumerate() {
+            variants(i, spec, full & !clear[i]);
+            while let Some((_, step, lanes)) = moved.next_if(|&(j, ..)| j == i) {
+                variants(i, LoweredSpec { step, ..spec }, lanes);
             }
         }
-
-        for (c, d) in chunk.iter().enumerate() {
-            let mut registers: Vec<(String, Value)> = self
-                .regs
-                .iter()
-                .map(|r| (r.name.clone(), values[r.output * n + c]))
-                .collect();
-            for m in &self.mems {
-                for &w in &m.words {
-                    registers.push((self.roles[w].signal_name(), values[w * n + c]));
-                }
-            }
-            let first_conflict = first_ill[c].and_then(|(sig, delta)| {
-                let visible_at = PhaseTime::from_active_delta(delta)?;
-                let (site, name) = if sig < s0 {
-                    self.roles[sig].conflict_site()?
-                } else {
-                    let name = d
-                        .spur
-                        .as_ref()
-                        .expect("spur conflict implies a spur delta")
-                        .name
-                        .clone();
-                    if sig == spur_out {
-                        (ConflictSite::ModuleOut, name)
-                    } else {
-                        (ConflictSite::ModulePort, name)
-                    }
-                };
-                Some(Conflict {
-                    site,
-                    name,
-                    visible_at,
-                })
-            });
-            let mut stats = col_stats[c];
-            if !overflow[c] {
-                stats.delta_cycles = needed[c];
-                stats.events = ev_count[c];
-                stats.driver_updates = du_count[c];
-                stats.peak_pending_updates = peak_pending[c];
-            }
-            let check = if checks.is_some() && !overflow[c] {
-                Some(evals[c].finish())
-            } else {
-                None
+        // A spur reads its register onto the bus through the bus's extra
+        // slot at ra, and the bus into the shadow module at rb.
+        let s0 = self.signals.len();
+        let mut shadow = 0;
+        for (c, spur) in live().filter_map(|(c, d)| Some((c, d.spur.as_ref()?))) {
+            let ra = LoweredSpec {
+                step: spur.step,
+                phase: Phase::Ra,
+                src: Source::Signal(spur.src),
+                dst: spur.bus,
+                slot: self.signals[spur.bus].drivers,
+                guard: None,
             };
-            out.push(BatchOutcome {
-                registers,
-                first_conflict,
-                stats,
-                overflowed: overflow[c],
-                check,
-            });
+            let rb = LoweredSpec {
+                phase: Phase::Rb,
+                src: Source::Signal(spur.bus),
+                dst: s0,
+                slot: 0,
+                ..ra
+            };
+            placed.extend([ra, rb]);
+            masks.extend([bit(c); 2]);
+            ext.spur_buses.push(spur.bus);
+            shadow |= bit(c);
         }
-        Ok(())
+        if shadow != 0 {
+            ext.shadow = Some(PlanModule {
+                in1: s0,
+                in2: s0 + 1,
+                op: None,
+                out: s0 + 2,
+                ops: vec![Op::PassA],
+                timing: ModuleTiming::Combinational,
+            });
+            ext.spur_buses.sort_unstable();
+            ext.spur_buses.dedup();
+        }
+        let schedule = self.place(&placed, Some(&masks), full, shadow);
+        let walked = schedules.iter().map(|&(d, _)| d).max().unwrap_or(0);
+        let stream = Stream::compile(self, &schedule, walked, ext, config);
+        (Lanes { deltas, schedules }, stream)
     }
 }
 
-/// Columns per lockstep chunk of [`ExecPlan::execute_batch`] — one bit
-/// of the per-action column masks each.
-const BATCH_WIDTH: usize = 64;
+/// Lanes per chunk of [`ExecPlan::execute_batch`] — one bit of the
+/// per-action lane masks each.
+const LANES: usize = 64;
+
+/// The dense indices of the controller's signals (lowering declares them
+/// first, as `elaborate` does).
+const CS: usize = 0;
+const PH: usize = 1;
+
+/// A placed schedule: delta `d` runs `actions[bounds[d]..bounds[d + 1]]`.
+/// Delta 0 is initialization; delta `(s-1)*6 + p.index() + 1` is step
+/// `s`, phase `p`. The trailing flush delta has no actions. A lane
+/// chunk's schedule records in `masks[k]` the lanes action `k` runs in;
+/// a solo schedule keeps no masks.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Schedule {
+    pub(crate) actions: Vec<Action>,
+    pub(crate) masks: Vec<u64>,
+    pub(crate) bounds: Vec<u32>,
+    /// The lanes every unmasked action (controller, golden module,
+    /// commit) runs in: `1` for a solo schedule.
+    pub(crate) full: u64,
+}
+
+impl Schedule {
+    /// The action indices of delta `d`; empty past the last slot.
+    pub(crate) fn delta(&self, d: usize) -> std::ops::Range<usize> {
+        match (self.bounds.get(d), self.bounds.get(d + 1)) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+}
+
+/// What a lane chunk appends to its golden plan's tables (empty for a
+/// solo run): the shadow spur module, the extra bus slots spurs drive,
+/// and the flipped guard variants.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Extension {
+    /// The shadow module, appended as module `modules.len()`; its in1,
+    /// in2 and out ports are the appended signals `signals.len()..+3`.
+    pub(crate) shadow: Option<PlanModule>,
+    /// The buses with one extra driver slot (the spurs'), ascending.
+    pub(crate) spur_buses: Vec<usize>,
+    /// The golden guard each flipped variant negates: variant `k` is
+    /// guard index `guards.len() + k`.
+    pub(crate) flips: Vec<u32>,
+}
+
+impl Extension {
+    /// `(resolved, driver slots)` of every signal, appended ones last.
+    pub(crate) fn signals<'a>(
+        &'a self,
+        plan: &'a ExecPlan,
+    ) -> impl Iterator<Item = (bool, usize)> + 'a {
+        let golden = plan.signals.iter().enumerate().map(|(i, s)| {
+            let spur = self.spur_buses.binary_search(&i).is_ok();
+            (s.resolved, s.drivers + usize::from(spur))
+        });
+        // The shadow in1 is driven by the spur's rb spec, in2 never, and
+        // out by the module alone.
+        let shadow = self
+            .shadow
+            .iter()
+            .flat_map(|_| [(true, 1), (true, 0), (false, 1)]);
+        golden.chain(shadow)
+    }
+
+    /// Module `m`: a golden one, or the shadow module.
+    #[inline]
+    pub(crate) fn module<'a>(&'a self, plan: &'a ExecPlan, m: usize) -> &'a PlanModule {
+        (plan.modules.get(m).or(self.shadow.as_ref())).expect("module index within the chunk")
+    }
+
+    /// Guard `g` and whether it is negated: a golden guard, or a flipped
+    /// variant of one.
+    #[inline]
+    pub(crate) fn guard<'a>(&self, plan: &'a ExecPlan, g: u32) -> (&'a PlanGuard, bool) {
+        match plan.guards.get(g as usize) {
+            Some(guard) => (guard, false),
+            None => {
+                let golden = self.flips[g as usize - plan.guards.len()];
+                (&plan.guards[golden as usize], true)
+            }
+        }
+    }
+}
+
+/// One chunk of plan deltas applied as lane masks (built by
+/// [`ExecPlan::execute_lanes`]).
+pub(crate) struct Lanes<'d> {
+    deltas: &'d [PlanDelta],
+    /// Per lane: delta count (none when over budget: it never runs) and
+    /// closed-form counters.
+    schedules: Vec<(u64, SimStats)>,
+}
+
+impl Lanes<'_> {
+    /// The deltas each lane runs (none when it overflowed).
+    pub(crate) fn needed(&self) -> Vec<u64> {
+        self.schedules.iter().map(|&(d, _)| d).collect()
+    }
+
+    /// The lanes' initial values, `values[sig * n + lane]`: the golden
+    /// inits with each lane's overrides, the signals `ext` appends
+    /// `DISC`.
+    pub(crate) fn initial_values(&self, plan: &ExecPlan, ext: &Extension) -> Vec<Value> {
+        let n = self.deltas.len();
+        let mut values: Vec<Value> = plan
+            .signals
+            .iter()
+            .flat_map(|s| std::iter::repeat_n(s.init, n))
+            .collect();
+        values.resize(ext.signals(plan).count() * n, Value::Disc);
+        for (c, d) in self.deltas.iter().enumerate() {
+            for &(sig, v) in &d.init_edits {
+                values[sig * n + c] = v;
+            }
+        }
+        values
+    }
+
+    /// Lane `c`'s outcome from the walk's final `values` (`n` lanes wide)
+    /// and its counters.
+    pub(crate) fn outcome(
+        &self,
+        plan: &ExecPlan,
+        c: usize,
+        values: &[Value],
+        counts: &LaneCounts,
+        check: Option<CheckReport>,
+    ) -> BatchOutcome {
+        let registers = plan.registers(values, self.deltas.len(), c);
+        let first_conflict = counts.first_illegal.and_then(|(sig, delta)| {
+            let (site, name) = match plan.roles.get(sig) {
+                Some(role) => role.conflict_site()?,
+                // A shadow signal: the spur module's ports or output.
+                None => {
+                    let out = sig == plan.signals.len() + 2;
+                    let site =
+                        [ConflictSite::ModulePort, ConflictSite::ModuleOut][usize::from(out)];
+                    (site, self.deltas[c].spur.as_ref()?.name.clone())
+                }
+            };
+            let visible_at = PhaseTime::from_active_delta(delta)?;
+            Some(Conflict {
+                site,
+                name,
+                visible_at,
+            })
+        });
+        let (needed, mut stats) = self.schedules[c];
+        if needed > 0 {
+            stats.delta_cycles = needed;
+            stats.events = counts.events;
+            stats.driver_updates = counts.driver_updates;
+            stats.peak_pending_updates = counts.peak_pending;
+        }
+        let overflowed = needed == 0;
+        BatchOutcome {
+            registers,
+            first_conflict,
+            stats,
+            overflowed,
+            check,
+        }
+    }
+}
 
 /// Closed-form kernel statistics — `(activations, wake_hits,
 /// wake_misses)` — of a schedule with `fixed_procs` register/module
@@ -2244,7 +1595,8 @@ fn schedule_deltas(cs_max: Step, last_writes: u64) -> u64 {
 
 /// Emits one step's `cr` commits under the live-commit rule: one per
 /// register or memory whose input port some spec of the step drives
-/// (`dsts` are the step's spec destinations), registers before memories,
+/// (`dsts` are the step's spec destinations; a lane chunk's appended
+/// shadow signals are never commit ports), registers before memories,
 /// each in declaration order. A commit whose port no spec of its step
 /// drives reads `DISC` at `cr` — every transfer releases its drive one
 /// phase after asserting it — and would push nothing, so it is never
@@ -2257,7 +1609,7 @@ fn live_commits(
 ) {
     live.clear();
     live.extend(
-        dsts.map(|d| sinks[d])
+        dsts.filter_map(|d| sinks.get(d).copied())
             .filter(|k| matches!(k, Sink::Reg(_) | Sink::Mem(_))),
     );
     live.sort_unstable();
@@ -2268,49 +1620,6 @@ fn live_commits(
             Sink::Mem(mem) => emit(Action::CommitMem { mem: mem as usize }),
             Sink::Module(_) | Sink::None => unreachable!("filtered above"),
         }
-    }
-}
-
-/// Per-step operand-port activity of every module: the table dead-spur
-/// elimination decides on, built in one pass over assert placements. The
-/// solo optimizer ([`crate::OptPlan`]) and the batched walk (over the
-/// union of its columns) share it.
-#[derive(Debug, Clone)]
-pub(crate) struct PortActivity {
-    steps: usize,
-    /// `active[m * steps + s]`: some assert drives an operand port of
-    /// module `m` in 0-based step `s` (guards ignored — a disabled assert
-    /// still drives `DISC`, and presence is all the window needs).
-    active: Vec<bool>,
-}
-
-impl PortActivity {
-    /// Builds the table from `(step, destination signal)` placements of
-    /// every assert; placements outside `1..=CS_MAX` never run and are
-    /// ignored.
-    pub(crate) fn new(
-        plan: &ExecPlan,
-        asserts: impl Iterator<Item = (Step, usize)>,
-    ) -> PortActivity {
-        let steps = plan.cs_max as usize;
-        let mut active = vec![false; plan.modules.len() * steps];
-        for (step, dst) in asserts.filter(|(step, _)| (1..=plan.cs_max).contains(step)) {
-            if let Sink::Module(m) = plan.sinks[dst] {
-                active[m as usize * steps + step as usize - 1] = true;
-            }
-        }
-        PortActivity { steps, active }
-    }
-
-    /// Whether module `m`'s evaluation in 0-based step `s` is dead: no
-    /// operand-port assert lands within the last `2·latency + 2` steps,
-    /// so the operands are `DISC`, the pipeline has drained, the
-    /// initiation counter is zero and the output already reads `DISC` —
-    /// the push would be a perfect no-op.
-    pub(crate) fn eval_dead(&self, plan: &ExecPlan, m: usize, s: usize) -> bool {
-        let window = 2 * plan.modules[m].timing.latency() as usize + 2;
-        let row = &self.active[m * self.steps..(m + 1) * self.steps];
-        row[s.saturating_sub(window)..=s].iter().all(|&a| !a)
     }
 }
 
@@ -2427,13 +1736,13 @@ mod tests {
     use crate::run::RtSimulation;
     use crate::tuples::TransferTuple;
 
-    fn interpreted_traced(model: &RtModel) -> crate::backend::ExecOutcome {
+    fn interpreted_traced(model: &RtModel) -> ExecOutcome {
         Backend::Interpreted
             .execute(model, &ExecOptions::traced())
             .unwrap()
     }
 
-    fn compiled_traced(model: &RtModel) -> crate::backend::ExecOutcome {
+    fn compiled_traced(model: &RtModel) -> ExecOutcome {
         Backend::Compiled
             .execute(model, &ExecOptions::traced())
             .unwrap()
@@ -2705,30 +2014,31 @@ mod tests {
         }
     }
 
-    /// Batched column `i` must show exactly the observables a solo run of
-    /// `mutants[i]` shows — registers, first conflict, kernel counters —
-    /// at every optimization level of the lockstep walk.
-    fn assert_batch_matches_solo(golden: &RtModel, deltas: &[PlanDelta], mutants: &[RtModel]) {
+    /// Lane `i` must show exactly the observables the kernel shows for
+    /// `mutants[i]` — registers, first conflict, kernel counters — under
+    /// every pass configuration of the lane walk.
+    fn assert_lanes_match_kernel(golden: &RtModel, deltas: &[PlanDelta], mutants: &[RtModel]) {
         assert_eq!(deltas.len(), mutants.len());
         let plan = ExecPlan::lower(golden);
-        for level in crate::OptLevel::ALL {
-            let options = ExecOptions::default().at_opt(level);
-            let outs = plan.execute_batch(deltas, &options).unwrap();
-            for (i, (out, mutant)) in outs.iter().zip(mutants).enumerate() {
-                let solo = compiled_traced(mutant);
-                assert!(!out.overflowed, "column {i} at -O{level}");
+        let kernel: Vec<ExecOutcome> = mutants.iter().map(interpreted_traced).collect();
+        for config in crate::opt::tests::pass_configs() {
+            let outs = plan
+                .execute_lanes(deltas, &ExecOptions::default(), config, None)
+                .unwrap();
+            for (i, (out, solo)) in outs.iter().zip(&kernel).enumerate() {
+                assert!(!out.overflowed, "lane {i} at {config:?}");
                 assert_eq!(
                     out.registers, solo.summary.registers,
-                    "column {i} registers at -O{level}"
+                    "lane {i} registers at {config:?}"
                 );
                 assert_eq!(
                     out.first_conflict.as_ref(),
                     solo.summary.conflicts.as_ref().unwrap().first(),
-                    "column {i} conflict at -O{level}"
+                    "lane {i} conflict at {config:?}"
                 );
                 assert_eq!(
                     out.stats, solo.summary.stats,
-                    "column {i} stats at -O{level}"
+                    "lane {i} stats at {config:?}"
                 );
             }
         }
@@ -2786,7 +2096,7 @@ mod tests {
             mutants.push(m);
         }
 
-        assert_batch_matches_solo(&golden, &deltas, &mutants);
+        assert_lanes_match_kernel(&golden, &deltas, &mutants);
     }
 
     #[test]
@@ -2809,7 +2119,7 @@ mod tests {
         m.replace_transfer_unchecked(0, tuple).unwrap();
         mutants.push(m);
 
-        assert_batch_matches_solo(&golden, &deltas, &mutants);
+        assert_lanes_match_kernel(&golden, &deltas, &mutants);
     }
 
     #[test]
@@ -2853,7 +2163,7 @@ mod tests {
         m.remove_transfer(1).unwrap();
         mutants.push(m);
 
-        assert_batch_matches_solo(&golden, &deltas, &mutants);
+        assert_lanes_match_kernel(&golden, &deltas, &mutants);
     }
 
     #[test]
@@ -3022,7 +2332,7 @@ mod tests {
             guarded_model(None, Some(g1.clone())),
             guarded_model(Some(g0), None),
         ];
-        assert_batch_matches_solo(&golden, &deltas, &mutants);
+        assert_lanes_match_kernel(&golden, &deltas, &mutants);
     }
 
     #[test]
@@ -3154,6 +2464,116 @@ mod tests {
                 m
             },
         ];
-        assert_batch_matches_solo(&golden, &deltas, &mutants);
+        assert_lanes_match_kernel(&golden, &deltas, &mutants);
+    }
+
+    /// The model of a spurious driver: a shadow PassA module reading
+    /// `reg` onto `bus` in `step`, exactly as the model-level mutation
+    /// adds it.
+    fn with_spur(golden: &RtModel, bus: &str, step: Step, reg: &str) -> RtModel {
+        let mut m = golden.clone();
+        let spur = format!("SPUR_{bus}_{step}");
+        m.add_module(ModuleDecl::single(
+            &spur,
+            Op::PassA,
+            ModuleTiming::Combinational,
+        ))
+        .unwrap();
+        m.add_transfer(TransferTuple::new(step, spur).src_a(reg, bus))
+            .unwrap();
+        m
+    }
+
+    /// The model with tuple `index`'s write-back moved by `skew` steps.
+    fn with_skew(golden: &RtModel, index: usize, skew: i32) -> RtModel {
+        let mut m = golden.clone();
+        let mut tuple = m.tuples()[index].clone();
+        let write = tuple.write.as_mut().unwrap();
+        write.step = (write.step as i64 + i64::from(skew)) as Step;
+        m.replace_transfer_unchecked(index, tuple).unwrap();
+        m
+    }
+
+    #[test]
+    fn one_lane_chunk_of_every_edit_kind_matches_the_kernel_per_pass() {
+        // One chunk mixing a drop, a ±1 skew, two spurs sharing bus B1,
+        // a guard flip and a guard force, walked under each single-pass
+        // configuration against the kernel's mutant runs.
+        let (g0, g1) = canonical_guards();
+        let golden = guarded_model(Some(g0.clone()), Some(g1.clone()));
+        let plan = ExecPlan::lower(&golden);
+        let mut dropped = golden.clone();
+        dropped.remove_transfer(1).unwrap();
+        let deltas = vec![
+            PlanDelta::default(),
+            plan.delta_drop_tuple(1).unwrap(),
+            plan.delta_skew_write(0, 1).unwrap(),
+            plan.delta_skew_write(1, -1).unwrap(),
+            plan.delta_extra_driver("B1", 1, "R2").unwrap(),
+            plan.delta_extra_driver("B1", 3, "R1").unwrap(),
+            plan.delta_flip_guard(0).unwrap(),
+            plan.delta_force_guard(1).unwrap(),
+        ];
+        let mutants = vec![
+            golden.clone(),
+            dropped,
+            with_skew(&golden, 0, 1),
+            with_skew(&golden, 1, -1),
+            with_spur(&golden, "B1", 1, "R2"),
+            with_spur(&golden, "B1", 3, "R1"),
+            guarded_model(Some(g0.flipped()), Some(g1.clone())),
+            guarded_model(Some(g0), None),
+        ];
+        assert_lanes_match_kernel(&golden, &deltas, &mutants);
+    }
+
+    #[test]
+    fn guard_indices_do_not_wrap_past_u16() {
+        // 65,537 guarded tuples: every one but the last is disabled (R is
+        // 0, not 1), the last one holds and writes K = 9 into R. A 16-bit
+        // guard index would make the last tuple evaluate guard 0.
+        let mut model = RtModel::new("wide", 1);
+        model.add_register_init("R", Value::Num(0)).unwrap();
+        model.add_register_init("K", Value::Num(9)).unwrap();
+        model.add_bus("B1").unwrap();
+        model.add_bus("B2").unwrap();
+        model
+            .add_module(ModuleDecl::single(
+                "CP",
+                Op::PassA,
+                ModuleTiming::Combinational,
+            ))
+            .unwrap();
+        let tuples = u16::MAX as usize + 2;
+        for i in 0..tuples {
+            let holds = if i + 1 == tuples { 0 } else { 1 };
+            let guard = Guard::new(
+                GuardOperand::Reg("R".into()),
+                CmpOp::Eq,
+                GuardOperand::Const(holds),
+            );
+            model
+                .add_transfer(
+                    TransferTuple::new(1, "CP")
+                        .src_a("K", "B1")
+                        .write(1, "B2", "R")
+                        .guard(guard),
+                )
+                .unwrap();
+        }
+        let plan = ExecPlan::lower(&model);
+        for level in crate::OptLevel::ALL {
+            let options = ExecOptions::default().at_opt(level);
+            let out = plan.execute(&options).unwrap();
+            assert_eq!(out.summary.register("R"), Some(Value::Num(9)), "-O{level}");
+            let lanes = plan
+                .execute_batch(&[PlanDelta::default()], &options)
+                .unwrap();
+            assert_eq!(
+                lanes[0].registers[0],
+                ("R".into(), Value::Num(9)),
+                "-O{level}"
+            );
+        }
     }
 }

@@ -5,9 +5,9 @@
 //! text ([`content_hash`], FNV-1a — no external crates) mixed with the
 //! requested optimization level ([`cache_key`]), so two clients
 //! submitting the same model text at the same level share one parsed
-//! [`RtModel`], one lowered [`ExecPlan`] and one compiled [`OptPlan`]
-//! regardless of file paths — and a level change can never serve a
-//! stream compiled under different pass toggles. Eviction is
+//! [`RtModel`] and one compiled [`OptPlan`] (the lowered plan plus its
+//! micro-op stream) regardless of file paths — and a level change can
+//! never serve a stream compiled under different pass toggles. Eviction is
 //! least-recently-used with a fixed capacity; hit/miss/eviction counters
 //! (total and per level) are surfaced through [`PlanCache::stats`] and
 //! the daemon's `{"op":"stats"}` job, so `BENCH_serve.json` and
@@ -23,35 +23,28 @@ use clockless_core::plan::ExecPlan;
 use clockless_core::{ExecOptions, ExecOutcome, OptLevel, OptPlan, RtModel};
 use clockless_kernel::KernelError;
 
-/// One cached model: the parsed [`RtModel`], its lowered [`ExecPlan`]
-/// and (above `-O0`) the compiled micro-op stream, shared between jobs
-/// via [`Arc`].
+/// One cached model: the parsed [`RtModel`] and its lowered plan
+/// compiled to the micro-op stream of its level, shared between jobs via
+/// [`Arc`].
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The parsed, validated model.
     pub model: RtModel,
-    /// The model lowered to the compiled phase-schedule IR.
-    pub plan: ExecPlan,
     /// The level the entry was compiled at (part of the cache key).
     pub opt: OptLevel,
-    /// The optimized stream; `None` at [`OptLevel::O0`], where the warm
-    /// path walks the lowered plan directly.
-    pub optimized: Option<OptPlan>,
+    /// The lowered plan and its stream, compiled at `opt`.
+    pub compiled: OptPlan,
 }
 
 impl CachedPlan {
-    /// Executes the cached artifact: the optimized stream when one was
-    /// compiled, the raw plan walk at `-O0`. Observables are
-    /// byte-identical either way.
+    /// Walks the cached stream. Observables are byte-identical at every
+    /// level.
     ///
     /// # Errors
     ///
-    /// Exactly [`ExecPlan::execute`]'s.
+    /// Exactly [`OptPlan::execute`]'s.
     pub fn execute(&self, options: &ExecOptions) -> Result<ExecOutcome, KernelError> {
-        match &self.optimized {
-            Some(opt) => opt.execute(options),
-            None => self.plan.execute(options),
-        }
+        self.compiled.execute(options)
     }
 }
 
@@ -99,7 +92,7 @@ struct Entry {
 /// let second =
 ///     cache.get_or_insert(key, OptLevel::O2, || unreachable!("warm key never rebuilds"))?;
 /// assert_eq!(first.model.name(), second.model.name());
-/// assert!(second.optimized.is_some());
+/// assert_eq!(second.compiled.config(), OptLevel::O2.config());
 /// assert_eq!(cache.stats().hits, 1);
 /// assert_eq!(cache.stats().misses, 1);
 /// assert_eq!(cache.stats().by_level[2], (1, 1));
@@ -151,10 +144,10 @@ impl PlanCache {
     }
 
     /// Looks up `key`, building (parse via `build`, lower, then compile
-    /// the optimized stream for `opt` above `-O0`) and inserting on a
-    /// miss. The LRU entry is evicted when the cache is full. `opt` must
-    /// be the level `key` was derived with ([`cache_key`]) — it selects
-    /// the compiled artifact and attributes the per-level counters.
+    /// the stream for `opt`) and inserting on a miss. The LRU entry is
+    /// evicted when the cache is full. `opt` must be the level `key` was
+    /// derived with ([`cache_key`]) — it selects the compiled artifact
+    /// and attributes the per-level counters.
     ///
     /// # Errors
     ///
@@ -175,16 +168,11 @@ impl PlanCache {
         self.misses += 1;
         self.by_level[opt as usize].1 += 1;
         let model = build()?;
-        let plan = ExecPlan::lower(&model);
-        let optimized = match opt {
-            OptLevel::O0 => None,
-            level => Some(OptPlan::compile(&plan, level.config())),
-        };
+        let compiled = OptPlan::from_plan(ExecPlan::lower(&model), opt.config());
         let cached = Arc::new(CachedPlan {
             model,
-            plan,
             opt,
-            optimized,
+            compiled,
         });
         if self.entries.len() >= self.capacity {
             let lru = self
@@ -304,8 +292,8 @@ mod tests {
         let o2 = insert_at(&mut cache, 0, OptLevel::O2);
         // Same text, different level: distinct entries and artifacts.
         assert_eq!(cache.stats().entries, 2);
-        assert!(o0.optimized.is_none());
-        assert!(o2.optimized.is_some());
+        assert_eq!(o0.compiled.config(), OptLevel::O0.config());
+        assert_eq!(o2.compiled.config(), OptLevel::O2.config());
         insert_at(&mut cache, 0, OptLevel::O2); // warm at O2 only
         let s = cache.stats();
         assert_eq!(s.by_level[0], (0, 1));

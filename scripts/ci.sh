@@ -101,6 +101,17 @@ done
 faults_o0="$(./target/release/clockless faults models/iks_fir.rtl --json --backend compiled --opt 0)"
 faults_o2="$(./target/release/clockless faults models/iks_fir.rtl --json --backend compiled --opt 2)"
 [ "$faults_o0" = "$faults_o2" ]
+# Every corpus campaign, checked or not, at every level: the lanes run
+# each pass under the same per-lane masks as the solo stream.
+for model in models/*.rtl; do
+  for checkers in off all; do
+    sweep_o0="$(./target/release/clockless faults "$model" --json --backend compiled --checkers "$checkers" --opt 0)"
+    for lvl in 1 2; do
+      sweep_lvl="$(./target/release/clockless faults "$model" --json --backend compiled --checkers "$checkers" --opt "$lvl")"
+      [ "$sweep_o0" = "$sweep_lvl" ]
+    done
+  done
+done
 fleet_o0="$(./target/release/clockless fleet models/demo.fleet --jobs 2 --json --backend compiled --opt 0)"
 fleet_o2="$(./target/release/clockless fleet models/demo.fleet --jobs 2 --json --backend compiled --opt 2)"
 [ "$fleet_o0" = "$fleet_o2" ]
