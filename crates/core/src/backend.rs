@@ -1,16 +1,17 @@
-//! Pluggable execution backends: one semantics, two engines.
+//! Execution backends: one semantics, two engines.
 //!
-//! An [`ExecBackend`] turns an [`RtModel`] into its observable run output
-//! — final registers, conflict diagnoses, kernel-compatible statistics,
-//! and on traced runs the recorded [`Waveform`], from which the commit log
-//! and the VCD are rendered on demand. Two engines implement the contract:
+//! [`Backend::execute`] turns an [`RtModel`] into its observable run
+//! output — final registers, conflict diagnoses, kernel-compatible
+//! statistics, and on traced runs the recorded [`Waveform`], from which
+//! the commit log and the VCD are rendered on demand. Two engines
+//! implement the contract:
 //!
-//! * [`InterpretedBackend`] — the delta-cycle event kernel
+//! * [`Backend::Interpreted`] — the delta-cycle event kernel
 //!   ([`RtSimulation`]): processes, sensitivity lists, wake filters. This
 //!   is the faithful rendering of the paper's VHDL construction.
-//! * [`CompiledBackend`] — the phase-schedule engine
-//!   ([`ExecPlan`]): the model is lowered to a flat
-//!   per-`(step, phase)` action schedule, compiled to a micro-op stream
+//! * [`Backend::Compiled`] — the phase-schedule engine
+//!   ([`ExecPlan`]): the model is lowered to specs pinned to their
+//!   `(step, phase)` slots, placed straight into a micro-op stream
 //!   ([`crate::opt`]) and walked in a fixed number of iterations with no
 //!   event machinery at all, exploiting the paper's central observation
 //!   that six-phase delta timing makes the schedule *static*.
@@ -73,8 +74,8 @@ use crate::value::Value;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum OptLevel {
     /// No optimization passes: the plain micro-op stream, one op per
-    /// scheduled action, every resolved signal resolved through its
-    /// driver tally.
+    /// placed drive, evaluation, commit and control push, every resolved
+    /// signal resolved through its driver tally.
     O0,
     /// Resolution specialization: single-driver asserts compile to direct
     /// stores that keep no driver slots or tally.
@@ -252,71 +253,6 @@ pub struct BatchOutcome {
     pub check: Option<crate::check::CheckReport>,
 }
 
-/// An execution engine for clock-free RT models.
-///
-/// Implementations must agree byte-for-byte on every observable of
-/// [`ExecOutcome`] — summary, commit log and VCD — for every valid model:
-/// the equivalence `clockless-verify` checks differentially.
-pub trait ExecBackend {
-    /// Short lowercase name of the engine (`"interpreted"`,
-    /// `"compiled"`).
-    fn label(&self) -> &'static str;
-
-    /// Runs `model` to quiescence and harvests the observable output.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::DeltaOverflow`] when the delta budget is exceeded,
-    /// [`KernelError::WallBudgetExceeded`] when the wall deadline passes,
-    /// plus any elaboration error.
-    fn execute(&self, model: &RtModel, options: &ExecOptions) -> Result<ExecOutcome, KernelError>;
-}
-
-/// The delta-cycle event-kernel engine (the paper's VHDL semantics,
-/// executed by `clockless-kernel`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InterpretedBackend;
-
-impl ExecBackend for InterpretedBackend {
-    fn label(&self) -> &'static str {
-        "interpreted"
-    }
-
-    fn execute(&self, model: &RtModel, options: &ExecOptions) -> Result<ExecOutcome, KernelError> {
-        let elaborate = ElaborateOptions {
-            trace: options.trace,
-            ..Default::default()
-        };
-        let mut sim = RtSimulation::with_options(model, elaborate)?;
-        if let Some(limit) = options.delta_limit {
-            sim.set_delta_limit(limit);
-        }
-        let summary = match options.deadline {
-            Some(deadline) => sim.run_to_completion_deadlined(deadline)?,
-            None => sim.run_to_completion()?,
-        };
-        Ok(ExecOutcome {
-            summary,
-            waveform: sim.into_waveform(),
-        })
-    }
-}
-
-/// The compiled phase-schedule engine: lowers the model to an
-/// [`ExecPlan`] and walks its micro-op stream at `options.opt`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompiledBackend;
-
-impl ExecBackend for CompiledBackend {
-    fn label(&self) -> &'static str {
-        "compiled"
-    }
-
-    fn execute(&self, model: &RtModel, options: &ExecOptions) -> Result<ExecOutcome, KernelError> {
-        ExecPlan::lower(model).execute(options)
-    }
-}
-
 /// A backend selector — the value CLI flags and `.fleet` specs carry.
 ///
 /// # Examples
@@ -332,39 +268,61 @@ impl ExecBackend for CompiledBackend {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The delta-cycle event kernel ([`InterpretedBackend`]).
+    /// The delta-cycle event kernel (the paper's VHDL semantics, executed
+    /// by `clockless-kernel`).
     #[default]
     Interpreted,
-    /// The compiled phase-schedule engine ([`CompiledBackend`]).
+    /// The compiled phase-schedule engine: lowers the model to an
+    /// [`ExecPlan`] and walks its micro-op stream at `options.opt`.
     Compiled,
 }
 
 impl Backend {
-    /// The engine implementing this selector.
-    pub fn backend(self) -> &'static dyn ExecBackend {
+    /// Short lowercase name (`"interpreted"` / `"compiled"`).
+    pub fn label(self) -> &'static str {
         match self {
-            Backend::Interpreted => &InterpretedBackend,
-            Backend::Compiled => &CompiledBackend,
+            Backend::Interpreted => "interpreted",
+            Backend::Compiled => "compiled",
         }
     }
 
-    /// Short lowercase name (`"interpreted"` / `"compiled"`).
-    pub fn label(self) -> &'static str {
-        self.backend().label()
-    }
-
-    /// Runs `model` on the selected engine
-    /// (shorthand for `self.backend().execute(model, options)`).
+    /// Runs `model` to quiescence on the selected engine and harvests the
+    /// observable output. Both engines agree byte-for-byte on every
+    /// observable of [`ExecOutcome`] — summary, commit log and VCD — for
+    /// every valid model: the equivalence `clockless-verify` checks
+    /// differentially.
     ///
     /// # Errors
     ///
-    /// See [`ExecBackend::execute`].
+    /// [`KernelError::DeltaOverflow`] when the delta budget is exceeded,
+    /// [`KernelError::WallBudgetExceeded`] when the wall deadline passes,
+    /// plus any elaboration error.
     pub fn execute(
         self,
         model: &RtModel,
         options: &ExecOptions,
     ) -> Result<ExecOutcome, KernelError> {
-        self.backend().execute(model, options)
+        match self {
+            Backend::Interpreted => {
+                let elaborate = ElaborateOptions {
+                    trace: options.trace,
+                    ..Default::default()
+                };
+                let mut sim = RtSimulation::with_options(model, elaborate)?;
+                if let Some(limit) = options.delta_limit {
+                    sim.set_delta_limit(limit);
+                }
+                let summary = match options.deadline {
+                    Some(deadline) => sim.run_to_completion_deadlined(deadline)?,
+                    None => sim.run_to_completion()?,
+                };
+                Ok(ExecOutcome {
+                    summary,
+                    waveform: sim.into_waveform(),
+                })
+            }
+            Backend::Compiled => ExecPlan::lower(model).execute(options),
+        }
     }
 }
 

@@ -59,13 +59,14 @@
 //! * [`processes`] — controller/transfer/register/module processes on the
 //!   simulation kernel (§2.2–2.6).
 //! * [`mod@elaborate`], [`mod@run`] — instantiation and execution.
-//! * [`plan`] — lowering to a compiled phase-schedule IR with a static
-//!   conflict pre-pass (the six-phase scheme makes the schedule static).
-//! * [`opt`] — the optimizing plan compiler: fuses the per-slot action
-//!   tables into one specialized micro-op stream (`-O` pipeline) with
-//!   byte-identical observables at every level.
-//! * [`backend`] — the pluggable execution-engine layer: the interpreted
-//!   delta kernel and the compiled plan walker behind one trait, with a
+//! * [`plan`] — lowering to a compiled plan: dense tables plus one spec
+//!   per transfer process, pinned to its `(step, phase)` slot (the
+//!   six-phase scheme makes the schedule static), and plan deltas.
+//! * [`opt`] — the optimizing plan compiler: places the lowered specs
+//!   straight into one specialized micro-op stream (`-O` pipeline) with
+//!   byte-identical observables at every level, and its one walker.
+//! * [`backend`] — the execution-engine selector: the interpreted delta
+//!   kernel or the compiled plan walker behind one `Backend` value, with a
 //!   byte-identical observable-output contract.
 //! * [`check`] — value-checking programs (golden-run monitors and mined
 //!   functional invariants) evaluated identically by both engines.
@@ -104,8 +105,8 @@ pub mod vhdl;
 pub mod vhdl_parse;
 
 pub use backend::{
-    Backend, BatchOutcome, CompiledBackend, ExecBackend, ExecOptions, ExecOutcome,
-    InterpretedBackend, OptConfig, OptLevel, ParseBackendError, ParseOptLevelError,
+    Backend, BatchOutcome, ExecOptions, ExecOutcome, OptConfig, OptLevel, ParseBackendError,
+    ParseOptLevelError,
 };
 pub use check::{
     check_signals, execute_checked, record_table, CheckEval, CheckIndex, CheckProgram, CheckReport,
@@ -118,7 +119,7 @@ pub use model::{fig1_model, ModelError, RtModel};
 pub use op::{Arity, Op};
 pub use opt::OptPlan;
 pub use phase::{Phase, PhaseTime, Step, PHASES_PER_STEP};
-pub use plan::{Action, ExecPlan, PlanChecks, PlanDelta, Source, StaticConflict};
+pub use plan::{ExecPlan, PlanChecks, PlanDelta};
 pub use resource::{
     ArrayDecl, BusDecl, BusId, MemoryDecl, MemoryId, ModuleDecl, ModuleId, ModuleTiming,
     RegisterDecl, RegisterId,
@@ -136,7 +137,7 @@ pub use vhdl_parse::{parse_vhdl, ParseVhdlError, ParsedDesign};
 
 /// Convenient glob import for model builders.
 pub mod prelude {
-    pub use crate::backend::{Backend, ExecBackend, ExecOptions, ExecOutcome};
+    pub use crate::backend::{Backend, ExecOptions, ExecOutcome};
     pub use crate::diag::{Conflict, ConflictReport, ConflictSite};
     pub use crate::elaborate::ElaborateOptions;
     pub use crate::model::{fig1_model, ModelError, RtModel};

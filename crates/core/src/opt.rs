@@ -1,18 +1,21 @@
 //! The optimizing plan compiler and the compiled engine's one walker.
 //!
-//! [`ExecPlan::lower`] places every transfer of a model into a flat
-//! per-`(step, phase)` [`Action`] schedule. This module compiles such a
-//! schedule into a **micro-op stream** — one op array with precomputed
-//! delta boundaries and every operand address resolved at compile time —
-//! and walks it. That walk is the compiled engine's only executor: a solo
-//! run ([`ExecPlan::execute`], [`OptPlan::execute`]) walks the golden
-//! schedule as one lane, and a fault chunk ([`ExecPlan::execute_batch`])
-//! walks up to 64 plan-delta lanes of one masked schedule, each op
-//! running in the lanes of its mask. The loop is generic over the two;
-//! its solo instantiation keeps no masks and indexes one value column.
+//! [`ExecPlan::lower`] pins every transfer of a model to its
+//! `(step, phase)` slot as a lowered spec. This module places those specs
+//! in the kernel's order and emits them as a **micro-op stream** — one op
+//! array with precomputed delta boundaries and every operand address
+//! resolved at compile time — and walks it. One function,
+//! `Stream::compile`, holds the placement rules and emits each op as it
+//! places it; there is no intermediate schedule. The walk is the compiled
+//! engine's only executor: a solo run ([`ExecPlan::execute`],
+//! [`OptPlan::execute`]) walks the golden specs' stream as one lane, and a
+//! fault chunk ([`ExecPlan::execute_batch`]) walks up to 64 plan-delta
+//! lanes of one masked stream, each op running in the lanes of its mask.
+//! The loop is generic over the two; its solo instantiation keeps no
+//! masks and indexes one value column.
 //!
 //! Three passes, gated by [`OptConfig`] (the per-level toggle sets of
-//! [`OptLevel`](crate::OptLevel)), shape the stream as it is emitted. A
+//! [`OptLevel`](crate::OptLevel)), decide each op as it is emitted. A
 //! chunk's deltas are lane masks *before* compilation, so each pass and
 //! its counter credit exists once, for solo runs and lanes alike; `-O0`
 //! is the plain stream with all three off.
@@ -35,7 +38,7 @@
 //!    `2·latency + 2` steps: operands, pipeline and output are all
 //!    `DISC`, so its push would be no event. In a lane chunk the asserts
 //!    of every lane decide, and only evaluations running in every lane
-//!    are dropped. Dead commits need no pass: lowering never emits them
+//!    are dropped. Dead commits need no pass: placement never emits them
 //!    (the live-commit rule, see [`crate::plan`]).
 //!
 //! # Byte-identity obligations
@@ -57,8 +60,7 @@ use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome, OptConfig};
 use crate::check::{CheckEval, CheckReport};
 use crate::phase::Phase;
 use crate::plan::{
-    combine, Action, DriverLayout, ExecPlan, Extension, GuardSig, Lanes, PlanChecks, Schedule,
-    Sink, Source,
+    combine, DriverLayout, ExecPlan, Extension, GuardSig, Lanes, LoweredSpec, PlanChecks, Sink,
 };
 use crate::resource::ModuleTiming;
 use crate::value::Value;
@@ -89,14 +91,30 @@ impl Dst {
     }
 }
 
-/// Where a [`MicroOp::Push`] takes its value from: a lowered
-/// [`Source`], with a memory read naming its memory (which keeps ops at
-/// 32 bytes).
+/// The dense indices of the controller's signals (lowering declares them
+/// first, as `elaborate` does).
+const CS: u32 = 0;
+const PH: u32 = 1;
+
+/// Where a transfer's drive ([`MicroOp::Push`]) takes its value from —
+/// lowering resolves every spec's source to one.
 #[derive(Debug, Clone, Copy)]
-enum Src {
+pub(crate) enum Src {
+    /// A constant (operation-select transfers carry the operation code as
+    /// a literal; memory-write address transfers carry constant addresses
+    /// the same way).
     Const(Value),
+    /// The signal with this dense index, read at execution time.
     Signal(u32),
-    MemRead { addr: u32, mem: u32 },
+    /// Register-indirect memory-word read: the word of memory `mem` that
+    /// signal `addr` addresses. A `DISC`, `ILLEGAL` or out-of-range
+    /// address reads `ILLEGAL`.
+    MemRead {
+        /// Dense index of the addressing register's output signal.
+        addr: u32,
+        /// Index into the plan's memory table.
+        mem: u32,
+    },
 }
 
 /// One specialized instruction of the stream.
@@ -137,8 +155,8 @@ pub struct OptPlan {
 
 impl OptPlan {
     /// Compiles a lowered plan under the given pass toggles, keeping the
-    /// plan without copying it. Compilation is a single linear walk over
-    /// the lowered schedule.
+    /// plan without copying it. Compilation places the plan's specs and
+    /// emits their ops in one pass, linear in the specs plus the ops.
     pub fn from_plan(plan: ExecPlan, config: OptConfig) -> OptPlan {
         let stream = Stream::solo(&plan, config);
         OptPlan { plan, stream }
@@ -167,8 +185,8 @@ impl OptPlan {
     }
 }
 
-/// The micro-op stream of one placed schedule: the golden one of a solo
-/// run, or a lane chunk's masked one.
+/// The micro-op stream of placed specs: the golden ones of a solo run, or
+/// a lane chunk's masked ones.
 #[derive(Debug, Clone)]
 pub(crate) struct Stream {
     config: OptConfig,
@@ -191,23 +209,37 @@ pub(crate) struct Stream {
 }
 
 impl Stream {
-    /// The stream of `plan`'s golden schedule.
+    /// The stream of `plan`'s golden specs.
     pub(crate) fn solo(plan: &ExecPlan, config: OptConfig) -> Stream {
         let ext = Extension::default();
-        Stream::compile(plan, &plan.schedule, plan.total_deltas(), ext, config)
+        Stream::compile(plan, &plan.specs, None, 1, ext, plan.total_deltas(), config)
     }
 
-    /// Compiles `schedule` — `plan`'s own or a lane chunk's, whose
-    /// appended tables `ext` describes — for a walk of `needed` deltas.
+    /// Places `specs` by the kernel's order rules and emits the stream of
+    /// a walk of `needed` deltas, each op decided by the passes as it is
+    /// emitted. The specs are `plan`'s golden ones, or a lane chunk's:
+    /// then `lanes` holds each spec's lane mask, which gates its assert
+    /// and its release, and `ext` the chunk's appended tables. Controller
+    /// pushes, golden module evaluations and commits run in every lane of
+    /// `full`, the shadow module in `ext.shadow_lanes`. Specs outside
+    /// `1..=CS_MAX` never run.
+    ///
+    /// Each phase runs in the order of the kernel's runnable set (derived
+    /// from waiter-list and wake positions; see ARCHITECTURE.md "Two
+    /// engines, one semantics"). Delta 0 is initialization, delta
+    /// `(s-1)*6 + p.index() + 1` is step `s`, phase `p`, and a trailing
+    /// flush delta past the last slot only applies updates.
     pub(crate) fn compile(
         plan: &ExecPlan,
-        schedule: &Schedule,
-        needed: u64,
+        specs: &[LoweredSpec],
+        lanes: Option<&[u64]>,
+        full: u64,
         ext: Extension,
+        needed: u64,
         config: OptConfig,
     ) -> Stream {
-        let phases = Phase::ALL.len();
-        let steps = plan.cs_max as usize;
+        let cs_max = plan.cs_max;
+        let steps = cs_max as usize;
         let latency = |m: usize| ext.module(plan, m).timing.latency();
         let modules = plan.modules.len() + usize::from(ext.shadow.is_some());
 
@@ -231,97 +263,199 @@ impl Stream {
                 .then(|| guard.eval(|_| unreachable!("literal guard")) != negate)
         };
 
-        // DSE: per-step operand-port activity of every module over the
-        // asserts of every lane (an appended destination is the shadow
-        // module's operand), filled in as they are emitted below. Operand
-        // ports are driven only at rb (the grammar's operand and
-        // operation-select routes), so an evaluation at cm(s) comes after
-        // every assert its window looks at.
-        let mut active = vec![false; if config.dse { modules * steps } else { 0 }];
-        let shadow = Sink::Module(plan.modules.len() as u32);
-
-        // One linear walk over the schedule, in its exact action order.
-        let mut ops = Vec::with_capacity(schedule.actions.len());
-        let mut masks = Vec::with_capacity(schedule.masks.len());
-        let mut bounds = Vec::with_capacity(needed as usize + 1);
-        let mut phantom = vec![0; needed as usize + 1];
-        bounds.push(0);
-        for d in 0..needed as usize {
-            // 0-based step of this delta (valid for d >= 1).
-            let step = d.saturating_sub(1) / phases;
-            let range = schedule.delta(d);
-            let lanes = schedule.masks.get(range.clone()).unwrap_or_default();
-            for (k, &action) in schedule.actions[range].iter().enumerate() {
-                let mask = lanes.get(k).copied().unwrap_or(schedule.full);
-                ops.push(match action {
-                    Action::Control { sig, value } => MicroOp::Ctl {
-                        sig: sig as u32,
-                        v: value,
-                    },
-                    Action::Assert {
-                        src,
-                        dst: to,
-                        slot,
-                        guard,
-                    } => {
-                        if let (true, Sink::Module(m)) =
-                            (config.dse, plan.sinks.get(to).copied().unwrap_or(shadow))
-                        {
-                            debug_assert_eq!(d, step * phases + Phase::Rb.index() as usize + 1);
-                            active[m as usize * steps + step] = true;
-                        }
-                        // A statically off assert still drives `DISC`.
-                        let verdict = guard.and_then(&verdict);
-                        let src = match (verdict, src) {
-                            (Some(false), _) => Src::Const(Value::Disc),
-                            (_, Source::Const(v)) => Src::Const(v),
-                            (_, Source::Signal(s)) => Src::Signal(s as u32),
-                            (_, Source::MemRead { addr, base, .. }) => {
-                                let mem = plan.mems.iter().position(|m| m.words[0] == base);
-                                let mem = mem.expect("memory read names a memory") as u32;
-                                Src::MemRead {
-                                    addr: addr as u32,
-                                    mem,
-                                }
-                            }
-                        };
-                        let guard = guard.filter(|_| verdict.is_none());
-                        MicroOp::Push {
-                            dst: dst(to, slot),
-                            guard: guard.unwrap_or(NO_GUARD),
-                            src,
-                        }
-                    }
-                    Action::Release { dst: to, slot } => MicroOp::Push {
-                        dst: dst(to, slot),
-                        guard: NO_GUARD,
-                        src: Src::Const(Value::Disc),
-                    },
-                    Action::Eval { module } => {
-                        let dead = config.dse && mask == schedule.full && {
-                            let window = 2 * latency(module) as usize + 2;
-                            let row = &active[module * steps..(module + 1) * steps];
-                            row[step.saturating_sub(window)..=step].iter().all(|&a| !a)
-                        };
-                        if dead {
-                            // The push lands in the next delta; credit
-                            // its pending/driver-update counters there.
-                            phantom[d + 1] += 1;
-                            continue;
-                        }
-                        MicroOp::Eval {
-                            module: module as u32,
-                        }
-                    }
-                    Action::Commit { reg } => MicroOp::Commit { reg: reg as u32 },
-                    Action::CommitMem { mem } => MicroOp::CommitMem { mem: mem as u32 },
-                });
-                if !lanes.is_empty() {
-                    masks.push(mask);
-                }
-            }
-            bounds.push(ops.len() as u32);
+        // Bucket the specs by step with a stable counting sort: step
+        // `s`'s spec indices, in spec order, are
+        // `order[first[s]..first[s + 1]]`.
+        let runs = |sp: &&LoweredSpec| (1..=cs_max).contains(&sp.step);
+        let mut first = vec![0usize; steps + 2];
+        for sp in specs.iter().filter(runs) {
+            first[sp.step as usize + 1] += 1;
         }
+        for s in 1..first.len() {
+            first[s] += first[s - 1];
+        }
+        let mut fill = first.clone();
+        let mut order = vec![0u32; first[steps + 1]];
+        for (i, sp) in specs.iter().enumerate().filter(|(_, sp)| runs(sp)) {
+            order[fill[sp.step as usize]] = i as u32;
+            fill[sp.step as usize] += 1;
+        }
+
+        let mut out = Emit {
+            ops: Vec::with_capacity(steps * (Phase::ALL.len() + 2 + modules) + 2 * order.len()),
+            masks: Vec::new(),
+            bounds: vec![0],
+            phantom: vec![0; steps * Phase::ALL.len() + 2],
+            // DSE: per-step operand-port activity of every module over
+            // the asserts of every lane (an appended destination is the
+            // shadow module's operand), filled in as they are emitted.
+            // Operand ports are driven only at rb (the grammar's operand
+            // and operation-select routes), so an evaluation at cm(s)
+            // comes after every assert its window looks at.
+            active: vec![false; if config.dse { modules * steps } else { 0 }],
+        };
+        let push = |out: &mut Emit, op: MicroOp, mask: u64| {
+            out.ops.push(op);
+            if lanes.is_some() {
+                out.masks.push(mask);
+            }
+        };
+        let close = |out: &mut Emit| out.bounds.push(out.ops.len() as u32);
+        let control = |out: &mut Emit, sig: u32, v: usize| {
+            let v = Value::Num(v as i64);
+            push(out, MicroOp::Ctl { sig, v }, full);
+        };
+        let ph_to = |out: &mut Emit, p: Phase| control(out, PH, p.index() as usize);
+        // Spec `i`'s assert (`assert`) or release, in its lanes.
+        let shadow = Sink::Module(plan.modules.len() as u32);
+        let drive = |out: &mut Emit, i: u32, assert: bool| {
+            let sp = &specs[i as usize];
+            let (guard, src) = match assert {
+                true => {
+                    let sink = plan.sinks.get(sp.dst).copied().unwrap_or(shadow);
+                    if let (true, Sink::Module(m)) = (config.dse, sink) {
+                        debug_assert_eq!(sp.phase, Phase::Rb);
+                        out.active[m as usize * steps + sp.step as usize - 1] = true;
+                    }
+                    // A statically off assert still drives `DISC`.
+                    match sp.guard.and_then(&verdict) {
+                        Some(false) => (None, Src::Const(Value::Disc)),
+                        Some(true) => (None, sp.src),
+                        None => (sp.guard, sp.src),
+                    }
+                }
+                false => (None, Src::Const(Value::Disc)),
+            };
+            let op = MicroOp::Push {
+                dst: dst(sp.dst, sp.slot),
+                guard: guard.unwrap_or(NO_GUARD),
+                src,
+            };
+            push(out, op, lanes.map_or(full, |l| l[i as usize]));
+        };
+        // Module `m`'s evaluation at cm of step `s`, in `mask`: dropped
+        // by DSE when it runs in every lane and no operand-port assert
+        // lies within its window.
+        let eval = |out: &mut Emit, m: usize, s: usize, mask: u64| {
+            let dead = config.dse && mask == full && {
+                let window = 2 * latency(m) as usize + 2;
+                let row = &out.active[m * steps..(m + 1) * steps];
+                row[(s - 1).saturating_sub(window)..s].iter().all(|&a| !a)
+            };
+            if dead {
+                // The push lands in the next delta; credit its
+                // pending/driver-update counters there.
+                let d = out.bounds.len() - 1;
+                out.phantom[d + 1] += 1;
+            } else {
+                push(out, MicroOp::Eval { module: m as u32 }, mask);
+            }
+        };
+        let phase = |i: u32| specs[i as usize].phase;
+
+        if cs_max >= 1 {
+            control(&mut out, CS, 1);
+            ph_to(&mut out, Phase::Ra);
+        }
+        close(&mut out);
+        let mut live = Vec::new();
+        for s in 1..=steps {
+            let here = &order[first[s]..first[s + 1]];
+            let drives = |out: &mut Emit, p: Phase, assert: bool| {
+                for &i in here.iter().filter(|&&i| phase(i) == p) {
+                    drive(out, i, assert);
+                }
+            };
+
+            // ra: step specs wake before the controller (CS is processed
+            // before PH in the wake queue). Only Ra specs assert here.
+            drives(&mut out, Phase::Ra, true);
+            ph_to(&mut out, Phase::Rb);
+            close(&mut out);
+
+            // rb: controller first, then Ra releases / Rb asserts
+            // interleaved in declaration order (both re-registered at the
+            // end of PH's waiter list during ra).
+            ph_to(&mut out, Phase::Cm);
+            for &i in here
+                .iter()
+                .filter(|&&i| matches!(phase(i), Phase::Ra | Phase::Rb))
+            {
+                drive(&mut out, i, phase(i) == Phase::Rb);
+            }
+            close(&mut out);
+
+            // cm: controller, all modules (original waiter positions, the
+            // shadow module last), then Rb releases.
+            ph_to(&mut out, Phase::Wa);
+            for m in 0..plan.modules.len() {
+                eval(&mut out, m, s, full);
+            }
+            if ext.shadow_lanes != 0 {
+                eval(&mut out, plan.modules.len(), s, ext.shadow_lanes);
+            }
+            drives(&mut out, Phase::Rb, false);
+            close(&mut out);
+
+            // wa: controller, then Wa asserts.
+            ph_to(&mut out, Phase::Wb);
+            drives(&mut out, Phase::Wa, true);
+            close(&mut out);
+
+            // wb: controller, Wb asserts (original positions), then Wa
+            // releases (re-registered at the end during wa).
+            ph_to(&mut out, Phase::Cr);
+            drives(&mut out, Phase::Wb, true);
+            drives(&mut out, Phase::Wa, false);
+            close(&mut out);
+
+            // cr: controller advances (CS before PH, matching its push
+            // order; nothing on the last step), then the live-commit
+            // rule: one commit per register or memory whose input port
+            // some spec of the step drives — in any lane, since a lane
+            // whose own specs leave the port undriven reads `DISC` there
+            // and pushes nothing — registers before memories, each in
+            // declaration order (a chunk's appended shadow signals are
+            // never commit ports). Any other commit would read `DISC`.
+            // Then Wb releases.
+            if s < steps {
+                control(&mut out, CS, s + 1);
+                ph_to(&mut out, Phase::Ra);
+            }
+            live.clear();
+            live.extend(
+                (here.iter())
+                    .filter_map(|&i| plan.sinks.get(specs[i as usize].dst).copied())
+                    .filter(|k| matches!(k, Sink::Reg(_) | Sink::Mem(_))),
+            );
+            live.sort_unstable();
+            live.dedup();
+            for &k in &live {
+                let op = match k {
+                    Sink::Reg(reg) => MicroOp::Commit { reg },
+                    Sink::Mem(mem) => MicroOp::CommitMem { mem },
+                    Sink::Module(_) | Sink::None => unreachable!("filtered above"),
+                };
+                push(&mut out, op, full);
+            }
+            drives(&mut out, Phase::Wb, false);
+            close(&mut out);
+        }
+
+        // The walk runs `needed` deltas: the slots, plus the trailing
+        // flush delta when a write lands at `wb(CS_MAX)` — or none at all
+        // when every lane of a chunk overflowed.
+        let Emit {
+            mut ops,
+            mut masks,
+            mut bounds,
+            mut phantom,
+            ..
+        } = out;
+        bounds.resize(needed as usize + 1, ops.len() as u32);
+        ops.truncate(bounds[needed as usize] as usize);
+        masks.truncate(ops.len());
+        phantom.resize(needed as usize + 1, 0);
         let mut pipe_at = Vec::with_capacity(modules + 1);
         pipe_at.push(0);
         for m in 0..modules {
@@ -648,6 +782,17 @@ impl Stream {
     }
 }
 
+/// The stream under construction in [`Stream::compile`]: its ops, their
+/// lane masks (a lane chunk's only), delta bounds, per-delta DSE credits
+/// and DSE's module activity table (`active[module * steps + step - 1]`).
+struct Emit {
+    ops: Vec<MicroOp>,
+    masks: Vec<u64>,
+    bounds: Vec<u32>,
+    phantom: Vec<u32>,
+    active: Vec<bool>,
+}
+
 /// The lanes set in `mask`, ascending; on a solo walk a set mask is
 /// lane 0 alone, known at compile time.
 #[inline(always)]
@@ -812,6 +957,28 @@ pub(crate) mod tests {
     #[test]
     fn micro_ops_stay_compact() {
         assert!(std::mem::size_of::<MicroOp>() <= 32);
+    }
+
+    #[test]
+    fn op_counts_per_level_are_pinned() {
+        // At -O0 every placed drive, evaluation, live commit and control
+        // push is one op, so emission can neither add nor drop one
+        // unnoticed; -O1 only re-addresses ops, and -O2's folding and DSE
+        // drop the rest.
+        for (text, counts) in [
+            (include_str!("../../../models/fig1.rtl"), [69, 69, 65]),
+            (include_str!("../../../models/conflict.rtl"), [54, 54, 52]),
+            (include_str!("../../../models/guarded.rtl"), [98, 98, 94]),
+            (include_str!("../../../models/memory.rtl"), [111, 111, 110]),
+            (include_str!("../../../models/iks_ik.rtl"), [689, 689, 567]),
+        ] {
+            let model = crate::text::parse_model(text).expect("corpus model parses");
+            let plan = ExecPlan::lower(&model);
+            for (level, want) in OptLevel::ALL.into_iter().zip(counts) {
+                let ops = OptPlan::from_plan(plan.clone(), level.config()).op_count();
+                assert_eq!(ops, want, "{} at -O{level}", model.name());
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Lowering elaborated models to a compiled phase-schedule plan.
+//! Lowering elaborated models to a compiled execution plan.
 //!
 //! The paper's six-phase discipline makes clock-free RT models *statically
 //! schedulable*: every transfer process is active at exactly one
@@ -6,44 +6,43 @@
 //! costs exactly `1 + CS_MAX × 6` delta cycles (plus one trailing flush
 //! delta when the last step commits a register). The interpreted kernel
 //! discovers that schedule dynamically through sensitivity lists and wake
-//! filters; [`ExecPlan::lower`] instead precomputes it as one flat array
-//! of straight-line [`Action`]s with per-`(step, phase)` offsets, which
-//! [`crate::opt`] compiles into the micro-op stream that
-//! [`ExecPlan::execute`] walks in a fixed number of iterations with no
-//! event machinery at all.
+//! filters; [`ExecPlan::lower`] instead resolves the model to dense
+//! tables — signals, registers, modules, memories, guards — plus one
+//! lowered spec per transfer process, pinned to its slot. [`crate::opt`]
+//! places those specs in the kernel's order and emits the micro-op
+//! stream that [`ExecPlan::execute`] walks in a fixed number of
+//! iterations with no event machinery at all.
 //!
 //! The walk is *observationally identical* to the interpreted kernel:
 //! same final registers, same trace events in the same order (hence the
 //! same VCD, commit log and conflict diagnoses — step and phase included)
 //! and the same [`SimStats`]. Counters the compiled engine has no dynamic
 //! equivalent for (process activations, wake-filter hits and misses, peak
-//! runnable) are derived from the schedule in closed form; the rest
+//! runnable) are derived from the specs in closed form; the rest
 //! (events, driver updates, pending-update peaks) are counted during the
 //! walk. `clockless-verify`'s `backend_equiv` asserts the byte-level
 //! agreement over the whole corpus.
 //!
-//! Lowering costs time linear in the transfer specs plus the actions it
-//! emits. Specs are bucketed by step once, and the **live-commit rule**
-//! keeps dead actions out of the schedule: a register or memory commit is
-//! emitted at `cr(s)` only when some spec of step `s` drives its input
-//! port. Any other commit would read a `DISC` port and push nothing, so
-//! leaving it out changes no observable at any optimization level.
+//! Lowering costs time linear in the transfer specs, and placing them
+//! costs time linear in the specs plus the ops emitted. Specs are
+//! bucketed by step once, and the **live-commit rule** keeps dead
+//! commits out of the stream: a register or memory commit is emitted at
+//! `cr(s)` only when some spec of step `s` drives its input port. Any
+//! other commit would read a `DISC` port and push nothing, so leaving it
+//! out changes no observable at any optimization level.
 //!
 //! **Plan deltas** ([`PlanDelta`]) turn the golden plan into fault
 //! mutants without re-lowering. [`ExecPlan::execute_batch`] applies up to
 //! 64 of them at once as per-lane masks over the golden specs — a
 //! spurious driver becomes two appended specs plus one shadow module —
-//! and places the result by the same kernel-order rules lowering uses
-//! (one placement function), so the lanes go through the same stream
-//! compiler and the same loop as a solo run.
+//! and places the result by the same kernel-order rules (one placement
+//! function, the stream compiler's), so the lanes go through the same
+//! passes and the same loop as a solo run.
 //!
-//! [`ExecPlan::static_conflicts`] is a **static conflict pre-pass**, run
-//! on request: two [`Action::Assert`]s landing in the same slot of the
-//! same resolved signal are reported as a [`StaticConflict`] *before*
-//! anything runs. This is a conservative *potential*-conflict diagnostic —
-//! at run time one of the colliding transfers may read `DISC` and resolve
-//! cleanly — so the dynamic `ILLEGAL` events remain the ground truth the
-//! paper describes.
+//! Conflicts are found *dynamically*, as the paper describes: the
+//! `ILLEGAL` events of a traced walk. The static prediction over a
+//! model's tuples is `clockless-verify`'s `static_conflicts`, which
+//! `clockless check` cross-checks against them.
 
 use std::sync::Arc;
 
@@ -55,93 +54,12 @@ use crate::diag::{Conflict, ConflictSite};
 use crate::elaborate::SignalRole;
 use crate::model::RtModel;
 use crate::op::Op;
-use crate::opt::{LaneCounts, Stream};
+use crate::opt::{LaneCounts, Src, Stream};
 use crate::phase::{Phase, PhaseTime, Step};
 use crate::resource::ModuleTiming;
 use crate::run::{RunSummary, Waveform};
 use crate::tuples::{CmpOp, Endpoint, Guard, GuardOperand, MemAddr};
 use crate::value::{DriverTally, Value};
-
-/// Where an [`Action::Assert`] takes its value from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// Read the signal with this dense index at execution time.
-    Signal(usize),
-    /// Drive a constant (operation-select transfers carry the operation
-    /// code as a literal; memory-write address transfers carry constant
-    /// addresses the same way).
-    Const(Value),
-    /// Register-indirect memory-word read: take the address from signal
-    /// `addr` at execution time and read word `base + addr`. A `DISC`,
-    /// `ILLEGAL` or out-of-range address reads `ILLEGAL`.
-    MemRead {
-        /// Dense index of the addressing register's output signal.
-        addr: usize,
-        /// Dense index of the memory's word 0 (words are contiguous).
-        base: usize,
-        /// Number of words.
-        len: u32,
-    },
-}
-
-/// One straight-line step of the compiled schedule.
-///
-/// Actions never block and never wait: each one reads current signal
-/// values and schedules driver updates for the *next* delta cycle,
-/// exactly as the corresponding kernel process resumption would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// Controller assignment: schedule `value` on the single driver of a
-    /// control signal (`CS` or `PH`).
-    Control {
-        /// Dense index of the control signal.
-        sig: usize,
-        /// The value to schedule.
-        value: Value,
-    },
-    /// Transfer assert: read `src` now and schedule it on driver `slot`
-    /// of `dst`. A guarded assert first evaluates its guard over current
-    /// register values and drives `DISC` when disabled — the driver
-    /// update still happens, so statistics stay guard-independent.
-    Assert {
-        /// The value source.
-        src: Source,
-        /// Dense index of the driven signal.
-        dst: usize,
-        /// The transfer's driver slot on `dst`.
-        slot: usize,
-        /// Index into the plan's guard table, when the transfer is
-        /// conditional.
-        guard: Option<u32>,
-    },
-    /// Transfer release: schedule `DISC` on driver `slot` of `dst`.
-    Release {
-        /// Dense index of the driven signal.
-        dst: usize,
-        /// The transfer's driver slot on `dst`.
-        slot: usize,
-    },
-    /// Module evaluation (the `cm` body): combine the operand ports,
-    /// advance the latency pipeline and schedule the output port.
-    Eval {
-        /// Dense index into the plan's module table.
-        module: usize,
-    },
-    /// Register commit (the `cr` body): schedule the input port's value
-    /// on the output unless it is `DISC`.
-    Commit {
-        /// Dense index into the plan's register table.
-        reg: usize,
-    },
-    /// Memory commit (the `cr` body): when the write-value port is
-    /// non-`DISC`, store it at the write-address port's word — or poison
-    /// every word `ILLEGAL` when the address is not a regular number in
-    /// range.
-    CommitMem {
-        /// Dense index into the plan's memory table.
-        mem: usize,
-    },
-}
 
 /// A [`CheckProgram`] resolved against one plan's dense signal table —
 /// the precomputed handle [`ExecPlan::execute_batch_checked`] consumes,
@@ -156,35 +74,6 @@ pub struct PlanChecks {
     pub(crate) program: CheckProgram,
     /// The program's event-driven lookups.
     pub(crate) index: CheckIndex,
-}
-
-/// A multiply driven slot found by the static conflict pre-pass.
-///
-/// Two or more transfers assert the same resolved signal in the same
-/// `(step, phase)` slot. This is a *potential* conflict: it becomes the
-/// paper's observable `ILLEGAL` only if at least two of the colliding
-/// sources carry non-`DISC` values at run time, in which case the
-/// `ILLEGAL` value is visible from the phase *after* `at`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticConflict {
-    /// Name of the multiply driven resource.
-    pub name: String,
-    /// Kind of resource.
-    pub site: ConflictSite,
-    /// The slot whose schedule drives the resource more than once.
-    pub at: PhaseTime,
-    /// How many drives the slot schedules.
-    pub drivers: usize,
-}
-
-impl std::fmt::Display for StaticConflict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} `{}` driven {} times at {}",
-            self.site, self.name, self.drivers, self.at
-        )
-    }
 }
 
 /// One signal of the plan, mirroring the kernel's elaboration order. Its
@@ -287,7 +176,7 @@ impl PlanGuard {
 pub(crate) struct LoweredSpec {
     pub(crate) step: Step,
     pub(crate) phase: Phase,
-    pub(crate) src: Source,
+    pub(crate) src: Src,
     pub(crate) dst: usize,
     pub(crate) slot: usize,
     pub(crate) guard: Option<u32>,
@@ -338,11 +227,10 @@ pub struct PlanDelta {
 /// The compiled execution plan of one [`RtModel`].
 ///
 /// Built by [`lower`](ExecPlan::lower); executed by
-/// [`execute`](ExecPlan::execute). Slot `(s, p)` holds the straight-line
-/// actions the kernel's runnable set would perform in the delta cycle of
-/// step `s`, phase `p` — in the kernel's exact execution order, so driver
-/// updates (and therefore events, traces and conflict diagnoses) come out
-/// byte-identical.
+/// [`execute`](ExecPlan::execute), which places its specs in the exact
+/// order in which the kernel's runnable set would perform them — so
+/// driver updates (and therefore events, traces and conflict diagnoses)
+/// come out byte-identical.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     pub(crate) cs_max: Step,
@@ -357,20 +245,18 @@ pub struct ExecPlan {
     pub(crate) mems: Vec<PlanMem>,
     /// Lowered transfer guards, indexed by [`LoweredSpec::guard`].
     pub(crate) guards: Vec<PlanGuard>,
-    /// The golden schedule (no lane masks).
-    pub(crate) schedule: Schedule,
     /// How many specs assert at `wb(CS_MAX)`. A trailing flush delta
     /// follows `cr(CS_MAX)` exactly when there is one: its commit and
     /// release are still pending after the last scheduled phase.
     pub(crate) last_writes: u64,
-    /// Lowered transfer specs in attachment order (the source of the
-    /// schedule), kept so plan deltas can edit it.
+    /// Lowered transfer specs in attachment order, kept so plan deltas
+    /// can edit them.
     pub(crate) specs: Vec<LoweredSpec>,
     /// `spec_tuple[i]` maps spec `i` back to its source tuple index.
     pub(crate) spec_tuple: Vec<usize>,
     /// Number of transfer tuples in the source model.
     pub(crate) tuple_count: usize,
-    /// Analytic stats derived from the schedule (see module docs).
+    /// Analytic stats derived from the specs (see module docs).
     pub(crate) process_count: u64,
     pub(crate) activations: u64,
     pub(crate) wake_hits: u64,
@@ -380,9 +266,8 @@ pub struct ExecPlan {
 impl ExecPlan {
     /// Lowers a validated model into its compiled plan.
     ///
-    /// Costs time linear in the transfer specs plus the emitted actions:
-    /// specs are bucketed by step once, and commits follow the
-    /// live-commit rule (see the module docs).
+    /// Costs time linear in the transfer specs; nothing is placed until
+    /// the plan is compiled (see the module docs).
     ///
     /// Panics if the model references undeclared resources — impossible
     /// for models built through [`RtModel`]'s validating API.
@@ -587,9 +472,9 @@ impl ExecPlan {
                         let idx = model.modules()[mid.0 as usize]
                             .op_index(*op)
                             .expect("validated tuple selects supported op");
-                        Source::Const(Value::Num(idx as i64))
+                        Src::Const(Value::Num(idx as i64))
                     }
-                    Endpoint::ConstVal(v) => Source::Const(Value::Num(*v)),
+                    Endpoint::ConstVal(v) => Src::Const(Value::Num(*v)),
                     Endpoint::MemWord {
                         mem,
                         addr: MemAddr::Reg(r),
@@ -597,18 +482,16 @@ impl ExecPlan {
                         let mid = model
                             .memory_by_name(mem)
                             .expect("validated tuple references known memory");
-                        let pm = &mems[mid.0 as usize];
                         let rid = model
                             .register_by_name(r)
                             .expect("validated tuple indexes with known register");
-                        Source::MemRead {
-                            addr: regs[rid.0 as usize].output,
-                            base: pm.words[0],
-                            len: pm.words.len() as u32,
+                        Src::MemRead {
+                            addr: regs[rid.0 as usize].output as u32,
+                            mem: mid.0,
                         }
                     }
-                    other => Source::Signal(
-                        index_of(other).expect("validated tuple references known resources"),
+                    other => Src::Signal(
+                        index_of(other).expect("validated tuple references known resources") as u32,
                     ),
                 };
                 let dst = index_of(&spec.dst).expect("validated tuple references known resources");
@@ -646,7 +529,7 @@ impl ExecPlan {
         );
         let process_count = 1 + fixed_procs + specs.len() as u64;
 
-        let mut plan = ExecPlan {
+        ExecPlan {
             cs_max,
             signals,
             roles: roles.into(),
@@ -655,7 +538,6 @@ impl ExecPlan {
             modules,
             mems,
             guards,
-            schedule: Schedule::default(),
             last_writes,
             specs,
             spec_tuple,
@@ -664,156 +546,7 @@ impl ExecPlan {
             activations,
             wake_hits,
             wake_misses,
-        };
-        plan.schedule = plan.place(&plan.specs, None, 1, 0);
-        plan
-    }
-
-    /// The placement rules: the schedule of `specs`, each action in the
-    /// kernel's runnable-set order (derived from waiter-list and wake
-    /// positions; see ARCHITECTURE.md "Two engines, one semantics").
-    /// Lowering places the golden specs; a lane chunk places its specs
-    /// with `lanes`, one lane mask per spec gating its assert and its
-    /// release (a solo schedule keeps no masks). Controller pushes, golden
-    /// module evaluations and commits run in every lane of `full`; an
-    /// appended shadow module (index `modules.len()`) evaluates in the
-    /// `shadow` lanes. Specs outside `1..=CS_MAX` never run.
-    pub(crate) fn place(
-        &self,
-        specs: &[LoweredSpec],
-        lanes: Option<&[u64]>,
-        full: u64,
-        shadow: u64,
-    ) -> Schedule {
-        let cs_max = self.cs_max;
-        // Bucket the specs by step with a stable counting sort: step
-        // `s`'s spec indices, in spec order, are
-        // `order[first[s]..first[s + 1]]`.
-        let runs = |sp: &&LoweredSpec| (1..=cs_max).contains(&sp.step);
-        let mut first = vec![0usize; cs_max as usize + 2];
-        for sp in specs.iter().filter(runs) {
-            first[sp.step as usize + 1] += 1;
         }
-        for s in 1..first.len() {
-            first[s] += first[s - 1];
-        }
-        let mut fill = first.clone();
-        let mut order = vec![0u32; first[cs_max as usize + 1]];
-        for (i, sp) in specs.iter().enumerate().filter(|(_, sp)| runs(sp)) {
-            order[fill[sp.step as usize]] = i as u32;
-            fill[sp.step as usize] += 1;
-        }
-
-        let mut out = Schedule {
-            actions: Vec::with_capacity(
-                cs_max as usize * (Phase::ALL.len() + 2 + self.modules.len()) + 2 * order.len(),
-            ),
-            masks: Vec::new(),
-            bounds: vec![0],
-            full,
-        };
-        let push = |out: &mut Schedule, action: Action, mask: u64| {
-            out.actions.push(action);
-            if lanes.is_some() {
-                out.masks.push(mask);
-            }
-        };
-        let close = |out: &mut Schedule| out.bounds.push(out.actions.len() as u32);
-        let control = |out: &mut Schedule, sig: usize, value: usize| {
-            let value = Value::Num(value as i64);
-            push(out, Action::Control { sig, value }, full);
-        };
-        let ph_to = |out: &mut Schedule, p: Phase| control(out, PH, p.index() as usize);
-        // Spec `i`'s assert (`assert`) or release, in its lanes.
-        let drive = |out: &mut Schedule, i: u32, assert: bool| {
-            let sp = &specs[i as usize];
-            let (src, dst, slot, guard) = (sp.src, sp.dst, sp.slot, sp.guard);
-            let action = match assert {
-                true => Action::Assert {
-                    src,
-                    dst,
-                    slot,
-                    guard,
-                },
-                false => Action::Release { dst, slot },
-            };
-            push(out, action, lanes.map_or(full, |l| l[i as usize]));
-        };
-        let phase = |i: u32| specs[i as usize].phase;
-
-        if cs_max >= 1 {
-            control(&mut out, CS, 1);
-            ph_to(&mut out, Phase::Ra);
-        }
-        close(&mut out);
-        let mut live = Vec::new();
-        for s in 1..=cs_max {
-            let here = &order[first[s as usize]..first[s as usize + 1]];
-            let drives = |out: &mut Schedule, p: Phase, assert: bool| {
-                for &i in here.iter().filter(|&&i| phase(i) == p) {
-                    drive(out, i, assert);
-                }
-            };
-
-            // ra: step specs wake before the controller (CS is processed
-            // before PH in the wake queue). Only Ra specs assert here.
-            drives(&mut out, Phase::Ra, true);
-            ph_to(&mut out, Phase::Rb);
-            close(&mut out);
-
-            // rb: controller first, then Ra releases / Rb asserts
-            // interleaved in declaration order (both re-registered at the
-            // end of PH's waiter list during ra).
-            ph_to(&mut out, Phase::Cm);
-            for &i in here
-                .iter()
-                .filter(|&&i| matches!(phase(i), Phase::Ra | Phase::Rb))
-            {
-                drive(&mut out, i, phase(i) == Phase::Rb);
-            }
-            close(&mut out);
-
-            // cm: controller, all modules (original waiter positions, the
-            // shadow module last), then Rb releases.
-            ph_to(&mut out, Phase::Wa);
-            for module in 0..self.modules.len() {
-                push(&mut out, Action::Eval { module }, full);
-            }
-            if shadow != 0 {
-                let module = self.modules.len();
-                push(&mut out, Action::Eval { module }, shadow);
-            }
-            drives(&mut out, Phase::Rb, false);
-            close(&mut out);
-
-            // wa: controller, then Wa asserts.
-            ph_to(&mut out, Phase::Wb);
-            drives(&mut out, Phase::Wa, true);
-            close(&mut out);
-
-            // wb: controller, Wb asserts (original positions), then Wa
-            // releases (re-registered at the end during wa).
-            ph_to(&mut out, Phase::Cr);
-            drives(&mut out, Phase::Wb, true);
-            drives(&mut out, Phase::Wa, false);
-            close(&mut out);
-
-            // cr: controller advances (CS before PH, matching its push
-            // order; nothing on the last step), live registers and
-            // memories commit, then Wb releases. Commits follow the
-            // live-commit rule over every lane's specs: a lane whose own
-            // schedule leaves the port undriven reads `DISC` there and
-            // pushes nothing.
-            if s < cs_max {
-                control(&mut out, CS, s as usize + 1);
-                ph_to(&mut out, Phase::Ra);
-            }
-            let dsts = here.iter().map(|&i| specs[i as usize].dst);
-            live_commits(&self.sinks, dsts, &mut live, |a| push(&mut out, a, full));
-            drives(&mut out, Phase::Wb, false);
-            close(&mut out);
-        }
-        out
     }
 
     /// Maximum control step of the lowered model.
@@ -825,53 +558,6 @@ impl ExecPlan {
     /// by the schedule, known before anything runs.
     pub fn total_deltas(&self) -> u64 {
         schedule_deltas(self.cs_max, self.last_writes)
-    }
-
-    /// The statically detected multiply driven slots (see
-    /// [`StaticConflict`]), in slot order then first-drive order. Computed
-    /// from the schedule on each call.
-    pub fn static_conflicts(&self) -> Vec<StaticConflict> {
-        let mut found = Vec::new();
-        for d in 1..self.schedule.bounds.len() - 1 {
-            let mut counts: Vec<(usize, usize)> = Vec::new();
-            for action in self.delta_actions(d) {
-                if let Action::Assert { dst, .. } = action {
-                    match counts.iter_mut().find(|(d, _)| d == dst) {
-                        Some((_, n)) => *n += 1,
-                        None => counts.push((*dst, 1)),
-                    }
-                }
-            }
-            for (dst, n) in counts.into_iter().filter(|&(_, n)| n > 1) {
-                let Some((site, name)) = self.roles[dst].conflict_site() else {
-                    continue;
-                };
-                found.push(StaticConflict {
-                    name,
-                    site,
-                    at: PhaseTime::from_active_delta(d as u64)
-                        .expect("slot deltas are active by construction"),
-                    drivers: n,
-                });
-            }
-        }
-        found
-    }
-
-    /// The scheduled actions of one `(step, phase)` slot, or `None` when
-    /// `step` is outside `1..=CS_MAX`.
-    pub fn actions(&self, step: Step, phase: Phase) -> Option<&[Action]> {
-        if step < 1 || step > self.cs_max {
-            return None;
-        }
-        let d = (step as usize - 1) * Phase::ALL.len() + phase.index() as usize + 1;
-        Some(self.delta_actions(d))
-    }
-
-    /// The actions of delta `d`: initialization at 0, then one slot per
-    /// `(step, phase)`; empty for the trailing flush delta.
-    pub(crate) fn delta_actions(&self, d: usize) -> &[Action] {
-        &self.schedule.actions[self.schedule.delta(d)]
     }
 
     /// A fresh trace holding every signal's initial value at time zero —
@@ -917,8 +603,8 @@ impl ExecPlan {
     }
 
     /// Walks the plan at `options.opt` and harvests the observable output:
-    /// the schedule is compiled to its micro-op stream ([`crate::opt`])
-    /// and walked as one lane.
+    /// the specs are placed into their micro-op stream ([`crate::opt`]),
+    /// which is walked as one lane.
     ///
     /// # Errors
     ///
@@ -1083,8 +769,8 @@ impl ExecPlan {
     ///
     /// Mutants run in chunks of up to 64 lanes over structure-of-arrays
     /// state. Each chunk applies its deltas to the golden specs as lane
-    /// masks, places them by lowering's own placement rules, compiles the
-    /// masked schedule at `options.opt` and walks it with the loop
+    /// masks, places them into one micro-op stream at `options.opt` by the
+    /// placement rules of a solo run and walks it with the loop
     /// [`execute`](Self::execute) uses. Each lane's observables — final registers, first conflict,
     /// kernel counters — are identical to lowering and executing that
     /// mutant's model on its own (`clockless-verify` pins this
@@ -1230,13 +916,14 @@ impl ExecPlan {
     }
 
     /// Applies one chunk of up to [`LANES`] deltas to the golden specs as
-    /// lane masks, places the result and compiles it under `config`. Per lane that is the golden
-    /// placement minus its drops and moves plus its moved-in specs; its
-    /// guard edits become flipped or forced variants of a spec, whose
-    /// lanes are disjoint from the spec's own; its spur becomes two
-    /// appended specs plus the shadow module. Every edit keeps spec order
-    /// (drops remove, skews re-step, spurs append last), so each lane's
-    /// masked view of the schedule is exactly its own mutant's schedule.
+    /// lane masks and places the result into a stream under `config`. Per
+    /// lane that is the golden placement minus its drops and moves plus
+    /// its moved-in specs; its guard edits become flipped or forced
+    /// variants of a spec, whose lanes are disjoint from the spec's own;
+    /// its spur becomes two appended specs plus the shadow module. Every
+    /// edit keeps spec order (drops remove, skews re-step, spurs append
+    /// last), so each lane's masked view of the stream is exactly its own
+    /// mutant's stream.
     fn lanes<'d>(
         &self,
         deltas: &'d [PlanDelta],
@@ -1322,19 +1009,18 @@ impl ExecPlan {
         // A spur reads its register onto the bus through the bus's extra
         // slot at ra, and the bus into the shadow module at rb.
         let s0 = self.signals.len();
-        let mut shadow = 0;
         for (c, spur) in live().filter_map(|(c, d)| Some((c, d.spur.as_ref()?))) {
             let ra = LoweredSpec {
                 step: spur.step,
                 phase: Phase::Ra,
-                src: Source::Signal(spur.src),
+                src: Src::Signal(spur.src as u32),
                 dst: spur.bus,
                 slot: self.signals[spur.bus].drivers,
                 guard: None,
             };
             let rb = LoweredSpec {
                 phase: Phase::Rb,
-                src: Source::Signal(spur.bus),
+                src: Src::Signal(spur.bus as u32),
                 dst: s0,
                 slot: 0,
                 ..ra
@@ -1342,9 +1028,9 @@ impl ExecPlan {
             placed.extend([ra, rb]);
             masks.extend([bit(c); 2]);
             ext.spur_buses.push(spur.bus);
-            shadow |= bit(c);
+            ext.shadow_lanes |= bit(c);
         }
-        if shadow != 0 {
+        if ext.shadow_lanes != 0 {
             ext.shadow = Some(PlanModule {
                 in1: s0,
                 in2: s0 + 1,
@@ -1356,46 +1042,15 @@ impl ExecPlan {
             ext.spur_buses.sort_unstable();
             ext.spur_buses.dedup();
         }
-        let schedule = self.place(&placed, Some(&masks), full, shadow);
         let walked = schedules.iter().map(|&(d, _)| d).max().unwrap_or(0);
-        let stream = Stream::compile(self, &schedule, walked, ext, config);
+        let stream = Stream::compile(self, &placed, Some(&masks), full, ext, walked, config);
         (Lanes { deltas, schedules }, stream)
     }
 }
 
 /// Lanes per chunk of [`ExecPlan::execute_batch`] — one bit of the
-/// per-action lane masks each.
+/// per-op lane masks each.
 const LANES: usize = 64;
-
-/// The dense indices of the controller's signals (lowering declares them
-/// first, as `elaborate` does).
-const CS: usize = 0;
-const PH: usize = 1;
-
-/// A placed schedule: delta `d` runs `actions[bounds[d]..bounds[d + 1]]`.
-/// Delta 0 is initialization; delta `(s-1)*6 + p.index() + 1` is step
-/// `s`, phase `p`. The trailing flush delta has no actions. A lane
-/// chunk's schedule records in `masks[k]` the lanes action `k` runs in;
-/// a solo schedule keeps no masks.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Schedule {
-    pub(crate) actions: Vec<Action>,
-    pub(crate) masks: Vec<u64>,
-    pub(crate) bounds: Vec<u32>,
-    /// The lanes every unmasked action (controller, golden module,
-    /// commit) runs in: `1` for a solo schedule.
-    pub(crate) full: u64,
-}
-
-impl Schedule {
-    /// The action indices of delta `d`; empty past the last slot.
-    pub(crate) fn delta(&self, d: usize) -> std::ops::Range<usize> {
-        match (self.bounds.get(d), self.bounds.get(d + 1)) {
-            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
-            _ => 0..0,
-        }
-    }
-}
 
 /// What a lane chunk appends to its golden plan's tables (empty for a
 /// solo run): the shadow spur module, the extra bus slots spurs drive,
@@ -1405,6 +1060,8 @@ pub(crate) struct Extension {
     /// The shadow module, appended as module `modules.len()`; its in1,
     /// in2 and out ports are the appended signals `signals.len()..+3`.
     pub(crate) shadow: Option<PlanModule>,
+    /// The lanes with a spur: those the shadow module evaluates in.
+    pub(crate) shadow_lanes: u64,
     /// The buses with one extra driver slot (the spurs'), ascending.
     pub(crate) spur_buses: Vec<usize>,
     /// The golden guard each flipped variant negates: variant `k` is
@@ -1593,36 +1250,6 @@ fn schedule_deltas(cs_max: Step, last_writes: u64) -> u64 {
     1 + cs_max as u64 * Phase::ALL.len() as u64 + u64::from(flush)
 }
 
-/// Emits one step's `cr` commits under the live-commit rule: one per
-/// register or memory whose input port some spec of the step drives
-/// (`dsts` are the step's spec destinations; a lane chunk's appended
-/// shadow signals are never commit ports), registers before memories,
-/// each in declaration order. A commit whose port no spec of its step
-/// drives reads `DISC` at `cr` — every transfer releases its drive one
-/// phase after asserting it — and would push nothing, so it is never
-/// emitted. `live` is scratch space.
-fn live_commits(
-    sinks: &[Sink],
-    dsts: impl Iterator<Item = usize>,
-    live: &mut Vec<Sink>,
-    mut emit: impl FnMut(Action),
-) {
-    live.clear();
-    live.extend(
-        dsts.filter_map(|d| sinks.get(d).copied())
-            .filter(|k| matches!(k, Sink::Reg(_) | Sink::Mem(_))),
-    );
-    live.sort_unstable();
-    live.dedup();
-    for &k in live.iter() {
-        match k {
-            Sink::Reg(reg) => emit(Action::Commit { reg: reg as usize }),
-            Sink::Mem(mem) => emit(Action::CommitMem { mem: mem as usize }),
-            Sink::Module(_) | Sink::None => unreachable!("filtered above"),
-        }
-    }
-}
-
 /// [`DriverLayout`]'s marker of a signal that keeps no driver state.
 const DIRECT: u32 = u32::MAX;
 
@@ -1773,13 +1400,6 @@ mod tests {
         let plan = ExecPlan::lower(&model);
         assert_eq!(plan.cs_max(), 7);
         assert_eq!(plan.total_deltas(), 43); // 1 + 7*6, no flush
-        assert!(plan.static_conflicts().is_empty());
-        // Step 5 ra: two register reads plus the controller advance.
-        assert_eq!(plan.actions(5, Phase::Ra).unwrap().len(), 3);
-        // An unscheduled step still carries the controller skeleton.
-        assert_eq!(plan.actions(1, Phase::Ra).unwrap().len(), 1);
-        assert!(plan.actions(8, Phase::Ra).is_none());
-        assert!(plan.actions(0, Phase::Ra).is_none());
     }
 
     #[test]
@@ -1878,7 +1498,7 @@ mod tests {
     }
 
     #[test]
-    fn bus_conflict_is_found_statically_and_dynamically() {
+    fn bus_conflict_is_found_dynamically() {
         // Two transfers read different registers onto the same bus at the
         // same step: B1 is driven twice at ra(1).
         let mut model = RtModel::new("clash", 3);
@@ -1913,30 +1533,15 @@ mod tests {
             .add_transfer(TransferTuple::new(1, "CPY").src_a("R2", "B1"))
             .unwrap();
 
-        let plan = ExecPlan::lower(&model);
-        let stat = plan
-            .static_conflicts()
-            .into_iter()
-            .find(|c| c.name == "B1")
-            .expect("static pre-pass flags the shared bus");
-        assert_eq!(stat.site, ConflictSite::Bus);
-        assert_eq!(stat.at, PhaseTime::new(1, Phase::Ra));
-        assert_eq!(stat.drivers, 2);
-
         assert_equivalent(&model);
         let out = compiled_traced(&model);
         let report = out.summary.conflicts.unwrap();
         assert!(
-            report.on("B1").any(|c| c.site == ConflictSite::Bus),
+            report.on("B1").any(
+                |c| c.site == ConflictSite::Bus && c.visible_at == PhaseTime::new(1, Phase::Rb)
+            ),
             "{report:?}"
         );
-    }
-
-    #[test]
-    fn clean_model_has_no_static_conflicts() {
-        assert!(ExecPlan::lower(&fig1_model(3, 4))
-            .static_conflicts()
-            .is_empty());
     }
 
     #[test]
@@ -2440,6 +2045,36 @@ mod tests {
                 .any(|c| c.site == ConflictSite::MemoryWord),
             "{report}"
         );
+    }
+
+    #[test]
+    fn indirect_reads_address_their_own_memory() {
+        // With two memories, an indirect read of the second must read its
+        // words (init 8), not the first's (init 5).
+        let mut model = RtModel::new("mems", 2);
+        model.add_register_init("RI", Value::Num(1)).unwrap();
+        model.add_register("RD").unwrap();
+        model.add_memory("M", 2, Value::Num(5)).unwrap();
+        model.add_memory("N", 2, Value::Num(8)).unwrap();
+        model.add_bus("B1").unwrap();
+        model.add_bus("B2").unwrap();
+        model
+            .add_module(ModuleDecl::single(
+                "CP",
+                Op::PassA,
+                ModuleTiming::Combinational,
+            ))
+            .unwrap();
+        model
+            .add_transfer(
+                TransferTuple::new(1, "CP")
+                    .src_a("N[RI]", "B1")
+                    .write(1, "B2", "RD"),
+            )
+            .unwrap();
+        assert_equivalent(&model);
+        let out = compiled_traced(&model);
+        assert_eq!(out.summary.register("RD"), Some(Value::Num(8)));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::fmt::Write as _;
 
 use clockless_kernel::SimStats;
 
+use crate::json::{escape, sim_stats};
 use crate::model::RtModel;
 use crate::phase::Step;
 use crate::tuples::Endpoint;
@@ -133,25 +134,6 @@ pub fn model_stats(model: &RtModel) -> ModelStats {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A machine-readable report combining schedule utilization with the
 /// kernel counters of a completed run — the payload behind
 /// `clockless stats --json`.
@@ -175,7 +157,7 @@ impl RunStatsReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"model\": \"{}\",", json_escape(&self.model));
+        let _ = writeln!(out, "  \"model\": \"{}\",", escape(&self.model));
         let s = &self.schedule;
         let _ = writeln!(
             out,
@@ -189,25 +171,7 @@ impl RunStatsReport {
             s.peak.0,
             s.peak.1
         );
-        let k = &self.kernel;
-        let _ = writeln!(
-            out,
-            "  \"kernel\": {{\"delta_cycles\": {}, \"process_activations\": {}, \"events\": {}, \
-             \"driver_updates\": {}, \"time_advances\": {}, \"wake_filter_hits\": {}, \
-             \"wake_filter_misses\": {}, \"peak_runnable\": {}, \"peak_pending_updates\": {}, \
-             \"injected_faults\": {}, \"retries\": {}}},",
-            k.delta_cycles,
-            k.process_activations,
-            k.events,
-            k.driver_updates,
-            k.time_advances,
-            k.wake_filter_hits,
-            k.wake_filter_misses,
-            k.peak_runnable,
-            k.peak_pending_updates,
-            k.injected_faults,
-            k.retries
-        );
+        let _ = writeln!(out, "  \"kernel\": {},", sim_stats(&self.kernel));
         out.push_str("  \"process_activations\": [\n");
         for (i, (name, n)) in self.activations.iter().enumerate() {
             let comma = if i + 1 == self.activations.len() {
@@ -218,7 +182,7 @@ impl RunStatsReport {
             let _ = writeln!(
                 out,
                 "    {{\"process\": \"{}\", \"activations\": {}}}{}",
-                json_escape(name),
+                escape(name),
                 n,
                 comma
             );
@@ -266,14 +230,6 @@ mod tests {
         assert!(text.contains("occupancy 29%"));
         assert!(text.contains("B1"));
         assert!(text.contains("ADD"));
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

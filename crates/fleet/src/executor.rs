@@ -336,23 +336,6 @@ impl ResolvedJob {
             },
         }
     }
-
-    /// Wraps an already-built model (the daemon's plan-cache path).
-    pub fn from_model(
-        name: impl Into<String>,
-        model: RtModel,
-        config: &FleetConfig,
-    ) -> ResolvedJob {
-        ResolvedJob {
-            name: name.into(),
-            model: Ok(model),
-            delta_budget: config.delta_budget,
-            backend: config.backend.unwrap_or_default(),
-            opt: config.opt,
-            check: config.check.clone(),
-            chaos: None,
-        }
-    }
 }
 
 /// The smaller of two optional budgets (absent means unbounded).

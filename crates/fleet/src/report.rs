@@ -17,6 +17,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
+use clockless_core::json::{escape, sim_stats};
 use clockless_core::{ConflictReport, Step, Value};
 use clockless_kernel::SimStats;
 
@@ -256,7 +257,7 @@ impl FleetReport {
             );
         }
         out.push_str("},\n");
-        let _ = writeln!(out, "  \"totals\": {},", stats_json(&self.totals));
+        let _ = writeln!(out, "  \"totals\": {},", sim_stats(&self.totals));
         out.push_str("  \"jobs\": [\n");
         let ok_count = self.jobs.len() - self.failed_jobs();
         for (i, j) in self.results().enumerate() {
@@ -265,18 +266,18 @@ impl FleetReport {
                 out,
                 "    {{\"name\": \"{}\", \"model\": \"{}\", \"cs_max\": {}, \"tuples\": {},\n     \
                  \"kernel\": {},\n     \"registers\": [",
-                json_escape(&j.name),
-                json_escape(&j.model),
+                escape(&j.name),
+                escape(&j.model),
                 j.cs_max,
                 j.tuples,
-                stats_json(&j.stats)
+                sim_stats(&j.stats)
             );
             for (k, (name, value)) in j.registers.iter().enumerate() {
                 let comma = if k + 1 == j.registers.len() { "" } else { ", " };
                 let _ = write!(
                     out,
                     "{{\"name\": \"{}\", \"value\": \"{}\"}}{}",
-                    json_escape(name),
+                    escape(name),
                     value,
                     comma
                 );
@@ -288,7 +289,7 @@ impl FleetReport {
                 } else {
                     ", "
                 };
-                let _ = write!(out, "\"{}\"{}", json_escape(&c.to_string()), comma);
+                let _ = write!(out, "\"{}\"{}", escape(&c.to_string()), comma);
             }
             out.push(']');
             if timing {
@@ -303,10 +304,10 @@ impl FleetReport {
             let _ = writeln!(
                 out,
                 "    {{\"name\": \"{}\", \"status\": \"{}\", \"retries\": {}, \"error\": \"{}\"}}{}",
-                json_escape(&q.name),
+                escape(&q.name),
                 q.kind.as_str(),
                 q.retries,
-                json_escape(&q.error),
+                escape(&q.error),
                 comma
             );
         }
@@ -349,29 +350,9 @@ impl fmt::Display for FleetReport {
     }
 }
 
-/// Renders [`SimStats`] as a flat JSON object (shared by totals and
-/// per-job rows) — the workspace-wide rendering from
-/// [`clockless_core::json`].
-fn stats_json(s: &SimStats) -> String {
-    clockless_core::json::sim_stats(s)
-}
-
-/// Escapes a string for inclusion in a JSON document (the workspace-wide
-/// escaper from [`clockless_core::json`]).
-fn json_escape(s: &str) -> String {
-    clockless_core::json::escape(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny\u{1}"), "x\\ny\\u0001");
-    }
 
     #[test]
     fn stats_json_is_flat_and_complete() {
@@ -388,7 +369,7 @@ mod tests {
             injected_faults: 10,
             retries: 11,
         };
-        let j = stats_json(&s);
+        let j = sim_stats(&s);
         for needle in [
             "\"delta_cycles\": 1",
             "\"process_activations\": 2",
@@ -411,7 +392,7 @@ mod tests {
         // A quiet job must still emit all eleven counters as literal
         // zeros — downstream diffing depends on a value-independent
         // key set.
-        let j = stats_json(&SimStats::default());
+        let j = sim_stats(&SimStats::default());
         for key in [
             "delta_cycles",
             "process_activations",

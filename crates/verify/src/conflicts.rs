@@ -51,7 +51,8 @@ impl fmt::Display for PredictedConflict {
 
 /// Statically analyses a model's tuples for resource conflicts: two
 /// drives of one bus in the same phase of the same step, two drives of a
-/// module operand/op port, or two write-backs into one register.
+/// module operand/op port, two write-backs into one register, or two
+/// writes into one memory.
 pub fn static_conflicts(model: &RtModel) -> Vec<PredictedConflict> {
     use clockless_core::Endpoint;
 
@@ -60,13 +61,16 @@ pub fn static_conflicts(model: &RtModel) -> Vec<PredictedConflict> {
         HashMap::new();
 
     for t in model.tuples() {
-        for spec in t.expand() {
+        for spec in t.expand_in(model) {
             let (name, tag, site) = match &spec.dst {
                 Endpoint::Bus(b) => (b.clone(), "", ConflictSite::Bus),
                 Endpoint::ModIn1(m) => (m.clone(), "in1", ConflictSite::ModulePort),
                 Endpoint::ModIn2(m) => (m.clone(), "in2", ConflictSite::ModulePort),
                 Endpoint::ModOp(m) => (m.clone(), "op", ConflictSite::ModuleOpPort),
                 Endpoint::RegIn(r) => (r.clone(), "", ConflictSite::RegisterPort),
+                // Every memory write drives the write-address port beside
+                // the write-value port, so keying one predicts both.
+                Endpoint::MemWin(m) => (m.clone(), "mem", ConflictSite::MemoryPort),
                 _ => continue,
             };
             let e = drives
@@ -269,5 +273,69 @@ mod tests {
             .any(|c| c.site == ConflictSite::RegisterPort && c.name == "C"));
         let cc = cross_check(&m).unwrap();
         assert!(cc.all_confirmed());
+    }
+
+    /// Two transfers writing memory `M` at `wb(1)` over separate buses,
+    /// into words `w0` and `w1`.
+    fn memory_clash(w0: &str, w1: &str) -> RtModel {
+        let mut m = RtModel::new("memclash", 3);
+        m.add_register_init("A", Value::Num(1)).unwrap();
+        m.add_register_init("B", Value::Num(2)).unwrap();
+        m.add_memory("M", 4, Value::Num(0)).unwrap();
+        for bus in ["X", "Y", "V", "W"] {
+            m.add_bus(bus).unwrap();
+        }
+        for cp in ["CP1", "CP2"] {
+            m.add_module(ModuleDecl::single(
+                cp,
+                Op::PassA,
+                ModuleTiming::Combinational,
+            ))
+            .unwrap();
+        }
+        m.add_transfer(
+            TransferTuple::new(1, "CP1")
+                .src_a("A", "X")
+                .write(1, "V", w0),
+        )
+        .unwrap();
+        m.add_transfer(
+            TransferTuple::new(1, "CP2")
+                .src_a("B", "Y")
+                .write(1, "W", w1),
+        )
+        .unwrap();
+        m
+    }
+
+    /// Both writes drive `M`'s write-value and write-address ports at
+    /// `wb(1)`: one memory-port prediction, confirmed by both ports'
+    /// `ILLEGAL` at `cr(1)`; the poisoned words are propagation.
+    fn assert_memory_port_confirmed(model: &RtModel) {
+        let port = PredictedConflict {
+            site: ConflictSite::MemoryPort,
+            name: "M".into(),
+            step: 1,
+            drive_phase: Phase::Wb,
+        };
+        let cc = cross_check(model).unwrap();
+        assert_eq!(cc.predicted, vec![port.clone()]);
+        assert!(cc.all_confirmed(), "unconfirmed: {:?}", cc.unconfirmed);
+        assert_eq!(cc.confirmed, vec![port]);
+        assert_eq!(cc.dynamic_only.len(), 4, "{:?}", cc.dynamic_only);
+        assert!(cc
+            .dynamic_only
+            .iter()
+            .all(|c| c.site == ConflictSite::MemoryWord));
+    }
+
+    #[test]
+    fn writes_to_two_words_of_one_memory_are_predicted() {
+        assert_memory_port_confirmed(&memory_clash("M[0]", "M[1]"));
+    }
+
+    #[test]
+    fn two_writes_to_one_memory_word_are_predicted() {
+        assert_memory_port_confirmed(&memory_clash("M[0]", "M[0]"));
     }
 }

@@ -63,6 +63,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use clockless_core::json::escape;
 use clockless_core::{
     Backend, CheckProgram, CheckReport, ExecOptions, ExecPlan, InvariantViolation, ModuleDecl,
     ModuleTiming, MonitorViolation, Op, OptLevel, Phase, PlanDelta, RtModel, Step, TransferTuple,
@@ -798,7 +799,7 @@ impl CampaignReport {
              \"checkers\": \"{}\", \"faults\": {}, \"applicable\": {}, \"detected\": {}, \
              \"baseline\": {}, \"silent\": {}, \"masked\": {}, \"coverage\": {:.4}, \
              \"baseline_coverage\": {:.4}}},",
-            json_escape(&self.model),
+            escape(&self.model),
             self.seed,
             self.delta_budget,
             self.checkers,
@@ -830,9 +831,9 @@ impl CampaignReport {
                  \"detail\": \"{}\"}}{}",
                 i,
                 row.fault.class(),
-                json_escape(&row.fault.to_string()),
+                escape(&row.fault.to_string()),
                 row.outcome.as_str(),
-                json_escape(&row.outcome.to_string()),
+                escape(&row.outcome.to_string()),
                 comma
             );
         }
@@ -1036,7 +1037,7 @@ pub fn run_campaign_with_faults(
     }
     let golden = config
         .backend
-        .execute(model, &ExecOptions::traced().at_opt(config.opt))
+        .execute(model, &ExecOptions::default().at_opt(config.opt))
         .map_err(|e| FaultsError::Golden { msg: e.to_string() })?
         .summary;
     let golden_registers: HashMap<&str, Value> = golden
@@ -1297,25 +1298,6 @@ fn fault_to_delta(plan: &ExecPlan, fault: &FaultKind) -> Result<PlanDelta, Strin
         FaultKind::FlipGuard { index } => plan.delta_flip_guard(*index),
         FaultKind::ForceGuard { index } => plan.delta_force_guard(*index),
     }
-}
-
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //!
 //! 1. **Backend equivalence** — a three-way differential: the
 //!    interpreted delta kernel against the compiled phase-schedule
-//!    walker at **every optimization level** (`-O0` raw walk, `-O1`
-//!    fused/specialized, `-O2` folded with dead spurs eliminated), all
+//!    walker at **every optimization level** (`-O0` with every pass off,
+//!    `-O1` specialized, `-O2` folded with dead spurs eliminated), all
 //!    byte-identical on every observable
 //!    ([`crate::equiv::backend_equiv`]).
 //! 2. **Text round trip** — the canonical `.rtl` rendering must re-parse
@@ -34,8 +34,8 @@ use clockless_clocked::{
 use clockless_core::text::{parse_model, to_text};
 use clockless_core::vhdl::emit_vhdl;
 use clockless_core::{
-    CmpOp, Guard, GuardClause, GuardOperand, ModuleDecl, ModuleTiming, Op, RtModel, Step,
-    TransferTuple, Value,
+    CmpOp, ConflictSite, Guard, GuardClause, GuardOperand, ModuleDecl, ModuleTiming, Op, RtModel,
+    Step, TransferTuple, Value,
 };
 use clockless_hls::{synthesize, ResourceSet};
 
@@ -433,9 +433,12 @@ fn check_model(model: &RtModel, seed: u64, allow_emit_skip: bool, report: &mut F
     //    reconstruction the importer runs is only defined for models
     //    whose routing is unambiguous — two drives of one bus or module
     //    port in the same phase have no unique tuple decomposition — so
-    //    statically conflicted soups skip this oracle (they still run
-    //    through the backend and text oracles above).
-    let statically_clean = crate::conflicts::static_conflicts(model).is_empty();
+    //    soups with a predicted bus, module or register port conflict
+    //    skip this oracle (they still run through the backend and text
+    //    oracles above). Colliding memory writes do not skip it.
+    let statically_clean = crate::conflicts::static_conflicts(model)
+        .iter()
+        .all(|c| c.site == ConflictSite::MemoryPort);
     match emit_vhdl(model) {
         _ if !statically_clean => {}
         Err(_) if allow_emit_skip => {}

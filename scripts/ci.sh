@@ -65,6 +65,20 @@ bad_out="$(./target/release/clockless run models/fig1.rtl --check "$mine_dir/bad
 grep -q "invariant \`R1 in \[3, 5\]\` violated" <<<"$bad_out"
 rm -rf "$mine_dir"
 
+echo "== conflict check sweep (static predictions agree with the dynamic ILLEGALs)"
+for model in models/*.rtl; do
+  check_status=0
+  check_out="$(./target/release/clockless check "$model" 2>&1)" || check_status=$?
+  if [ "$(basename "$model")" = conflict.rtl ]; then
+    # The corpus's deliberate clash: every prediction confirmed, exit 1.
+    [ "$check_status" -eq 1 ]
+    grep -q "all predictions confirmed dynamically" <<<"$check_out"
+  else
+    [ "$check_status" -eq 0 ]
+    grep -q "static and dynamic agree" <<<"$check_out"
+  fi
+done
+
 echo "== fleet quarantine smoke (hostile batch completes, failures quarantined)"
 fleet_status=0
 fleet_out="$(./target/release/clockless fleet models/chaos.fleet --jobs 4 2>&1)" || fleet_status=$?

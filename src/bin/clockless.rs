@@ -25,7 +25,7 @@
 //! and the command exits 1, while the other jobs' results stay intact;
 //! `--fail-fast` restores the abort-on-first-failure behaviour.
 //! `faults` runs a seeded fault-injection campaign (classes: stuck,
-//! drivers, drops, skews, inits) and reports detection coverage;
+//! drivers, drops, skews, inits, guards) and reports detection coverage;
 //! `--engine` picks the mutant machinery — the plan-sharing batched
 //! executor (default, one lowered plan, all mutants in lockstep) or the
 //! legacy one-fleet-job-per-mutant path. Reports are byte-identical
@@ -53,8 +53,8 @@
 //! every report is the same either way; the compiled engine is simply
 //! faster. On `fleet` the flag overrides any per-job `backend` spec
 //! options. `--opt` sets the compiled engine's optimization level
-//! (default `2`): `0` walks the lowered plan directly, `1` adds slot
-//! fusion and resolution specialization, `2` adds control-trajectory
+//! (default `2`): `0` walks the plain micro-op stream with every pass
+//! off, `1` adds resolution specialization, `2` adds control-trajectory
 //! folding and dead-spur elimination. Every level is byte-identical
 //! too — the flag only changes how fast the same report is produced.
 //! The interpreter ignores it.
