@@ -236,8 +236,10 @@ impl ExecOutcome {
 /// engines' trace/VCD machinery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOutcome {
-    /// Final register values, in declaration order.
-    pub registers: Vec<(String, Value)>,
+    /// Final register and memory-word values, in declaration order —
+    /// the order of a solo run's `RunSummary::registers`, which carries
+    /// the names.
+    pub registers: Vec<Value>,
     /// The run's first `ILLEGAL` transition, localized like the traced
     /// engines' conflict report (`ConflictReport::first`).
     pub first_conflict: Option<Conflict>,

@@ -13,10 +13,13 @@
 //!   pairwise relation constraints mined from clean runs and re-asserted
 //!   every delta cycle.
 //!
-//! The evaluation state machine ([`CheckEval`]) is the single source of
-//! verdict truth: the interpreted kernel feeds it from the commit
-//! observation hook, the compiled plan feeds it from its SoA value
-//! columns, and both therefore agree byte-for-byte by construction.
+//! The evaluation state machine ([`CheckEval`]) defines the verdicts:
+//! the interpreted kernel feeds it from the commit observation hook. The
+//! compiled walk evaluates the same rules a lane word at a time
+//! (`LaneChecks`: one compare per changed signal for all of a fault
+//! chunk's lanes), and the two are held byte-identical by tests that pin
+//! it against [`CheckEval`] and a full scan, and by the campaign
+//! engines' differential checks.
 //!
 //! # Examples
 //!
@@ -50,6 +53,7 @@ use crate::phase::PhaseTime;
 use crate::plan::ExecPlan;
 use crate::run::RtSimulation;
 use crate::value::Value;
+use crate::word::{bits, Word};
 
 /// What kind of resource a monitored signal is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,29 +233,34 @@ impl Invariant {
     /// Evaluates the invariant against one value row; on violation
     /// returns the attributed signal index and its offending value.
     fn violated(&self, row: &[Value]) -> Option<(usize, Value)> {
+        self.violated_at(|i| row[i])
+    }
+
+    /// [`violated`](Self::violated) over the row that `row(i)` reads.
+    fn violated_at(&self, row: impl Fn(usize) -> Value) -> Option<(usize, Value)> {
         match self {
-            Invariant::Range { sig, min, max } => match row[*sig] {
+            Invariant::Range { sig, min, max } => match row(*sig) {
                 Value::Num(v) if *min <= v && v <= *max => None,
                 other => Some((*sig, other)),
             },
-            Invariant::Reachable { sig, values } => match row[*sig] {
+            Invariant::Reachable { sig, values } => match row(*sig) {
                 Value::Num(v) if values.binary_search(&v).is_ok() => None,
                 other => Some((*sig, other)),
             },
             Invariant::Eq { a, b } => {
-                if row[*a] == row[*b] {
+                if row(*a) == row(*b) {
                     None
                 } else {
-                    Some((*a, row[*a]))
+                    Some((*a, row(*a)))
                 }
             }
-            Invariant::Le { a, b } => match (row[*a], row[*b]) {
+            Invariant::Le { a, b } => match (row(*a), row(*b)) {
                 (Value::Num(x), Value::Num(y)) if x <= y => None,
-                _ => Some((*a, row[*a])),
+                _ => Some((*a, row(*a))),
             },
-            Invariant::Offset { a, b, delta } => match (row[*a], row[*b]) {
+            Invariant::Offset { a, b, delta } => match (row(*a), row(*b)) {
                 (Value::Num(x), Value::Num(y)) if x.wrapping_sub(y) == *delta => None,
-                _ => Some((*a, row[*a])),
+                _ => Some((*a, row(*a))),
             },
         }
     }
@@ -444,8 +453,8 @@ impl CheckIndex {
 /// and the invariants over a changed operand ([`CheckIndex`]). Runs
 /// shorter than the golden table are extended with their frozen final
 /// values (a quiesced run holds them forever); runs longer than the table
-/// are compared against the table's final row. Both engines drive this
-/// same machine, so verdicts agree byte-for-byte.
+/// are compared against the table's final row. The compiled walk's
+/// lane checkers reach the same verdicts a word at a time.
 #[derive(Debug)]
 pub struct CheckEval<'p> {
     program: &'p CheckProgram,
@@ -573,6 +582,215 @@ impl<'p> CheckEval<'p> {
             monitor: self.monitor.clone(),
             invariant: self.invariant.clone(),
         }
+    }
+}
+
+/// The value checkers of every lane of one compiled walk: lane by lane
+/// the verdicts of a [`CheckEval`] fed the same observations, evaluated
+/// a [`Word`] at a time. The walk notes each delta's changed program
+/// signals as lane masks; the golden monitor then compares one word per
+/// changed signal against the golden row, and an invariant is evaluated
+/// only in the lanes where one of its operands changed. Every lane's
+/// current values are the walk's own, so nothing is copied per lane.
+#[derive(Debug)]
+pub(crate) struct LaneChecks<'p> {
+    program: &'p CheckProgram,
+    index: &'p CheckIndex,
+    /// Per program signal, the lanes it changed in since the last
+    /// observation.
+    changed: Vec<u64>,
+    /// The program signals with a nonzero `changed` mask.
+    touched: Vec<usize>,
+    /// The candidate invariants of one observation.
+    candidates: Vec<usize>,
+    monitor: Vec<Option<MonitorViolation>>,
+    invariant: Vec<Option<InvariantViolation>>,
+    /// The lanes whose monitor, resp. invariant, family has latched.
+    monitor_hit: u64,
+    invariant_hit: u64,
+}
+
+impl<'p> LaneChecks<'p> {
+    /// Fresh checkers for `lanes` lanes of `program`.
+    pub(crate) fn new(program: &'p CheckProgram, index: &'p CheckIndex, lanes: usize) -> Self {
+        LaneChecks {
+            program,
+            index,
+            changed: vec![0; program.width()],
+            touched: Vec::new(),
+            candidates: Vec::new(),
+            monitor: vec![None; lanes],
+            invariant: vec![None; lanes],
+            monitor_hit: 0,
+            invariant_hit: 0,
+        }
+    }
+
+    /// Notes that program signal `i` changed in the lanes of `lanes`.
+    #[inline]
+    pub(crate) fn changed(&mut self, i: usize, lanes: u64) {
+        if lanes != 0 {
+            if self.changed[i] == 0 {
+                self.touched.push(i);
+            }
+            self.changed[i] |= lanes;
+        }
+    }
+
+    /// The lanes in which every armed detector family has latched: a
+    /// latched family is never re-checked, so they need no more
+    /// observations.
+    pub(crate) fn settled(&self) -> u64 {
+        let monitor = if self.program.monitor.is_some() {
+            self.monitor_hit
+        } else {
+            !0
+        };
+        let invariant = match self.program.invariants.is_empty() {
+            true => !0,
+            false => self.invariant_hit,
+        };
+        monitor & invariant
+    }
+
+    /// Observes the end-of-delta values of delta `delta` (consecutive
+    /// from 0) in the lanes of `lanes`; `word(i)` holds program signal
+    /// `i`. The first observation reads every signal, later ones the
+    /// signals noted as changed.
+    pub(crate) fn observe<'v, W: Word + 'v>(
+        &mut self,
+        delta: u64,
+        lanes: u64,
+        word: impl Fn(usize) -> &'v W,
+    ) {
+        if delta == 0 {
+            for i in 0..self.program.width() {
+                self.changed(i, lanes);
+            }
+        }
+        self.touched.sort_unstable();
+        self.check_monitor(delta, lanes, &word);
+        self.check_invariants(delta, lanes, &word);
+        for &i in &self.touched {
+            self.changed[i] = 0;
+        }
+        self.touched.clear();
+    }
+
+    /// Latches, in each open lane of `lanes`, the lowest-indexed signal
+    /// diverging from the golden row at `delta` among those it changed
+    /// and those the golden table changed ([`CheckEval`]'s monitor rule).
+    fn check_monitor<'v, W: Word + 'v>(
+        &mut self,
+        delta: u64,
+        lanes: u64,
+        word: &impl Fn(usize) -> &'v W,
+    ) {
+        let Some(table) = &self.program.monitor else {
+            return;
+        };
+        let mut open = lanes & !self.monitor_hit;
+        let row = table.row(self.program.width(), delta);
+        let golden = self.index.golden_changes(delta);
+        // Both lists ascend: merge them, a golden change in every lane.
+        let (mut t, mut g) = (0, 0);
+        while open != 0 && (t < self.touched.len() || g < golden.len()) {
+            let (i, lanes) = match (self.touched.get(t), golden.get(g)) {
+                (Some(&a), Some(&b)) if a == b => {
+                    (t, g) = (t + 1, g + 1);
+                    (a, !0)
+                }
+                (Some(&a), Some(&b)) if a < b => {
+                    t += 1;
+                    (a, self.changed[a])
+                }
+                (Some(&a), None) => {
+                    t += 1;
+                    (a, self.changed[a])
+                }
+                (_, Some(&b)) => {
+                    g += 1;
+                    (b, !0)
+                }
+                (None, None) => unreachable!("loop condition"),
+            };
+            let w = word(i);
+            let diverged = open & lanes & w.diff(&W::splat(row[i]));
+            for c in bits(diverged) {
+                self.monitor[c] = Some(MonitorViolation {
+                    signal: self.program.signals[i].name.clone(),
+                    kind: self.program.signals[i].kind,
+                    delta,
+                    expected: row[i],
+                    got: w.get(c),
+                });
+            }
+            open &= !diverged;
+            self.monitor_hit |= diverged;
+        }
+    }
+
+    /// Latches, in each open lane of `lanes`, the lowest-indexed
+    /// invariant violated over a signal the lane changed.
+    fn check_invariants<'v, W: Word + 'v>(
+        &mut self,
+        delta: u64,
+        lanes: u64,
+        word: &impl Fn(usize) -> &'v W,
+    ) {
+        let mut open = lanes & !self.invariant_hit;
+        if open == 0 || self.program.invariants.is_empty() {
+            return;
+        }
+        self.candidates.clear();
+        for &i in &self.touched {
+            self.candidates.extend_from_slice(&self.index.invariants[i]);
+        }
+        self.candidates.sort_unstable();
+        self.candidates.dedup();
+        for &k in &self.candidates {
+            let inv = &self.program.invariants[k];
+            let (a, b) = inv.operands();
+            for c in bits(open & (self.changed[a] | self.changed[b])) {
+                if let Some((sig, got)) = inv.violated_at(|j| word(j).get(c)) {
+                    self.invariant[c] = Some(InvariantViolation {
+                        rule: inv.render(&self.program.signals),
+                        signal: self.program.signals[sig].name.clone(),
+                        delta,
+                        got,
+                    });
+                    open &= !(1 << c);
+                    self.invariant_hit |= 1 << c;
+                }
+            }
+            if open == 0 {
+                break;
+            }
+        }
+    }
+
+    /// The verdict of every lane, lane `c` having observed `observed[c]`
+    /// deltas: as [`CheckEval::finish`], a lane shorter than the golden
+    /// table is compared, with its frozen final values, against the
+    /// rows it did not reach.
+    pub(crate) fn finish<'v, W: Word + 'v>(
+        mut self,
+        observed: &[u64],
+        word: impl Fn(usize) -> &'v W,
+    ) -> Vec<CheckReport> {
+        if let Some(deltas) = self.program.monitor.as_ref().map(|t| t.deltas) {
+            let from = observed.iter().copied().filter(|&o| o > 0).min();
+            for d in from.unwrap_or(deltas)..deltas {
+                let frozen = (observed.iter().enumerate())
+                    .filter(|&(_, &o)| o > 0 && o <= d)
+                    .fold(0, |m, (c, _)| m | 1 << c);
+                self.check_monitor(d, frozen, &word);
+            }
+        }
+        let reports = self.monitor.into_iter().zip(self.invariant);
+        reports
+            .map(|(monitor, invariant)| CheckReport { monitor, invariant })
+            .collect()
     }
 }
 
@@ -1095,6 +1313,9 @@ mod tests {
 
             let index = CheckIndex::new(&program);
             let mut eval = CheckEval::new(&program, &index);
+            // The compiled walk's checkers, fed the same changes as one
+            // lane and, as the walk does, only until they settle.
+            let mut lane = LaneChecks::new(&program, &index, 1);
             for (d, row) in rows.iter().enumerate() {
                 let mut changed: Vec<usize> = (0..width)
                     .filter(|&i| d == 0 || rows[d - 1][i] != row[i])
@@ -1107,12 +1328,25 @@ mod tests {
                     changed.swap(i, next(i as u64 + 1) as usize);
                 }
                 eval.observe(d as u64, &changed, |i| row[i]);
+                if lane.settled() & 1 == 0 {
+                    for &i in &changed {
+                        lane.changed(i, 1);
+                    }
+                    lane.observe(d as u64, 1, |i| &row[i]);
+                }
             }
             let report = eval.finish();
             assert_eq!(
                 report,
                 full_scan(&program, &rows),
                 "trial {trial}: {program:?} {rows:?}"
+            );
+            let last = rows.last().expect("a run observes at least one delta");
+            let lane = lane.finish(&[rows.len() as u64], |i| &last[i]);
+            assert_eq!(
+                lane,
+                std::slice::from_ref(&report),
+                "trial {trial}: lane checkers"
             );
             fired += usize::from(!report.is_clean());
         }

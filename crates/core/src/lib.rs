@@ -103,6 +103,7 @@ pub mod tuples;
 pub mod value;
 pub mod vhdl;
 pub mod vhdl_parse;
+mod word;
 
 pub use backend::{
     Backend, BatchOutcome, ExecOptions, ExecOutcome, OptConfig, OptLevel, ParseBackendError,

@@ -10,9 +10,11 @@
 //! engine's only executor: a solo run ([`ExecPlan::execute`],
 //! [`OptPlan::execute`]) walks the golden specs' stream as one lane, and a
 //! fault chunk ([`ExecPlan::execute_batch`]) walks up to 64 plan-delta
-//! lanes of one masked stream, each op running in the lanes of its mask.
-//! The loop is generic over the two; its solo instantiation keeps no
-//! masks and indexes one value column.
+//! lanes of one masked stream. The loop is generic over its lane word
+//! (`crate::word`): a solo run's is a plain [`Value`] and keeps no
+//! masks; a chunk's is a packed column — 64 payloads plus `DISC` and
+//! `ILLEGAL` bit-planes per signal — on which each op runs whole, in the
+//! lanes of its mask.
 //!
 //! Three passes, gated by [`OptConfig`] (the per-level toggle sets of
 //! [`OptLevel`](crate::OptLevel)), decide each op as it is emitted. A
@@ -57,13 +59,14 @@ use std::time::Instant;
 use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace};
 
 use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome, OptConfig};
-use crate::check::{CheckEval, CheckReport};
+use crate::check::{CheckReport, LaneChecks};
 use crate::phase::Phase;
 use crate::plan::{
-    combine, DriverLayout, ExecPlan, Extension, GuardSig, Lanes, LoweredSpec, PlanChecks, Sink,
+    DriverLayout, ExecPlan, Extension, GuardSig, Lanes, LoweredSpec, PlanChecks, Sink,
 };
 use crate::resource::ModuleTiming;
 use crate::value::Value;
+use crate::word::{bits, Operand, Word};
 
 /// Sentinel slot marking a direct-store destination (no driver state, no
 /// resolution).
@@ -496,7 +499,7 @@ impl Stream {
         }
         let mut values: Vec<Value> = plan.signals.iter().map(|s| s.init).collect();
         let mut trace = options.trace.then(|| plan.initial_trace());
-        let (counts, mut evals) = self.walk::<true>(
+        let (counts, checker) = self.walk(
             plan,
             &mut values,
             &needed,
@@ -517,8 +520,11 @@ impl Stream {
             peak_pending_updates: counts[0].peak_pending,
             ..SimStats::default()
         };
-        let report = evals.first_mut().map(CheckEval::finish);
-        Ok((plan.outcome(&values, stats, trace), report))
+        let report = checker.zip(checks).map(|(checker, ck)| {
+            let mut reports = checker.finish(&needed, |i| &values[ck.sigs[i]]);
+            reports.swap_remove(0)
+        });
+        Ok((plan.outcome(|sig| values[sig], stats, trace), report))
     }
 
     /// Walks a lane chunk's stream, appending one outcome per lane.
@@ -536,57 +542,82 @@ impl Stream {
     ) -> Result<(), KernelError> {
         let mut values = lanes.initial_values(plan, &self.ext);
         let needed = lanes.needed();
-        let (counts, mut evals) =
-            self.walk::<false>(plan, &mut values, &needed, None, checks, options.deadline)?;
+        let (counts, checker) =
+            self.walk(plan, &mut values, &needed, None, checks, options.deadline)?;
+        let mut reports = checker.zip(checks).map(|(checker, ck)| {
+            let reports = checker.finish(&needed, |i| &values[ck.sigs[i]]);
+            reports.into_iter()
+        });
         for (c, counts) in counts.iter().enumerate() {
-            let check = evals
-                .get_mut(c)
-                .filter(|_| needed[c] > 0)
-                .map(CheckEval::finish);
-            out.push(lanes.outcome(plan, c, &values, counts, check));
+            let check = reports.as_mut().and_then(Iterator::next);
+            let check = check.filter(|_| needed[c] > 0);
+            out.push(lanes.outcome(plan, c, |sig| values[sig].get(c), counts, check));
         }
         Ok(())
     }
 
-    /// Whether guard `g` holds over `read`.
+    /// The lanes of `mask` in which guard `g` holds over `values`.
     #[inline]
-    fn holds(&self, plan: &ExecPlan, g: u32, read: impl FnMut(usize) -> Value) -> bool {
+    fn holds<W: Word>(&self, plan: &ExecPlan, g: u32, values: &[W], mask: u64) -> u64 {
         if g == NO_GUARD {
-            return true;
+            return mask;
         }
         let (guard, negate) = self.ext.guard(plan, g);
-        guard.eval(read) != negate
+        let side = |s: GuardSig| match s {
+            GuardSig::Sig(i) => Operand::Word(&values[i]),
+            GuardSig::Const(v) => Operand::Const(v),
+        };
+        let mut conj = mask;
+        for &(lhs, cmp, rhs) in &guard.clauses {
+            conj &= W::compare(cmp, side(lhs), side(rhs));
+            if conj == 0 {
+                break;
+            }
+        }
+        match guard.negated != negate {
+            true => mask & !conj,
+            false => conj,
+        }
     }
 
-    /// The walk over `values` (`values[sig * n + lane]`), lane `c`
-    /// running `needed[c]` deltas (none: it never runs). Each delta
-    /// applies the pending driver updates, feeds the checkers and runs
-    /// its ops. A solo walk (`SOLO`) has one lane and reads no masks; a
-    /// lane walk runs each op in the lanes of its mask. Returns each
-    /// lane's counters and, when checked, its evaluator.
-    fn walk<'c, const SOLO: bool>(
+    /// The walk over `values`, one [`Word`] per signal, lane `c` running
+    /// `needed[c]` deltas (none: it never runs). Each delta applies the
+    /// pending driver updates, feeds the checkers and runs its ops, each
+    /// op on whole words in the lanes of its mask. A solo walk is one
+    /// scalar lane whose ops all run in it; a chunk walks packed
+    /// columns. Returns each lane's counters and, when checked, the
+    /// lanes' checkers.
+    fn walk<'c, W: Word>(
         &self,
         plan: &ExecPlan,
-        values: &mut [Value],
+        values: &mut [W],
         needed: &[u64],
         mut trace: Option<&mut Trace<Value>>,
         checks: Option<&'c PlanChecks>,
         deadline: Option<Instant>,
-    ) -> Result<(Vec<LaneCounts>, Vec<CheckEval<'c>>), KernelError> {
-        let n = if SOLO { 1 } else { needed.len() };
+    ) -> Result<(Vec<LaneCounts>, Option<LaneChecks<'c>>), KernelError> {
+        let n = needed.len();
         let full = (0..n).filter(|&c| needed[c] > 0).fold(0, |m, c| m | 1 << c);
+        let (mut events, mut pending) = (MaskCount::new(n), MaskCount::new(n));
         let mut counts = vec![LaneCounts::default(); n];
-        let mut before = vec![0; n];
-        let mut evals: Vec<CheckEval<'c>> = (checks.iter())
-            .flat_map(|ck| (0..n).map(|_| CheckEval::new(&ck.program, &ck.index)))
-            .collect();
-        let mut changed: Vec<Vec<usize>> = vec![Vec::new(); evals.len()];
-        let mut drivers = self.layout.state(n);
+        let mut illegal_seen = 0u64;
+        let mut checker = checks.map(|ck| LaneChecks::new(&ck.program, &ck.index, n));
+        // The lanes whose checkers still observe: running, and not yet
+        // settled (every armed family latched).
+        let mut feeding = if checks.is_some() { full } else { 0 };
+        let mut drivers = self.layout.state::<W>();
         let modules = self.pipe_at.len() - 1;
-        let mut ring = vec![Value::Disc; self.pipe_at[modules] as usize * n];
-        let mut head = vec![0u32; modules * n];
-        let mut busy = vec![0u32; modules * n];
-        let (mut cur, mut nxt) = (Pending::default(), Pending::default());
+        let mut ring = vec![W::splat(Value::Disc); self.pipe_at[modules] as usize];
+        // Every evaluation of a module runs in the same lanes (all of
+        // them, or the shadow module's), so its ring head is one counter.
+        let mut head = vec![0u32; modules];
+        let mut busy = vec![0u32; modules * W::LANES];
+        let mut stores: Vec<(usize, u64)> = Vec::new();
+        // A delta pushes about one row per op: reserve for the widest, so
+        // no delta regrows (and copies) a chunk's column-wide rows.
+        let widest = self.bounds.windows(2).map(|b| b[1] - b[0]).max();
+        let widest = widest.unwrap_or(0) as usize;
+        let (mut cur, mut nxt) = (Pending::<W>::new(widest), Pending::<W>::new(widest));
         // Control pushes are only skippable when nothing records them;
         // `carry` counts those skipped in the previous delta.
         let elide_ctl = self.config.fold && trace.is_none();
@@ -596,174 +627,191 @@ impl Stream {
             let credit = carry + u64::from(self.phantom[d as usize]);
 
             // Update phase: apply the pushed transactions in push order,
-            // one at a time (two drives of one signal in one delta each
-            // produce their own event, exactly like the kernel). A solo
-            // walk counts its one lane's updates per delta.
-            for c in lanes::<SOLO>(if SOLO { 0 } else { full }) {
-                before[c] = counts[c].driver_updates;
-                counts[c].driver_updates += credit;
-                counts[c].events += carry;
-            }
-            let mut events = carry;
-            for (r, row) in cur.rows.iter().enumerate() {
-                let sig = row.dst.sig as usize;
-                for c in lanes::<SOLO>(if SOLO { 1 } else { cur.masks[r] }) {
-                    let pushed = if SOLO { row.val } else { cur.vals[r * n + c] };
-                    let effective = match row.dst.slot {
-                        NO_SLOT => pushed,
-                        slot => drivers.drive(sig, slot as usize, c, pushed),
-                    };
-                    let at = sig * n + c;
-                    if !SOLO {
-                        counts[c].driver_updates += 1;
+            // one row at a time (two drives of one signal in one delta
+            // each produce their own event, exactly like the kernel). A
+            // row moves its word in the lanes of its mask; its events are
+            // the lanes it changed. Rows and changes in every running lane
+            // are counted once per delta, the others lane by lane.
+            let (mut split_rows, mut moves) = (0, carry);
+            for (dst, mask, pushed) in cur.rows() {
+                if W::LANES > 1 && mask != full {
+                    pending.add_split(mask, full);
+                    split_rows += 1;
+                }
+                let sig = dst.sig as usize;
+                let effective = match dst.slot {
+                    NO_SLOT => pushed,
+                    slot => drivers.drive(sig, slot as usize, mask, full, pushed),
+                };
+                let value = &mut values[sig];
+                let moved = mask & value.diff(effective);
+                if moved == 0 {
+                    continue;
+                }
+                if W::LANES == 1 || moved == full {
+                    *value = *effective;
+                    moves += 1;
+                } else {
+                    value.blend(effective, moved, full);
+                    events.add_split(moved, full);
+                }
+                // Control signals never carry `ILLEGAL`, so a lane's first
+                // one is always a conflict site.
+                let fresh = moved & effective.illegal() & !illegal_seen;
+                if W::LANES > 1 && fresh != 0 {
+                    illegal_seen |= fresh;
+                    for c in bits(fresh) {
+                        counts[c].first_illegal = Some((sig, d));
                     }
-                    if effective == values[at] {
-                        continue;
-                    }
-                    values[at] = effective;
-                    if SOLO {
-                        events += 1;
-                    } else {
-                        let k = &mut counts[c];
-                        k.events += 1;
-                        // Control signals never carry `ILLEGAL`, so the
-                        // first one is always a conflict site.
-                        if effective == Value::Illegal && k.first_illegal.is_none() {
-                            k.first_illegal = Some((sig, d));
-                        }
-                    }
-                    if let Some(t) = trace.as_deref_mut() {
-                        let time = SimTime { fs: 0, delta: d };
-                        t.push(time, SignalId::from_index(sig), effective);
-                    }
-                    if let Some(watched) = checks.and_then(|ck| ck.watch.get(sig)) {
-                        changed[c].extend_from_slice(watched);
+                }
+                if let Some(t) = trace.as_deref_mut() {
+                    let time = SimTime { fs: 0, delta: d };
+                    t.push(time, SignalId::from_index(sig), effective.get(0));
+                }
+                if let (Some(checker), Some(ck)) = (checker.as_mut(), checks) {
+                    for &i in ck.watch.get(sig).into_iter().flatten() {
+                        checker.changed(i, moved & feeding);
                     }
                 }
             }
-            if SOLO {
-                let pending = cur.rows.len() as u64 + credit;
-                let k = &mut counts[0];
-                k.driver_updates += pending;
-                k.events += events;
-                k.peak_pending = k.peak_pending.max(pending);
-            } else {
-                for (k, before) in counts.iter_mut().zip(&before) {
-                    k.peak_pending = k.peak_pending.max(k.driver_updates - before);
+            events.all += moves;
+            // Each lane applied `credit` updates plus its rows.
+            pending.all += credit + (cur.len - split_rows) as u64;
+            for (c, k) in counts.iter_mut().enumerate() {
+                if full >> c & 1 != 0 {
+                    let rows = pending.get(c);
+                    k.driver_updates += rows;
+                    k.peak_pending = k.peak_pending.max(rows);
                 }
             }
+            pending.clear();
             cur.clear();
             carry = 0;
 
-            // Check phase: each running lane's evaluator sees the
-            // monitored signals this delta changed — the observation the
-            // interpreter's commit log reconstructs.
-            for (c, eval) in evals.iter_mut().enumerate() {
-                if d < needed[c] {
-                    let sigs = &checks.expect("checked walk").sigs;
-                    eval.observe(d, &changed[c], |i| values[sigs[i] * n + c]);
-                }
-                changed[c].clear();
+            // Check phase: each running lane's checkers see the monitored
+            // signals this delta changed — the observation the
+            // interpreter's commit log reconstructs — until they settle.
+            if let (Some(checker), Some(ck)) = (checker.as_mut(), checks) {
+                let ending = (0..n).filter(|&c| d + 1 >= needed[c]);
+                let ending = ending.fold(0, |m, c| m | 1 << c);
+                let observing = bits(feeding).filter(|&c| d < needed[c]);
+                let observing = observing.fold(0, |m, c| m | 1 << c);
+                checker.observe(d, observing, |i| &values[ck.sigs[i]]);
+                feeding &= !(ending | checker.settled());
             }
 
             // Run phase: the delta's straight-line ops (none in the
             // trailing flush delta: updates only).
             let lo = self.bounds[d as usize] as usize;
             let hi = self.bounds[d as usize + 1] as usize;
-            let values: &[Value] = values;
+            let values: &[W] = values;
             for (i, &op) in (lo..).zip(&self.ops[lo..hi]) {
-                let mask = if SOLO { 1 } else { self.masks[i] };
+                let mask = if W::LANES == 1 { full } else { self.masks[i] };
                 match op {
                     MicroOp::Ctl { .. } if elide_ctl => carry += 1,
                     MicroOp::Ctl { sig, v } => {
-                        nxt.push::<SOLO>(n, Dst::direct(sig as usize), mask, |_| v);
+                        *nxt.push(Dst::direct(sig as usize), mask) = W::splat(v);
                     }
                     MicroOp::Push { dst, guard, src } => {
-                        nxt.push::<SOLO>(n, dst, mask, |c| {
-                            if !self.holds(plan, guard, |s| values[s * n + c]) {
-                                return Value::Disc;
-                            }
-                            match src {
-                                Src::Signal(s) => values[s as usize * n + c],
-                                Src::Const(v) => v,
-                                Src::MemRead { addr, mem } => {
-                                    let words = &plan.mems[mem as usize].words;
-                                    match values[addr as usize * n + c].num() {
+                        let on = self.holds(plan, guard, values, mask);
+                        let word = nxt.push(dst, mask);
+                        match src {
+                            Src::Const(v) => *word = W::splat(v),
+                            Src::Signal(s) => *word = values[s as usize],
+                            // Lanes address words of their own: read each.
+                            Src::MemRead { addr, mem } => {
+                                let words = &plan.mems[mem as usize].words;
+                                *word = W::splat(Value::Disc);
+                                for c in bits(on) {
+                                    let read = match values[addr as usize].get(c).num() {
                                         Some(a) if (0..words.len() as i64).contains(&a) => {
-                                            values[words[a as usize] * n + c]
+                                            values[words[a as usize]].get(c)
                                         }
                                         _ => Value::Illegal,
-                                    }
+                                    };
+                                    word.set(c, read);
                                 }
                             }
-                        });
+                        }
+                        if on != mask {
+                            word.release(mask & !on);
+                        }
                     }
                     MicroOp::Eval { module } => {
                         let mi = module as usize;
                         let m = self.ext.module(plan, mi);
                         let latency = m.timing.latency() as usize;
-                        let ring_at = |h: usize, c: usize| (self.pipe_at[mi] as usize + h) * n + c;
-                        nxt.push::<SOLO>(n, Dst::direct(m.out), mask, |c| {
-                            let mut result = combine(
-                                values[m.in1 * n + c],
-                                values[m.in2 * n + c],
-                                m.op.map(|p| values[p * n + c]),
-                                &m.ops,
-                            );
-                            let at = mi * n + c;
-                            if let ModuleTiming::Sequential { .. } = m.timing {
-                                if busy[at] > 0 {
-                                    busy[at] -= 1;
-                                    if result != Value::Disc {
+                        let out = nxt.push(Dst::direct(m.out), mask);
+                        let stages = self.pipe_at[mi] as usize..self.pipe_at[mi + 1] as usize;
+                        // The pipeline is a ring of `latency` stages: the
+                        // oldest result leaves as this one enters.
+                        let result = match latency {
+                            0 => &mut *out,
+                            _ => {
+                                let h = head[mi] as usize;
+                                head[mi] = if h + 1 == latency { 0 } else { h as u32 + 1 };
+                                let stage = &mut ring[stages.start + h];
+                                *out = *stage;
+                                stage
+                            }
+                        };
+                        let (a, b) = (&values[m.in1], &values[m.in2]);
+                        W::combine(a, b, m.op.map(|p| &values[p]), &m.ops, mask, result);
+                        if let ModuleTiming::Sequential { .. } = m.timing {
+                            // Busy state diverges per lane.
+                            let initiated = mask & !result.disc();
+                            for c in bits(mask) {
+                                let busy = &mut busy[mi * W::LANES + c];
+                                let initiated = initiated >> c & 1 != 0;
+                                if *busy > 0 {
+                                    *busy -= 1;
+                                    if initiated {
                                         // Initiation-interval violation:
-                                        // poison the whole pipeline.
-                                        result = Value::Illegal;
-                                        for h in 0..latency {
-                                            ring[ring_at(h, c)] = Value::Illegal;
+                                        // poison the whole pipeline, the
+                                        // leaving result included.
+                                        out.set(c, Value::Illegal);
+                                        for stage in &mut ring[stages.clone()] {
+                                            stage.set(c, Value::Illegal);
                                         }
                                     }
-                                } else if result != Value::Disc {
-                                    busy[at] = latency.saturating_sub(1) as u32;
+                                } else if initiated {
+                                    *busy = latency.saturating_sub(1) as u32;
                                 }
                             }
-                            if latency == 0 {
-                                return result;
-                            }
-                            // The pipeline is a ring of `latency` stages:
-                            // the oldest result leaves as this one enters.
-                            let h = head[at] as usize;
-                            head[at] = if h + 1 == latency { 0 } else { h as u32 + 1 };
-                            std::mem::replace(&mut ring[ring_at(h, c)], result)
-                        });
+                        }
                     }
                     MicroOp::Commit { reg } => {
                         let r = &plan.regs[reg as usize];
-                        let live = lanes::<SOLO>(mask)
-                            .filter(|&c| values[r.input * n + c] != Value::Disc)
-                            .fold(0, |m, c| m | 1 << c);
+                        let input = &values[r.input];
+                        let live = mask & !input.disc();
                         if live != 0 {
-                            let dst = Dst::direct(r.output);
-                            nxt.push::<SOLO>(n, dst, live, |c| values[r.input * n + c]);
+                            *nxt.push(Dst::direct(r.output), live) = *input;
                         }
                     }
                     MicroOp::CommitMem { mem } => {
                         // A lane stores at its word, or poisons every
                         // word in ascending order: its solo push order.
                         let pm = &plan.mems[mem as usize];
+                        let (win, waddr) = (&values[pm.win], &values[pm.waddr]);
                         let mut poison = 0u64;
-                        for c in lanes::<SOLO>(mask) {
-                            let v = values[pm.win * n + c];
-                            match values[pm.waddr * n + c].num() {
-                                _ if v == Value::Disc => {}
+                        stores.clear();
+                        for c in bits(mask & !win.disc()) {
+                            match waddr.get(c).num() {
                                 Some(a) if (0..pm.words.len() as i64).contains(&a) => {
-                                    let dst = Dst::direct(pm.words[a as usize]);
-                                    nxt.push::<SOLO>(n, dst, 1 << c, |_| v);
+                                    let a = a as usize;
+                                    match stores.iter_mut().find(|(w, _)| *w == a) {
+                                        Some((_, lanes)) => *lanes |= 1 << c,
+                                        None => stores.push((a, 1 << c)),
+                                    }
                                 }
                                 _ => poison |= 1 << c,
                             }
                         }
+                        for &(w, lanes) in &stores {
+                            *nxt.push(Dst::direct(pm.words[w]), lanes) = *win;
+                        }
                         for &w in pm.words.iter().filter(|_| poison != 0) {
-                            nxt.push::<SOLO>(n, Dst::direct(w), poison, |_| Value::Illegal);
+                            *nxt.push(Dst::direct(w), poison) = W::splat(Value::Illegal);
                         }
                     }
                 }
@@ -778,7 +826,10 @@ impl Stream {
                 return Err(KernelError::WallBudgetExceeded { at });
             }
         }
-        Ok((counts, evals))
+        for (c, k) in counts.iter_mut().enumerate() {
+            k.events = events.get(c);
+        }
+        Ok((counts, checker))
     }
 }
 
@@ -793,64 +844,98 @@ struct Emit {
     active: Vec<bool>,
 }
 
-/// The lanes set in `mask`, ascending; on a solo walk a set mask is
-/// lane 0 alone, known at compile time.
-#[inline(always)]
-fn lanes<const SOLO: bool>(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let c = match mask {
-            0 => return None,
-            _ if SOLO => 0,
-            _ => mask.trailing_zeros() as usize,
-        };
-        mask = if SOLO { 0 } else { mask & (mask - 1) };
-        Some(c)
-    })
+/// The driver updates one delta pushes for the next: per row its
+/// destination, its lanes and its word. Rows are kept across deltas, so
+/// a push writes its word in place.
+#[derive(Debug)]
+struct Pending<W> {
+    rows: Vec<(Dst, u64, W)>,
+    /// The rows pushed this delta: `rows[..len]`.
+    len: usize,
 }
 
-/// One pushed driver update: the destination and, on a solo walk, the
-/// value.
-#[derive(Debug, Clone, Copy)]
-struct Row {
-    dst: Dst,
-    val: Value,
-}
+impl<W: Word> Pending<W> {
+    fn new(capacity: usize) -> Self {
+        Pending {
+            rows: Vec::with_capacity(capacity),
+            len: 0,
+        }
+    }
 
-/// The driver updates one delta pushes for the next. A lane walk keeps
-/// each row's lanes and one value per lane beside the rows.
-#[derive(Debug, Default)]
-struct Pending {
-    rows: Vec<Row>,
-    masks: Vec<u64>,
-    vals: Vec<Value>,
-}
-
-impl Pending {
-    /// Pushes `value(lane)` on `dst` in every lane of `mask`.
+    /// Pushes a row on `dst` in the lanes of `mask`; the caller writes
+    /// its word.
     #[inline(always)]
-    fn push<const SOLO: bool>(
-        &mut self,
-        n: usize,
-        dst: Dst,
-        mask: u64,
-        mut value: impl FnMut(usize) -> Value,
-    ) {
-        let val = if SOLO { value(0) } else { Value::Disc };
-        self.rows.push(Row { dst, val });
-        if !SOLO {
-            self.masks.push(mask);
-            let row = self.vals.len();
-            self.vals.resize(row + n, Value::Disc);
-            for c in lanes::<false>(mask) {
-                self.vals[row + c] = value(c);
+    fn push(&mut self, dst: Dst, mask: u64) -> &mut W {
+        if self.len == self.rows.len() {
+            self.rows.push((dst, mask, W::splat(Value::Disc)));
+        }
+        let row = &mut self.rows[self.len];
+        self.len += 1;
+        (row.0, row.1) = (dst, mask);
+        &mut row.2
+    }
+
+    /// The rows pushed, in push order.
+    fn rows(&self) -> impl Iterator<Item = (Dst, u64, &W)> {
+        self.rows[..self.len].iter().map(|(d, m, w)| (*d, *m, w))
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+/// Per-lane counts kept from lane masks: lane `c` counts `all +
+/// lane[c]` (wrapping). The walk adds masks of every running lane to
+/// `all` itself; any other mask costs one increment per lane it holds,
+/// or one per running lane it lacks when it holds more than half.
+#[derive(Debug, Clone)]
+struct MaskCount {
+    all: u64,
+    lane: Vec<u64>,
+    /// Whether some lane's own count moved.
+    split: bool,
+}
+
+impl MaskCount {
+    fn new(lanes: usize) -> MaskCount {
+        MaskCount {
+            all: 0,
+            lane: vec![0; lanes],
+            split: false,
+        }
+    }
+
+    /// Counts one in every lane of `mask`, a strict subset of `full`.
+    /// Out of line: most masks hold every running lane.
+    #[inline(never)]
+    fn add_split(&mut self, mask: u64, full: u64) {
+        self.split = true;
+        let lacking = full & !mask;
+        if lacking.count_ones() < mask.count_ones() {
+            self.all += 1;
+            for c in bits(lacking) {
+                self.lane[c] = self.lane[c].wrapping_sub(1);
+            }
+        } else {
+            for c in bits(mask) {
+                self.lane[c] = self.lane[c].wrapping_add(1);
             }
         }
     }
 
+    /// Lane `c`'s count.
+    #[inline]
+    fn get(&self, c: usize) -> u64 {
+        self.all.wrapping_add(self.lane[c])
+    }
+
     fn clear(&mut self) {
-        self.rows.clear();
-        self.masks.clear();
-        self.vals.clear();
+        self.all = 0;
+        if self.split {
+            self.lane.fill(0);
+            self.split = false;
+        }
     }
 }
 

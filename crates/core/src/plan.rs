@@ -37,7 +37,7 @@
 //! spurious driver becomes two appended specs plus one shadow module —
 //! and places the result by the same kernel-order rules (one placement
 //! function, the stream compiler's), so the lanes go through the same
-//! passes and the same loop as a solo run.
+//! passes and the same loop as a solo run, over packed lane columns.
 //!
 //! Conflicts are found *dynamically*, as the paper describes: the
 //! `ILLEGAL` events of a traced walk. The static prediction over a
@@ -59,7 +59,8 @@ use crate::phase::{Phase, PhaseTime, Step};
 use crate::resource::ModuleTiming;
 use crate::run::{RunSummary, Waveform};
 use crate::tuples::{CmpOp, Endpoint, Guard, GuardOperand, MemAddr};
-use crate::value::{DriverTally, Value};
+use crate::value::Value;
+use crate::word::{Col, Word};
 
 /// A [`CheckProgram`] resolved against one plan's dense signal table —
 /// the precomputed handle [`ExecPlan::execute_batch_checked`] consumes,
@@ -570,16 +571,19 @@ impl ExecPlan {
         trace
     }
 
-    /// The run summary and waveform of a finished walk: final register
-    /// and memory-word values, and on traced runs the conflict report
-    /// (extracted now, since every report prints it) plus the recording.
+    /// The run summary and waveform of a finished walk whose final value
+    /// of signal `sig` is `read(sig)`: final register and memory-word
+    /// values, and on traced runs the conflict report (extracted now,
+    /// since every report prints it) plus the recording.
     pub(crate) fn outcome(
         &self,
-        values: &[Value],
+        read: impl Fn(usize) -> Value,
         stats: SimStats,
         trace: Option<Trace<Value>>,
     ) -> ExecOutcome {
-        let registers = self.registers(values, 1, 0);
+        let registers = (self.register_names().into_iter())
+            .zip(self.register_signals().map(read))
+            .collect();
         let waveform = trace.map(|t| Waveform::new(t, Arc::clone(&self.roles)));
         ExecOutcome {
             summary: RunSummary {
@@ -591,14 +595,22 @@ impl ExecPlan {
         }
     }
 
-    /// Final register and memory-word values of lane `c` of `values`
-    /// (`values[sig * n + lane]`), in declaration order.
-    pub(crate) fn registers(&self, values: &[Value], n: usize, c: usize) -> Vec<(String, Value)> {
-        let regs = self.regs.iter().map(|r| (r.name.clone(), r.output));
-        let words =
-            (self.mems.iter().flat_map(|m| &m.words)).map(|&w| (self.roles[w].signal_name(), w));
-        regs.chain(words)
-            .map(|(name, sig)| (name, values[sig * n + c]))
+    /// Dense signal index of every register output and memory word, in
+    /// declaration order (registers first) — the order of
+    /// [`register_names`](Self::register_names) and of
+    /// [`BatchOutcome::registers`].
+    pub(crate) fn register_signals(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.mems.iter().flat_map(|m| m.words.iter().copied());
+        self.regs.iter().map(|r| r.output).chain(words)
+    }
+
+    /// Names of the registers and memory words, in declaration order.
+    pub(crate) fn register_names(&self) -> Vec<String> {
+        let words = (self.mems.iter().flat_map(|m| &m.words)).map(|&w| self.roles[w].signal_name());
+        self.regs
+            .iter()
+            .map(|r| r.name.clone())
+            .chain(words)
             .collect()
     }
 
@@ -767,14 +779,17 @@ impl ExecPlan {
 
     /// Executes many [`PlanDelta`] mutants of this plan in lockstep.
     ///
-    /// Mutants run in chunks of up to 64 lanes over structure-of-arrays
-    /// state. Each chunk applies its deltas to the golden specs as lane
-    /// masks, places them into one micro-op stream at `options.opt` by the
-    /// placement rules of a solo run and walks it with the loop
-    /// [`execute`](Self::execute) uses. Each lane's observables — final registers, first conflict,
-    /// kernel counters — are identical to lowering and executing that
-    /// mutant's model on its own (`clockless-verify` pins this
-    /// differentially against the kernel's per-mutant runs).
+    /// Mutants run in chunks of up to 64 lanes over packed lane columns:
+    /// each signal holds 64 payloads plus `DISC` and `ILLEGAL`
+    /// bit-planes, one bit per mutant. Each chunk applies its deltas to
+    /// the golden specs as lane masks, places them into one micro-op
+    /// stream at `options.opt` by the placement rules of a solo run and
+    /// walks it with the loop [`execute`](Self::execute) uses, each op
+    /// on whole columns. Each lane's observables — final registers (in
+    /// declaration order, see [`BatchOutcome::registers`]), first
+    /// conflict, kernel counters — are identical to lowering and
+    /// executing that mutant's model on its own (`clockless-verify`
+    /// pins this differentially against the kernel's per-mutant runs).
     ///
     /// A lane whose schedule exceeds `options.delta_limit` is latched as
     /// [`BatchOutcome::overflowed`] up front (the schedule length is
@@ -832,11 +847,12 @@ impl ExecPlan {
     }
 
     /// [`execute_batch`](Self::execute_batch) with value checkers: after
-    /// every lane's update phase the monitored signals that changed are
-    /// fed to a per-lane [`CheckEval`](crate::CheckEval), so each
-    /// [`BatchOutcome`] additionally carries the first monitor/invariant
-    /// violation. Overflowed lanes never run and report no verdict
-    /// (`check: None`).
+    /// every update phase the monitored signals that changed are checked
+    /// a lane word at a time, each lane by the rules of a
+    /// [`CheckEval`](crate::CheckEval), until every armed detector family
+    /// of the lane has latched. Each [`BatchOutcome`] additionally
+    /// carries the first monitor/invariant violation. Overflowed lanes
+    /// never run and report no verdict (`check: None`).
     ///
     /// # Errors
     ///
@@ -1049,8 +1065,8 @@ impl ExecPlan {
 }
 
 /// Lanes per chunk of [`ExecPlan::execute_batch`] — one bit of the
-/// per-op lane masks each.
-const LANES: usize = 64;
+/// per-op lane masks and of every column's bit-planes each.
+pub(crate) const LANES: usize = 64;
 
 /// What a lane chunk appends to its golden plan's tables (empty for a
 /// solo run): the shadow spur module, the extra bus slots spurs drive,
@@ -1123,36 +1139,30 @@ impl Lanes<'_> {
         self.schedules.iter().map(|&(d, _)| d).collect()
     }
 
-    /// The lanes' initial values, `values[sig * n + lane]`: the golden
-    /// inits with each lane's overrides, the signals `ext` appends
-    /// `DISC`.
-    pub(crate) fn initial_values(&self, plan: &ExecPlan, ext: &Extension) -> Vec<Value> {
-        let n = self.deltas.len();
-        let mut values: Vec<Value> = plan
-            .signals
-            .iter()
-            .flat_map(|s| std::iter::repeat_n(s.init, n))
-            .collect();
-        values.resize(ext.signals(plan).count() * n, Value::Disc);
+    /// The lanes' initial columns: the golden inits with each lane's
+    /// overrides, the signals `ext` appends `DISC`.
+    pub(crate) fn initial_values(&self, plan: &ExecPlan, ext: &Extension) -> Vec<Col> {
+        let mut values: Vec<Col> = plan.signals.iter().map(|s| Col::splat(s.init)).collect();
+        values.resize(ext.signals(plan).count(), Col::splat(Value::Disc));
         for (c, d) in self.deltas.iter().enumerate() {
             for &(sig, v) in &d.init_edits {
-                values[sig * n + c] = v;
+                values[sig].set(c, v);
             }
         }
         values
     }
 
-    /// Lane `c`'s outcome from the walk's final `values` (`n` lanes wide)
-    /// and its counters.
+    /// Lane `c`'s outcome from its final values (`read(sig)`) and its
+    /// counters.
     pub(crate) fn outcome(
         &self,
         plan: &ExecPlan,
         c: usize,
-        values: &[Value],
+        read: impl Fn(usize) -> Value,
         counts: &LaneCounts,
         check: Option<CheckReport>,
     ) -> BatchOutcome {
-        let registers = plan.registers(values, self.deltas.len(), c);
+        let registers = plan.register_signals().map(read).collect();
         let first_conflict = counts.first_illegal.and_then(|(sig, delta)| {
             let (site, name) = match plan.roles.get(sig) {
                 Some(role) => role.conflict_site()?,
@@ -1254,13 +1264,13 @@ fn schedule_deltas(cs_max: Step, last_writes: u64) -> u64 {
 const DIRECT: u32 = u32::MAX;
 
 /// Where a compiled walk keeps driver state. Each *tallied* signal owns
-/// a run of slot rows — an update must know the value it replaces — and
-/// one [`DriverTally`] row, so resolving an update costs O(1) however
-/// many drivers the signal has. A push on any other signal *is* its
-/// effective value: unresolved signals have exactly one driver, and
-/// `resolve` is the identity on a singleton. Only resolved signals are
-/// tallied, and they start `DISC`, so every slot starts `DISC` and every
-/// tally empty.
+/// a run of slot words — an update must know the value it replaces — and
+/// one tally word ([`DriverTally`](crate::value::DriverTally) in each
+/// lane), so resolving an update costs O(1) however many drivers the
+/// signal has. A push on any other signal *is* its effective value:
+/// unresolved signals have exactly one driver, and `resolve` is the
+/// identity on a singleton. Only resolved signals are tallied, and they
+/// start `DISC`, so every slot starts `DISC` and every tally empty.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DriverLayout {
     /// Per signal: `(first slot row, tally row)`, `DIRECT` for untallied
@@ -1295,38 +1305,40 @@ impl DriverLayout {
         self.at[sig].0 != DIRECT
     }
 
-    /// Fresh driver state, `lanes` columns wide.
-    pub(crate) fn state(&self, lanes: usize) -> Drivers<'_> {
+    /// Fresh driver state in words `W`.
+    pub(crate) fn state<W: Word>(&self) -> Drivers<'_, W> {
         Drivers {
             layout: self,
-            lanes,
-            slots: vec![Value::Disc; self.slot_rows * lanes],
-            tallies: vec![DriverTally::default(); self.tally_rows * lanes],
+            slots: vec![W::splat(Value::Disc); self.slot_rows],
+            tallies: vec![W::tally(); self.tally_rows],
+            resolved: W::splat(Value::Disc),
         }
     }
 }
 
-/// The driver state of one walk: `slots[row * lanes + lane]` and
-/// `tallies[tally * lanes + lane]` over a [`DriverLayout`].
+/// The driver state of one walk over a [`DriverLayout`]: a word per slot
+/// row and a tally per tally row.
 #[derive(Debug, Clone)]
-pub(crate) struct Drivers<'a> {
+pub(crate) struct Drivers<'a, W: Word> {
     layout: &'a DriverLayout,
-    lanes: usize,
-    slots: Vec<Value>,
-    tallies: Vec<DriverTally>,
+    slots: Vec<W>,
+    tallies: Vec<W::Tally>,
+    /// The last update's resolved word.
+    resolved: W,
 }
 
-impl Drivers<'_> {
-    /// Applies one driver update — `v` on slot `slot` of the tallied
-    /// signal `sig`, in `lane` — and returns the signal's resolved value.
+impl<W: Word> Drivers<'_, W> {
+    /// Applies one driver update — `new` on slot `slot` of the tallied
+    /// signal `sig`, in the lanes of `mask`, the walk's running lanes
+    /// being `care` — and returns the signal's resolved word (meaningful
+    /// in the lanes of `mask`).
     #[inline]
-    pub(crate) fn drive(&mut self, sig: usize, slot: usize, lane: usize, v: Value) -> Value {
+    pub(crate) fn drive(&mut self, sig: usize, slot: usize, mask: u64, care: u64, new: &W) -> &W {
         let (first, tally) = self.layout.at[sig];
-        let s = (first as usize + slot) * self.lanes + lane;
-        let t = tally as usize * self.lanes + lane;
-        let old = std::mem::replace(&mut self.slots[s], v);
-        self.tallies[t].update(old, v);
-        self.tallies[t].value()
+        let slot = &mut self.slots[first as usize + slot];
+        let tally = &mut self.tallies[tally as usize];
+        W::drive(tally, slot, new, mask, care, &mut self.resolved);
+        &self.resolved
     }
 }
 
@@ -1632,8 +1644,11 @@ mod tests {
                 .unwrap();
             for (i, (out, solo)) in outs.iter().zip(&kernel).enumerate() {
                 assert!(!out.overflowed, "lane {i} at {config:?}");
+                let registers: Vec<(String, Value)> = (plan.register_names().into_iter())
+                    .zip(out.registers.iter().copied())
+                    .collect();
                 assert_eq!(
-                    out.registers, solo.summary.registers,
+                    registers, solo.summary.registers,
                     "lane {i} registers at {config:?}"
                 );
                 assert_eq!(
@@ -1782,10 +1797,10 @@ mod tests {
             .execute_batch(&deltas, &ExecOptions::default())
             .unwrap();
         assert_eq!(outs.len(), 70);
+        assert_eq!(plan.register_names(), ["R1", "R2"]);
         for (i, out) in outs.iter().enumerate() {
             let i = i as i64;
-            assert_eq!(out.registers[0], ("R1".to_string(), Value::Num(3 + i)));
-            assert_eq!(out.registers[1], ("R2".to_string(), Value::Num(i)));
+            assert_eq!(out.registers, [Value::Num(3 + i), Value::Num(i)]);
         }
     }
 
@@ -1801,7 +1816,7 @@ mod tests {
         };
         let outs = plan.execute_batch(&deltas, &opts).unwrap();
         assert!(!outs[0].overflowed);
-        assert_eq!(outs[0].registers[0].1, Value::Num(7));
+        assert_eq!(outs[0].registers[0], Value::Num(7));
         assert!(outs[1].overflowed);
         assert_eq!(
             outs[1].stats,
@@ -2204,11 +2219,8 @@ mod tests {
             let lanes = plan
                 .execute_batch(&[PlanDelta::default()], &options)
                 .unwrap();
-            assert_eq!(
-                lanes[0].registers[0],
-                ("R".into(), Value::Num(9)),
-                "-O{level}"
-            );
+            assert_eq!(plan.register_names()[0], "R");
+            assert_eq!(lanes[0].registers[0], Value::Num(9), "-O{level}");
         }
     }
 }

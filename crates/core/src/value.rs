@@ -186,9 +186,10 @@ pub fn resolve(drivers: &[Value]) -> Value {
 /// `ILLEGAL` when any driver is `ILLEGAL` or two or more are `Num`, the
 /// sum when exactly one is `Num` (wrapping arithmetic makes the sum of a
 /// single remaining payload exact), `DISC` otherwise. The default tally
-/// is that of any number of `DISC` drivers. The compiled walkers keep one
+/// is that of any number of `DISC` drivers. The compiled walk keeps one
 /// per multiply driven signal instead of rescanning its driver slots on
-/// every update.
+/// every update — a solo run this tally itself, a fault chunk the same
+/// counts and sum in each of its lanes.
 ///
 /// # Examples
 ///

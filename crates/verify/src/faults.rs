@@ -15,8 +15,8 @@
 //! * **Batched** (the default) — the golden model is lowered to one
 //!   [`ExecPlan`], each fault becomes a small [`PlanDelta`]
 //!   (init-vector or schedule edit; no model clone, no re-elaboration),
-//!   and all mutants execute in lockstep over a structure-of-arrays
-//!   register file via [`ExecPlan::execute_batch`].
+//!   and all mutants execute in lockstep over packed lane columns (64
+//!   mutants per machine word) via [`ExecPlan::execute_batch`].
 //! * **Legacy** — every mutant model runs on a **private kernel
 //!   instance** via the fault-tolerant `clockless-fleet` engine. This is
 //!   the differential oracle: both engines produce byte-identical
@@ -58,7 +58,6 @@
 //! The report keeps both numbers — `detected` and `baseline` — so the
 //! before/after coverage of the checkers is visible per class.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -1040,11 +1039,6 @@ pub fn run_campaign_with_faults(
         .execute(model, &ExecOptions::default().at_opt(config.opt))
         .map_err(|e| FaultsError::Golden { msg: e.to_string() })?
         .summary;
-    let golden_registers: HashMap<&str, Value> = golden
-        .registers
-        .iter()
-        .map(|(n, v)| (n.as_str(), *v))
-        .collect();
 
     // One clean-run recording arms both checker families for every
     // mutant; a model that cannot run cleanly has no golden reference.
@@ -1072,7 +1066,7 @@ pub fn run_campaign_with_faults(
             model,
             &faults,
             &quarantined,
-            &golden_registers,
+            &golden.registers,
             delta_budget,
             check.as_ref(),
             config.opt,
@@ -1081,7 +1075,7 @@ pub fn run_campaign_with_faults(
             model,
             &faults,
             &quarantined,
-            &golden_registers,
+            &golden.registers,
             delta_budget,
             check.as_ref(),
             config,
@@ -1110,18 +1104,24 @@ pub fn run_campaign_with_faults(
     })
 }
 
-/// Classifies a clean mutant run: first register diverging from the
-/// golden run (declaration order) or [`FaultOutcome::Masked`]. Registers
-/// the mutant added — none today — would not count.
-fn classify_clean(registers: &[(String, Value)], golden: &HashMap<&str, Value>) -> FaultOutcome {
-    let diff = registers
+/// Classifies a clean mutant run from its final register and
+/// memory-word values in declaration order: the first one diverging from
+/// the golden run's (`golden`, the golden summary's registers, in the
+/// same order) or [`FaultOutcome::Masked`]. Registers the mutant added —
+/// none today — would not count.
+fn classify_clean(
+    values: impl IntoIterator<Item = Value>,
+    golden: &[(String, Value)],
+) -> FaultOutcome {
+    match golden
         .iter()
-        .find(|(name, value)| golden.get(name.as_str()).is_some_and(|g| g != value));
-    match diff {
-        Some((register, got)) => FaultOutcome::SilentCorruption {
+        .zip(values)
+        .find(|((_, expected), got)| expected != got)
+    {
+        Some(((register, expected), got)) => FaultOutcome::SilentCorruption {
             register: register.clone(),
-            expected: golden[register.as_str()],
-            got: *got,
+            expected: *expected,
+            got,
         },
         None => FaultOutcome::Masked,
     }
@@ -1133,8 +1133,8 @@ fn classify_clean(registers: &[(String, Value)], golden: &HashMap<&str, Value>) 
 /// cannot depend on the machinery that produced it.
 fn classify_checked(
     check: Option<&CheckReport>,
-    registers: &[(String, Value)],
-    golden: &HashMap<&str, Value>,
+    values: impl IntoIterator<Item = Value>,
+    golden: &[(String, Value)],
 ) -> FaultOutcome {
     if let Some(report) = check {
         if let Some(v) = &report.monitor {
@@ -1144,7 +1144,7 @@ fn classify_checked(
             return FaultOutcome::DetectedInvariant(v.clone());
         }
     }
-    classify_clean(registers, golden)
+    classify_clean(values, golden)
 }
 
 /// The batched engine: lower the golden plan once, express every
@@ -1156,7 +1156,7 @@ fn run_mutants_batched(
     model: &RtModel,
     faults: &[FaultKind],
     quarantined: &[Option<FaultOutcome>],
-    golden: &HashMap<&str, Value>,
+    golden: &[(String, Value)],
     delta_budget: u64,
     check: Option<&CheckProgram>,
     opt: OptLevel,
@@ -1205,7 +1205,7 @@ fn run_mutants_batched(
                 phase: first.visible_at.phase,
             }
         } else {
-            classify_checked(out.check.as_ref(), &out.registers, golden)
+            classify_checked(out.check.as_ref(), out.registers.iter().copied(), golden)
         });
     }
     Ok((outcomes, totals))
@@ -1218,7 +1218,7 @@ fn run_mutants_legacy(
     model: &RtModel,
     faults: &[FaultKind],
     quarantined: &[Option<FaultOutcome>],
-    golden: &HashMap<&str, Value>,
+    golden: &[(String, Value)],
     delta_budget: u64,
     check: Option<&CheckProgram>,
     config: &CampaignConfig,
@@ -1272,7 +1272,8 @@ fn run_mutants_legacy(
                         phase: first.visible_at.phase,
                     }
                 } else {
-                    classify_checked(result.check.as_ref(), &result.registers, golden)
+                    let values = result.registers.iter().map(|&(_, v)| v);
+                    classify_checked(result.check.as_ref(), values, golden)
                 }
             }
         });

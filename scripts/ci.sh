@@ -160,6 +160,16 @@ for model in models/*.rtl; do
   [ "$checked_batched" = "$checked_legacy" ]
   [ "$checked_batched" = "$checked_compiled" ]
 done
+# A lane stops feeding its checkers once every armed detector family has
+# latched, so which lanes settle depends on the families armed: sweep
+# each family alone too.
+for model in models/*.rtl; do
+  for checkers in golden invariants; do
+    family_batched="$(./target/release/clockless faults "$model" --json --checkers "$checkers")"
+    family_legacy="$(./target/release/clockless faults "$model" --json --checkers "$checkers" --engine legacy --jobs 3)"
+    [ "$family_batched" = "$family_legacy" ]
+  done
+done
 fleet_interp="$(./target/release/clockless fleet models/demo.fleet --jobs 2 --json)"
 fleet_compiled="$(./target/release/clockless fleet models/demo.fleet --jobs 2 --json --backend compiled)"
 [ "$fleet_interp" = "$fleet_compiled" ]

@@ -553,3 +553,73 @@ fn transcript_and_stats_total_on_random_models() {
         );
     }
 }
+
+// ---- Fault lanes against the per-mutant kernel --------------------------
+
+/// The batched campaign engine — every mutant a lane of a packed walk —
+/// against the legacy engine, which runs each mutant model on its own
+/// kernel: the campaign JSON agrees byte for byte under every checker
+/// mode (or both engines fail alike).
+fn assert_lanes_match_kernel(model: &RtModel, what: &str) {
+    use clockless::verify::{run_campaign, CampaignConfig, CampaignEngine, CheckerMode};
+    for checkers in [
+        CheckerMode::Off,
+        CheckerMode::Golden,
+        CheckerMode::Invariants,
+        CheckerMode::All,
+    ] {
+        let run = |engine| {
+            let config = CampaignConfig {
+                engine,
+                checkers,
+                ..CampaignConfig::default()
+            };
+            run_campaign(model, &config).map(|r| r.to_json())
+        };
+        match (run(CampaignEngine::Batched), run(CampaignEngine::Legacy)) {
+            (Ok(lanes), Ok(kernel)) => assert_eq!(lanes, kernel, "{what}, checkers {checkers}"),
+            (Err(lanes), Err(kernel)) => assert_eq!(
+                lanes.to_string(),
+                kernel.to_string(),
+                "{what}, checkers {checkers}"
+            ),
+            (lanes, kernel) => panic!("{what}, checkers {checkers}: {lanes:?} vs {kernel:?}"),
+        }
+    }
+}
+
+/// Fault lanes on the fuzz zoo's generators: negative payloads, `DISC`
+/// and `ILLEGAL` lanes, memories, guards and multi-driver buses.
+#[test]
+fn fault_lanes_match_the_kernel_on_random_models() {
+    use clockless::verify::{generate_hls_model, generate_model};
+    for case in 0..HEAVY_CASES {
+        let seed = Rng::new(0xFA_0000 + case).next_u64();
+        let what = format!("case {case} (seed {seed})");
+        assert_lanes_match_kernel(&generate_model(seed), &format!("{what} model"));
+        assert_lanes_match_kernel(&generate_hls_model(seed), &format!("{what} HLS model"));
+    }
+}
+
+/// A synthesized DAG with more than one chunk of applicable faults.
+#[test]
+fn fault_lanes_match_the_kernel_across_chunks() {
+    let g = random_dag(42, 24, 4);
+    let names = g.inputs();
+    let inputs: HashMap<&str, i64> = names
+        .iter()
+        .enumerate()
+        .map(|(i, n)| (n.as_str(), 3 - 2 * i as i64))
+        .collect();
+    let model = synthesize(&g, &ResourceSet::unconstrained(&g), &inputs)
+        .expect("synthesis")
+        .model;
+    let config = clockless::verify::CampaignConfig::default();
+    let report = clockless::verify::run_campaign(&model, &config).expect("campaign runs");
+    assert!(
+        report.applicable() > 64,
+        "{} applicable faults fill one chunk",
+        report.applicable()
+    );
+    assert_lanes_match_kernel(&model, "random_dag(42, 24, 4)");
+}
