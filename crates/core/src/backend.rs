@@ -238,7 +238,7 @@ impl ExecOutcome {
 pub struct BatchOutcome {
     /// Final register and memory-word values, in declaration order —
     /// the order of a solo run's `RunSummary::registers`, which carries
-    /// the names.
+    /// the names. An overflowed column reports its initial values.
     pub registers: Vec<Value>,
     /// The run's first `ILLEGAL` transition, localized like the traced
     /// engines' conflict report (`ConflictReport::first`).

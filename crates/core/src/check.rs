@@ -13,13 +13,12 @@
 //!   pairwise relation constraints mined from clean runs and re-asserted
 //!   every delta cycle.
 //!
-//! The evaluation state machine ([`CheckEval`]) defines the verdicts:
-//! the interpreted kernel feeds it from the commit observation hook. The
-//! compiled walk evaluates the same rules a lane word at a time
+//! One rule set defines the verdicts, evaluated a lane word at a time
 //! (`LaneChecks`: one compare per changed signal for all of a fault
-//! chunk's lanes), and the two are held byte-identical by tests that pin
-//! it against [`CheckEval`] and a full scan, and by the campaign
-//! engines' differential checks.
+//! chunk's lanes). The compiled walk feeds it from its own updates; the
+//! interpreted kernel feeds a one-lane copy, the evaluation state machine
+//! [`CheckEval`], from the commit observation hook. Tests pin it against
+//! a full scan of every row.
 //!
 //! # Examples
 //!
@@ -230,14 +229,10 @@ impl Invariant {
         }
     }
 
-    /// Evaluates the invariant against one value row; on violation
-    /// returns the attributed signal index and its offending value.
-    fn violated(&self, row: &[Value]) -> Option<(usize, Value)> {
-        self.violated_at(|i| row[i])
-    }
-
-    /// [`violated`](Self::violated) over the row that `row(i)` reads.
-    fn violated_at(&self, row: impl Fn(usize) -> Value) -> Option<(usize, Value)> {
+    /// Evaluates the invariant against the value row that `row(i)`
+    /// reads; on violation returns the attributed signal index and its
+    /// offending value.
+    fn violated(&self, row: impl Fn(usize) -> Value) -> Option<(usize, Value)> {
         match self {
             Invariant::Range { sig, min, max } => match row(*sig) {
                 Value::Num(v) if *min <= v && v <= *max => None,
@@ -453,18 +448,16 @@ impl CheckIndex {
 /// and the invariants over a changed operand ([`CheckIndex`]). Runs
 /// shorter than the golden table are extended with their frozen final
 /// values (a quiesced run holds them forever); runs longer than the table
-/// are compared against the table's final row. The compiled walk's
-/// lane checkers reach the same verdicts a word at a time.
+/// are compared against the table's final row. It is one lane of the
+/// compiled walk's lane checkers, so both engines' verdicts come from one
+/// rule set.
 #[derive(Debug)]
 pub struct CheckEval<'p> {
-    program: &'p CheckProgram,
-    index: &'p CheckIndex,
+    lane: LaneChecks<'p>,
     /// Deltas observed so far (== the next expected delta index).
     observed: u64,
     /// The current value of every signal.
     last: Vec<Value>,
-    monitor: Option<MonitorViolation>,
-    invariant: Option<InvariantViolation>,
 }
 
 impl<'p> CheckEval<'p> {
@@ -472,12 +465,9 @@ impl<'p> CheckEval<'p> {
     /// [`CheckIndex::new`]).
     pub fn new(program: &'p CheckProgram, index: &'p CheckIndex) -> CheckEval<'p> {
         CheckEval {
-            program,
-            index,
+            lane: LaneChecks::new(program, index, 1),
             observed: 0,
             last: vec![Value::Disc; program.width()],
-            monitor: None,
-            invariant: None,
         }
     }
 
@@ -489,109 +479,37 @@ impl<'p> CheckEval<'p> {
     /// entries are harmless, omissions are not.
     pub fn observe(&mut self, delta: u64, changed: &[usize], mut get: impl FnMut(usize) -> Value) {
         if self.observed == 0 {
-            let all = 0..self.program.width();
-            for i in all.clone() {
-                self.last[i] = get(i);
+            for (i, v) in self.last.iter_mut().enumerate() {
+                *v = get(i);
             }
-            self.check(delta, all);
         } else {
             for &i in changed {
                 self.last[i] = get(i);
+                self.lane.changed(i, 1);
             }
-            self.check(delta, changed.iter().copied());
         }
+        self.lane.observe(delta, 1, |i| &self.last[i]);
         self.observed = delta + 1;
-    }
-
-    /// Re-checks delta `delta` given the signals the run changed since
-    /// the previous delta (every signal on the first observation).
-    fn check(&mut self, delta: u64, changed: impl Iterator<Item = usize> + Clone) {
-        if self.monitor.is_none() {
-            self.check_monitor(delta, changed.clone());
-        }
-        if self.invariant.is_some() {
-            return;
-        }
-        // The first violation in program order: the lowest-indexed
-        // failing invariant over a changed operand. Every other
-        // invariant holds as it did at the previous delta.
-        let mut first: Option<(usize, (usize, Value))> = None;
-        for i in changed {
-            for &k in &self.index.invariants[i] {
-                if first.is_some_and(|(f, _)| f <= k) {
-                    break;
-                }
-                if let Some(hit) = self.program.invariants[k].violated(&self.last) {
-                    first = Some((k, hit));
-                }
-            }
-        }
-        if let Some((k, (sig, got))) = first {
-            self.invariant = Some(InvariantViolation {
-                rule: self.program.invariants[k].render(&self.program.signals),
-                signal: self.program.signals[sig].name.clone(),
-                delta,
-                got,
-            });
-        }
-    }
-
-    /// Latches the lowest-indexed signal diverging from the golden row
-    /// at `delta`, among those the run changed (`changed`) or the golden
-    /// table changed — every other signal matched at the previous delta
-    /// and still does.
-    fn check_monitor(&mut self, delta: u64, changed: impl Iterator<Item = usize>) {
-        let Some(table) = &self.program.monitor else {
-            return;
-        };
-        let row = table.row(self.program.width(), delta);
-        let golden = self.index.golden_changes(delta).iter().copied();
-        let first = changed
-            .chain(golden)
-            .filter(|&i| self.last[i] != row[i])
-            .min();
-        if let Some(i) = first {
-            self.monitor = Some(MonitorViolation {
-                signal: self.program.signals[i].name.clone(),
-                kind: self.program.signals[i].kind,
-                delta,
-                expected: row[i],
-                got: self.last[i],
-            });
-        }
     }
 
     /// Finalizes the verdict. If the run was shorter than the golden
     /// table, the frozen final values are compared against the remaining
     /// golden rows (invariants need no extension — the frozen row was
-    /// already checked at its last delta).
+    /// already checked at its last delta); a run that observed nothing
+    /// meets them with the all-`DISC` row.
     pub fn finish(&mut self) -> CheckReport {
-        if let Some(table) = &self.program.monitor {
-            let mut d = self.observed;
-            if d == 0 && table.deltas > 0 {
-                // Nothing observed: the all-`DISC` row meets every entry.
-                self.check_monitor(0, 0..self.program.width());
-                d = 1;
-            }
-            while self.monitor.is_none() && d < table.deltas {
-                self.check_monitor(d, std::iter::empty());
-                d += 1;
-            }
-        }
-        CheckReport {
-            monitor: self.monitor.clone(),
-            invariant: self.invariant.clone(),
-        }
+        let mut reports = self.lane.finish(&[self.observed], |i| &self.last[i]);
+        reports.swap_remove(0)
     }
 }
 
-/// The value checkers of every lane of one compiled walk: lane by lane
-/// the verdicts of a [`CheckEval`] fed the same observations, evaluated
-/// a [`Word`] at a time. The walk notes each delta's changed program
-/// signals as lane masks; the golden monitor then compares one word per
-/// changed signal against the golden row, and an invariant is evaluated
-/// only in the lanes where one of its operands changed. Every lane's
-/// current values are the walk's own, so nothing is copied per lane.
+/// The checking rules, for every lane of a walk at once: the compiled
+/// walk's checkers, and (one lane over a value row) [`CheckEval`]. The
+/// walk notes each delta's changed program signals as lane masks; the
+/// golden monitor then compares one [`Word`] per changed signal against
+/// the golden row, and an invariant is evaluated only in the lanes where
+/// one of its operands changed. Every lane's current values are the
+/// walk's own, so nothing is copied per lane.
 #[derive(Debug)]
 pub(crate) struct LaneChecks<'p> {
     program: &'p CheckProgram,
@@ -663,14 +581,28 @@ impl<'p> LaneChecks<'p> {
         lanes: u64,
         word: impl Fn(usize) -> &'v W,
     ) {
+        self.check(delta, lanes, &word, true);
+    }
+
+    /// Checks delta `delta` in the lanes of `lanes` (the invariants only
+    /// when `invariants` is set), then forgets the noted changes.
+    fn check<'v, W: Word + 'v>(
+        &mut self,
+        delta: u64,
+        lanes: u64,
+        word: &impl Fn(usize) -> &'v W,
+        invariants: bool,
+    ) {
         if delta == 0 {
             for i in 0..self.program.width() {
                 self.changed(i, lanes);
             }
         }
         self.touched.sort_unstable();
-        self.check_monitor(delta, lanes, &word);
-        self.check_invariants(delta, lanes, &word);
+        self.check_monitor(delta, lanes, word);
+        if invariants {
+            self.check_invariants(delta, lanes, word);
+        }
         for &i in &self.touched {
             self.changed[i] = 0;
         }
@@ -679,7 +611,8 @@ impl<'p> LaneChecks<'p> {
 
     /// Latches, in each open lane of `lanes`, the lowest-indexed signal
     /// diverging from the golden row at `delta` among those it changed
-    /// and those the golden table changed ([`CheckEval`]'s monitor rule).
+    /// and those the golden table changed — every other signal matched
+    /// at the previous delta and still does.
     fn check_monitor<'v, W: Word + 'v>(
         &mut self,
         delta: u64,
@@ -731,7 +664,8 @@ impl<'p> LaneChecks<'p> {
     }
 
     /// Latches, in each open lane of `lanes`, the lowest-indexed
-    /// invariant violated over a signal the lane changed.
+    /// invariant violated over a signal the lane changed — every other
+    /// invariant holds as it did at the previous delta.
     fn check_invariants<'v, W: Word + 'v>(
         &mut self,
         delta: u64,
@@ -752,7 +686,7 @@ impl<'p> LaneChecks<'p> {
             let inv = &self.program.invariants[k];
             let (a, b) = inv.operands();
             for c in bits(open & (self.changed[a] | self.changed[b])) {
-                if let Some((sig, got)) = inv.violated_at(|j| word(j).get(c)) {
+                if let Some((sig, got)) = inv.violated(|j| word(j).get(c)) {
                     self.invariant[c] = Some(InvariantViolation {
                         rule: inv.render(&self.program.signals),
                         signal: self.program.signals[sig].name.clone(),
@@ -770,26 +704,30 @@ impl<'p> LaneChecks<'p> {
     }
 
     /// The verdict of every lane, lane `c` having observed `observed[c]`
-    /// deltas: as [`CheckEval::finish`], a lane shorter than the golden
-    /// table is compared, with its frozen final values, against the
-    /// rows it did not reach.
+    /// deltas: a lane shorter than the golden table is compared, with its
+    /// frozen final values, against the rows it did not reach (one that
+    /// observed nothing from delta 0, with every signal). Invariants need
+    /// no extension: the frozen row was checked at its last delta.
     pub(crate) fn finish<'v, W: Word + 'v>(
-        mut self,
+        &mut self,
         observed: &[u64],
         word: impl Fn(usize) -> &'v W,
     ) -> Vec<CheckReport> {
         if let Some(deltas) = self.program.monitor.as_ref().map(|t| t.deltas) {
-            let from = observed.iter().copied().filter(|&o| o > 0).min();
+            let from = observed.iter().copied().min();
             for d in from.unwrap_or(deltas)..deltas {
                 let frozen = (observed.iter().enumerate())
-                    .filter(|&(_, &o)| o > 0 && o <= d)
+                    .filter(|&(_, &o)| o <= d)
                     .fold(0, |m, (c, _)| m | 1 << c);
-                self.check_monitor(d, frozen, &word);
+                self.check(d, frozen, &word, false);
             }
         }
-        let reports = self.monitor.into_iter().zip(self.invariant);
+        let reports = self.monitor.iter().zip(&self.invariant);
         reports
-            .map(|(monitor, invariant)| CheckReport { monitor, invariant })
+            .map(|(monitor, invariant)| CheckReport {
+                monitor: monitor.clone(),
+                invariant: invariant.clone(),
+            })
             .collect()
     }
 }
@@ -1129,6 +1067,10 @@ mod tests {
         assert_eq!(v.delta, 1);
         assert_eq!(v.expected, Value::Num(2));
         assert_eq!(v.got, Value::Num(1));
+        // A run that observed nothing meets the table with `DISC`.
+        let v = CheckEval::new(&program, &index).finish().monitor;
+        let v = v.expect("DISC diverges at delta 0");
+        assert_eq!((v.delta, v.got), (0, Value::Disc));
     }
 
     #[test]
@@ -1184,12 +1126,13 @@ mod tests {
             scan(d as u64, &last, &mut monitor);
             if invariant.is_none() {
                 invariant = program.invariants.iter().find_map(|inv| {
-                    inv.violated(&last).map(|(sig, got)| InvariantViolation {
-                        rule: inv.render(&program.signals),
-                        signal: program.signals[sig].name.clone(),
-                        delta: d as u64,
-                        got,
-                    })
+                    inv.violated(|i| last[i])
+                        .map(|(sig, got)| InvariantViolation {
+                            rule: inv.render(&program.signals),
+                            signal: program.signals[sig].name.clone(),
+                            delta: d as u64,
+                            got,
+                        })
                 });
             }
         }

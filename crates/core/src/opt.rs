@@ -66,7 +66,7 @@ use crate::plan::{
 };
 use crate::resource::ModuleTiming;
 use crate::value::Value;
-use crate::word::{bits, Operand, Word};
+use crate::word::{bits, Word};
 
 /// Sentinel slot marking a direct-store destination (no driver state, no
 /// resolution).
@@ -262,8 +262,7 @@ impl Stream {
             let (guard, negate) = ext.guard(plan, g);
             let literal = |s: GuardSig| matches!(s, GuardSig::Const(_));
             let constant = (guard.clauses.iter()).all(|&(l, _, r)| literal(l) && literal(r));
-            (config.fold && constant)
-                .then(|| guard.eval(|_| unreachable!("literal guard")) != negate)
+            (config.fold && constant).then(|| (guard.eval::<Value>(&[], 1) != 0) != negate)
         };
 
         // Bucket the specs by step with a stable counting sort: step
@@ -520,7 +519,7 @@ impl Stream {
             peak_pending_updates: counts[0].peak_pending,
             ..SimStats::default()
         };
-        let report = checker.zip(checks).map(|(checker, ck)| {
+        let report = checker.zip(checks).map(|(mut checker, ck)| {
             let mut reports = checker.finish(&needed, |i| &values[ck.sigs[i]]);
             reports.swap_remove(0)
         });
@@ -542,16 +541,23 @@ impl Stream {
     ) -> Result<(), KernelError> {
         let mut values = lanes.initial_values(plan, &self.ext);
         let needed = lanes.needed();
+        // An overflowed lane never runs, but whole-column moves overwrite
+        // it: it reports the values it started with.
+        let initial = needed.contains(&0).then(|| values.clone());
         let (counts, checker) =
             self.walk(plan, &mut values, &needed, None, checks, options.deadline)?;
-        let mut reports = checker.zip(checks).map(|(checker, ck)| {
+        let mut reports = checker.zip(checks).map(|(mut checker, ck)| {
             let reports = checker.finish(&needed, |i| &values[ck.sigs[i]]);
             reports.into_iter()
         });
         for (c, counts) in counts.iter().enumerate() {
             let check = reports.as_mut().and_then(Iterator::next);
             let check = check.filter(|_| needed[c] > 0);
-            out.push(lanes.outcome(plan, c, |sig| values[sig].get(c), counts, check));
+            let finals = match (needed[c], &initial) {
+                (0, Some(initial)) => initial,
+                _ => &values,
+            };
+            out.push(lanes.outcome(plan, c, |sig| finals[sig].get(c), counts, check));
         }
         Ok(())
     }
@@ -563,20 +569,10 @@ impl Stream {
             return mask;
         }
         let (guard, negate) = self.ext.guard(plan, g);
-        let side = |s: GuardSig| match s {
-            GuardSig::Sig(i) => Operand::Word(&values[i]),
-            GuardSig::Const(v) => Operand::Const(v),
-        };
-        let mut conj = mask;
-        for &(lhs, cmp, rhs) in &guard.clauses {
-            conj &= W::compare(cmp, side(lhs), side(rhs));
-            if conj == 0 {
-                break;
-            }
-        }
-        match guard.negated != negate {
-            true => mask & !conj,
-            false => conj,
+        let on = guard.eval(values, mask);
+        match negate {
+            true => mask & !on,
+            false => on,
         }
     }
 
@@ -652,7 +648,7 @@ impl Stream {
                     *value = *effective;
                     moves += 1;
                 } else {
-                    value.blend(effective, moved, full);
+                    value.blend(effective, moved);
                     events.add_split(moved, full);
                 }
                 // Control signals never carry `ILLEGAL`, so a lane's first

@@ -60,7 +60,7 @@ use crate::resource::ModuleTiming;
 use crate::run::{RunSummary, Waveform};
 use crate::tuples::{CmpOp, Endpoint, Guard, GuardOperand, MemAddr};
 use crate::value::Value;
-use crate::word::{Col, Word};
+use crate::word::{Col, Operand, Word};
 
 /// A [`CheckProgram`] resolved against one plan's dense signal table —
 /// the precomputed handle [`ExecPlan::execute_batch_checked`] consumes,
@@ -155,18 +155,26 @@ pub(crate) struct PlanGuard {
 }
 
 impl PlanGuard {
-    pub(crate) fn eval(&self, mut read: impl FnMut(usize) -> Value) -> bool {
-        let conj = self.clauses.iter().all(|&(lhs, cmp, rhs)| {
-            let mut side = |s: GuardSig| match s {
-                GuardSig::Sig(i) => read(i).num(),
-                GuardSig::Const(v) => Some(v),
-            };
-            match (side(lhs), side(rhs)) {
-                (Some(a), Some(b)) => cmp.holds(a, b),
-                _ => false,
+    /// The lanes of `mask` in which the guard holds, signal `i` holding
+    /// `values[i]` (a guard over literals only reads no signal). Inlined:
+    /// the walk evaluates it for every guarded push.
+    #[inline(always)]
+    pub(crate) fn eval<W: Word>(&self, values: &[W], mask: u64) -> u64 {
+        let side = |s: GuardSig| match s {
+            GuardSig::Sig(i) => Operand::Word(&values[i]),
+            GuardSig::Const(v) => Operand::Const(v),
+        };
+        let mut conj = mask;
+        for &(lhs, cmp, rhs) in &self.clauses {
+            conj &= W::compare(cmp, side(lhs), side(rhs));
+            if conj == 0 {
+                break;
             }
-        });
-        conj != self.negated
+        }
+        match self.negated {
+            true => mask & !conj,
+            false => conj,
+        }
     }
 }
 
@@ -581,7 +589,8 @@ impl ExecPlan {
         stats: SimStats,
         trace: Option<Trace<Value>>,
     ) -> ExecOutcome {
-        let registers = (self.register_names().into_iter())
+        let registers = self
+            .register_names()
             .zip(self.register_signals().map(read))
             .collect();
         let waveform = trace.map(|t| Waveform::new(t, Arc::clone(&self.roles)));
@@ -605,13 +614,9 @@ impl ExecPlan {
     }
 
     /// Names of the registers and memory words, in declaration order.
-    pub(crate) fn register_names(&self) -> Vec<String> {
+    pub(crate) fn register_names(&self) -> impl Iterator<Item = String> + '_ {
         let words = (self.mems.iter().flat_map(|m| &m.words)).map(|&w| self.roles[w].signal_name());
-        self.regs
-            .iter()
-            .map(|r| r.name.clone())
-            .chain(words)
-            .collect()
+        self.regs.iter().map(|r| r.name.clone()).chain(words)
     }
 
     /// Walks the plan at `options.opt` and harvests the observable output:
@@ -1644,7 +1649,8 @@ mod tests {
                 .unwrap();
             for (i, (out, solo)) in outs.iter().zip(&kernel).enumerate() {
                 assert!(!out.overflowed, "lane {i} at {config:?}");
-                let registers: Vec<(String, Value)> = (plan.register_names().into_iter())
+                let registers: Vec<(String, Value)> = plan
+                    .register_names()
                     .zip(out.registers.iter().copied())
                     .collect();
                 assert_eq!(
@@ -1797,7 +1803,7 @@ mod tests {
             .execute_batch(&deltas, &ExecOptions::default())
             .unwrap();
         assert_eq!(outs.len(), 70);
-        assert_eq!(plan.register_names(), ["R1", "R2"]);
+        assert_eq!(plan.register_names().collect::<Vec<_>>(), ["R1", "R2"]);
         for (i, out) in outs.iter().enumerate() {
             let i = i as i64;
             assert_eq!(out.registers, [Value::Num(3 + i), Value::Num(i)]);
@@ -1809,7 +1815,9 @@ mod tests {
         let golden = fig1_model(3, 4);
         let plan = ExecPlan::lower(&golden);
         // 43 deltas golden; the +1 skew needs the flush delta (44).
-        let deltas = vec![PlanDelta::default(), plan.delta_skew_write(0, 1).unwrap()];
+        let mut skew = plan.delta_skew_write(0, 1).unwrap();
+        skew.init_edits = plan.delta_set_init("R2", Value::Num(9)).unwrap().init_edits;
+        let deltas = vec![PlanDelta::default(), skew];
         let opts = ExecOptions {
             delta_limit: Some(43),
             ..Default::default()
@@ -1818,6 +1826,10 @@ mod tests {
         assert!(!outs[0].overflowed);
         assert_eq!(outs[0].registers[0], Value::Num(7));
         assert!(outs[1].overflowed);
+        // Nothing ran: the lane reports its initial registers, its own
+        // init edits included.
+        assert_eq!(plan.register_names().collect::<Vec<_>>(), ["R1", "R2"]);
+        assert_eq!(outs[1].registers, [Value::Num(3), Value::Num(9)]);
         assert_eq!(
             outs[1].stats,
             SimStats {
@@ -2219,7 +2231,7 @@ mod tests {
             let lanes = plan
                 .execute_batch(&[PlanDelta::default()], &options)
                 .unwrap();
-            assert_eq!(plan.register_names()[0], "R");
+            assert_eq!(plan.register_names().next().as_deref(), Some("R"));
             assert_eq!(lanes[0].registers[0], Value::Num(9), "-O{level}");
         }
     }

@@ -55,9 +55,8 @@ pub(crate) trait Word: Copy + std::fmt::Debug {
     /// The lanes in which `self` and `other` differ.
     fn diff(&self, other: &Self) -> u64;
 
-    /// Copies the lanes of `mask` from `src`, keeping the other lanes of
-    /// `care` (the rest may take any value).
-    fn blend(&mut self, src: &Self, mask: u64, care: u64);
+    /// Copies the lanes of `mask` from `src`, keeping the other lanes.
+    fn blend(&mut self, src: &Self, mask: u64);
 
     /// Sets the lanes of `mask` to `DISC`.
     fn release(&mut self, mask: u64);
@@ -125,7 +124,7 @@ impl Word for Value {
     }
 
     #[inline]
-    fn blend(&mut self, src: &Value, mask: u64, _: u64) {
+    fn blend(&mut self, src: &Value, mask: u64) {
         if mask != 0 {
             *self = *src;
         }
@@ -326,24 +325,11 @@ impl Word for Col {
         pay | (self.disc ^ other.disc) | (self.illegal ^ other.illegal)
     }
 
-    /// Few lanes in or out of `mask` move one at a time: a masked move of
-    /// every lane costs more than a copy.
     #[inline]
-    fn blend(&mut self, src: &Col, mask: u64, care: u64) {
-        let keep = care & !mask;
-        if keep.count_ones() <= FEW {
-            let kept = Kept::save(&self.pay, keep);
-            self.pay = src.pay;
-            kept.restore(&mut self.pay);
-        } else if mask.count_ones() <= FEW {
-            for c in bits(mask) {
-                self.pay[c] = src.pay[c];
-            }
-        } else {
-            for i in 0..LANES {
-                let m = lane_mask(mask, i);
-                self.pay[i] = (src.pay[i] & m) | (self.pay[i] & !m);
-            }
+    fn blend(&mut self, src: &Col, mask: u64) {
+        for i in 0..LANES {
+            let m = lane_mask(mask, i);
+            self.pay[i] = (src.pay[i] & m) | (self.pay[i] & !m);
         }
         self.disc = (self.disc & !mask) | (src.disc & mask);
         self.illegal = (self.illegal & !mask) | (src.illegal & mask);
@@ -419,18 +405,22 @@ impl Word for Col {
         t.illegals.inc(mask & new.illegal & !slot.illegal);
         t.illegals.dec(mask & slot.illegal & !new.illegal);
         // Payloads are 0 in non-number lanes, so a sum moves by the
-        // payload difference: over every lane, less the few kept ones.
+        // payload difference. Most drives move every running lane but a
+        // few: those move the whole column and put the kept lanes back.
         let keep = care & !mask;
         if keep.count_ones() <= FEW {
-            let kept = Kept::save(&slot.pay, keep);
+            let mut kept = [(0, 0); FEW as usize];
+            for (k, c) in bits(keep).enumerate() {
+                kept[k] = (c, slot.pay[c]);
+            }
             for i in 0..LANES {
                 t.sum[i] = t.sum[i].wrapping_add(new.pay[i].wrapping_sub(slot.pay[i]));
             }
             slot.pay = new.pay;
-            for (c, old) in kept.lanes() {
+            for &(c, old) in &kept[..keep.count_ones() as usize] {
                 t.sum[c] = t.sum[c].wrapping_sub(new.pay[c].wrapping_sub(old));
+                slot.pay[c] = old;
             }
-            kept.restore(&mut slot.pay);
         } else {
             for i in 0..LANES {
                 let m = lane_mask(mask, i);
@@ -456,45 +446,10 @@ impl Word for Col {
     }
 }
 
-/// At most this many lanes move (or stay) one at a time instead of in a
-/// masked pass over every lane.
+/// At most this many running lanes a tally move leaves alone and puts
+/// back after moving the whole column, instead of a masked pass over
+/// every lane.
 const FEW: u32 = 4;
-
-/// The payloads of up to [`FEW`] lanes, saved across a whole-column move.
-struct Kept {
-    lanes: [(usize, i64); FEW as usize],
-    len: usize,
-}
-
-impl Kept {
-    /// Saves the payloads of the lanes of `keep`, at most [`FEW`].
-    #[inline]
-    fn save(pay: &[i64; LANES], keep: u64) -> Kept {
-        let mut kept = Kept {
-            lanes: [(0, 0); FEW as usize],
-            len: 0,
-        };
-        for c in bits(keep) {
-            kept.lanes[kept.len] = (c, pay[c]);
-            kept.len += 1;
-        }
-        kept
-    }
-
-    /// The saved `(lane, payload)` pairs.
-    #[inline]
-    fn lanes(&self) -> impl Iterator<Item = (usize, i64)> + '_ {
-        self.lanes[..self.len].iter().copied()
-    }
-
-    /// Writes the saved payloads back.
-    #[inline]
-    fn restore(&self, pay: &mut [i64; LANES]) {
-        for (c, old) in self.lanes() {
-            pay[c] = old;
-        }
-    }
-}
 
 /// [`Op::apply`] over two operand columns, in (at least) the lanes of
 /// `mask`: the arity rules become plane logic and the arithmetic a
@@ -542,14 +497,8 @@ fn apply(op: Op, a: &Col, b: &Col, mask: u64, out: &mut Col) {
     out.illegal = illegal;
     // Restore payload 0 where the lanes of `mask` hold no number.
     let zero = mask & !(live & !illegal);
-    if zero.count_ones() <= FEW {
-        for c in bits(zero) {
-            out.pay[c] = 0;
-        }
-    } else {
-        for i in 0..LANES {
-            out.pay[i] &= !lane_mask(zero, i);
-        }
+    for i in 0..LANES {
+        out.pay[i] &= !lane_mask(zero, i);
     }
 }
 
@@ -670,14 +619,13 @@ mod tests {
                     assert_eq!(out.get(c), want, "select lane {c}");
                 }
             }
-            // Every blend strategy: few lanes kept, few moved, a masked
-            // pass; `care` narrower than the word leaves other lanes free.
-            for (mask, care) in MASKS {
+            // A masked move, then a release in some of the moved lanes.
+            for (mask, _) in MASKS {
                 let mut blended = a;
-                blended.blend(&b, mask, care);
+                blended.blend(&b, mask);
                 blended.release(mask & 0xff);
-                assert!(canonical(&blended, care), "blend {mask:x}");
-                for c in bits(care) {
+                assert!(canonical(&blended, !0), "blend {mask:x}");
+                for c in 0..LANES {
                     let want = match mask >> c & 1 {
                         1 if c < 8 => Value::Disc,
                         1 => b.get(c),
@@ -689,7 +637,8 @@ mod tests {
         }
     }
 
-    /// `(mask, care)` pairs covering each blend and drive strategy.
+    /// `(mask, care)` pairs covering each drive strategy: every running
+    /// lane moved, all but a few, and a masked pass.
     const MASKS: [(u64, u64); 6] = [
         (0x5555_0f0f_ff00_1234, !0),
         (!0, !0),
