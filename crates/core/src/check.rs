@@ -915,6 +915,7 @@ pub fn execute_checked(
             let checks = plan
                 .resolve_checks(program)
                 .map_err(CheckedError::Signals)?;
+            plan.check_delta_limit(options)?;
             let (outcome, report) =
                 Stream::solo(&plan, options.opt.config()).execute(&plan, options, Some(&checks))?;
             Ok((outcome, report.unwrap_or_default()))

@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::op::{Arity, Op};
 use crate::phase::Step;
@@ -146,16 +147,27 @@ impl std::error::Error for ModelError {}
 /// assert_eq!(m.tuples().len(), 1);
 /// # Ok::<(), clockless_core::model::ModelError>(())
 /// ```
+///
+/// Cloning is cheap: a clone copies only the register table, the one part
+/// a stimulus or fault edits, and shares the declarations and transfers
+/// with its original until one of them edits those (copy on write).
 #[derive(Debug, Clone)]
 pub struct RtModel {
-    name: String,
     cs_max: Step,
     registers: Vec<RegisterDecl>,
+    decls: Arc<Decls>,
+    tuples: Arc<Vec<TransferTuple>>,
+}
+
+/// The declarations besides the register table, with the name indices of
+/// all four resource kinds.
+#[derive(Debug, Clone, Default)]
+struct Decls {
+    name: String,
     buses: Vec<BusDecl>,
     modules: Vec<ModuleDecl>,
     arrays: Vec<ArrayDecl>,
     memories: Vec<MemoryDecl>,
-    tuples: Vec<TransferTuple>,
     reg_index: HashMap<String, RegisterId>,
     bus_index: HashMap<String, BusId>,
     mod_index: HashMap<String, ModuleId>,
@@ -188,24 +200,19 @@ impl RtModel {
     /// (the controller's `CS_MAX` generic).
     pub fn new(name: impl Into<String>, cs_max: Step) -> RtModel {
         RtModel {
-            name: name.into(),
             cs_max,
             registers: Vec::new(),
-            buses: Vec::new(),
-            modules: Vec::new(),
-            arrays: Vec::new(),
-            memories: Vec::new(),
-            tuples: Vec::new(),
-            reg_index: HashMap::new(),
-            bus_index: HashMap::new(),
-            mod_index: HashMap::new(),
-            mem_index: HashMap::new(),
+            decls: Arc::new(Decls {
+                name: name.into(),
+                ..Decls::default()
+            }),
+            tuples: Arc::default(),
         }
     }
 
     /// The model's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.decls.name
     }
 
     /// Maximum control step (`CS_MAX`).
@@ -229,18 +236,22 @@ impl RtModel {
     /// # Errors
     ///
     /// Returns [`ModelError::DuplicateName`] if a register of this name
-    /// exists.
+    /// exists, or if the name reads as a word `M[i]` of a declared memory
+    /// `M`.
     pub fn add_register_init(
         &mut self,
         name: impl Into<String>,
         init: Value,
     ) -> Result<RegisterId, ModelError> {
         let name = name.into();
-        if self.reg_index.contains_key(&name) {
+        let decls = Arc::make_mut(&mut self.decls);
+        if decls.reg_index.contains_key(&name)
+            || indexed_parts(&name).is_some_and(|(base, _)| decls.mem_index.contains_key(base))
+        {
             return Err(ModelError::DuplicateName(name));
         }
         let id = RegisterId(self.registers.len() as u32);
-        self.reg_index.insert(name.clone(), id);
+        decls.reg_index.insert(name.clone(), id);
         self.registers.push(RegisterDecl { name, init });
         Ok(id)
     }
@@ -252,12 +263,13 @@ impl RtModel {
     /// Returns [`ModelError::DuplicateName`] if a bus of this name exists.
     pub fn add_bus(&mut self, name: impl Into<String>) -> Result<BusId, ModelError> {
         let name = name.into();
-        if self.bus_index.contains_key(&name) {
+        let decls = Arc::make_mut(&mut self.decls);
+        if decls.bus_index.contains_key(&name) {
             return Err(ModelError::DuplicateName(name));
         }
-        let id = BusId(self.buses.len() as u32);
-        self.bus_index.insert(name.clone(), id);
-        self.buses.push(BusDecl { name });
+        let id = BusId(decls.buses.len() as u32);
+        decls.bus_index.insert(name.clone(), id);
+        decls.buses.push(BusDecl { name });
         Ok(id)
     }
 
@@ -268,12 +280,13 @@ impl RtModel {
     /// Returns [`ModelError::DuplicateName`] if a module of this name
     /// exists.
     pub fn add_module(&mut self, decl: ModuleDecl) -> Result<ModuleId, ModelError> {
-        if self.mod_index.contains_key(&decl.name) {
+        let decls = Arc::make_mut(&mut self.decls);
+        if decls.mod_index.contains_key(&decl.name) {
             return Err(ModelError::DuplicateName(decl.name));
         }
-        let id = ModuleId(self.modules.len() as u32);
-        self.mod_index.insert(decl.name.clone(), id);
-        self.modules.push(decl);
+        let id = ModuleId(decls.modules.len() as u32);
+        decls.mod_index.insert(decl.name.clone(), id);
+        decls.modules.push(decl);
         Ok(id)
     }
 
@@ -296,13 +309,15 @@ impl RtModel {
         if len == 0 {
             return Err(ModelError::EmptyStorage(name));
         }
-        if self.mem_index.contains_key(&name) || self.arrays.iter().any(|a| a.name == name) {
+        if self.decls.mem_index.contains_key(&name) || self.array_by_name(&name).is_some() {
             return Err(ModelError::DuplicateName(name));
         }
         for i in 0..len {
             self.add_register_init(format!("{name}[{i}]"), init)?;
         }
-        self.arrays.push(ArrayDecl { name, len, init });
+        Arc::make_mut(&mut self.decls)
+            .arrays
+            .push(ArrayDecl { name, len, init });
         Ok(())
     }
 
@@ -311,8 +326,9 @@ impl RtModel {
     /// # Errors
     ///
     /// [`ModelError::EmptyStorage`] for `len == 0`, or
-    /// [`ModelError::DuplicateName`] if the name is taken by a memory,
-    /// an array, or a register.
+    /// [`ModelError::DuplicateName`] if the name is taken by a memory or
+    /// a register, or is the base `M` of a register named `M[i]` (an
+    /// array element, or a plain register its words would alias).
     pub fn add_memory(
         &mut self,
         name: impl Into<String>,
@@ -323,15 +339,17 @@ impl RtModel {
         if len == 0 {
             return Err(ModelError::EmptyStorage(name));
         }
-        if self.mem_index.contains_key(&name)
-            || self.reg_index.contains_key(&name)
-            || self.arrays.iter().any(|a| a.name == name)
+        let aliased = |r: &RegisterDecl| indexed_parts(&r.name).is_some_and(|(b, _)| b == name);
+        let decls = Arc::make_mut(&mut self.decls);
+        if decls.mem_index.contains_key(&name)
+            || decls.reg_index.contains_key(&name)
+            || self.registers.iter().any(aliased)
         {
             return Err(ModelError::DuplicateName(name));
         }
-        let id = MemoryId(self.memories.len() as u32);
-        self.mem_index.insert(name.clone(), id);
-        self.memories.push(MemoryDecl { name, len, init });
+        let id = MemoryId(decls.memories.len() as u32);
+        decls.mem_index.insert(name.clone(), id);
+        decls.memories.push(MemoryDecl { name, len, init });
         Ok(id)
     }
 
@@ -351,7 +369,7 @@ impl RtModel {
         }
         if let Some((base, idx)) = indexed_parts(name) {
             if let Some(mem) = self.memory_by_name(base) {
-                let decl = &self.memories[mem.0 as usize];
+                let decl = &self.decls.memories[mem.0 as usize];
                 return match idx.parse::<u32>() {
                     Ok(i) if i < decl.len => Ok(StorageRead::MemWord { mem, index: i }),
                     Ok(i) => Err(ModelError::MemoryIndexOutOfRange {
@@ -390,7 +408,7 @@ impl RtModel {
     /// Any [`ModelError`] variant describing the violated invariant.
     pub fn add_transfer(&mut self, tuple: TransferTuple) -> Result<(), ModelError> {
         self.validate_tuple(&tuple)?;
-        self.tuples.push(tuple);
+        Arc::make_mut(&mut self.tuples).push(tuple);
         Ok(())
     }
 
@@ -407,7 +425,7 @@ impl RtModel {
         let module = self
             .module_by_name(&tuple.module)
             .ok_or_else(|| ModelError::UnknownModule(tuple.module.clone()))?;
-        let decl = &self.modules[module.0 as usize];
+        let decl = &self.decls.modules[module.0 as usize];
 
         // Resolve the effective operation.
         let op = match (tuple.op, decl.ops.len()) {
@@ -502,12 +520,12 @@ impl RtModel {
 
     /// The declared buses, indexable by [`BusId`].
     pub fn buses(&self) -> &[BusDecl] {
-        &self.buses
+        &self.decls.buses
     }
 
     /// The declared modules, indexable by [`ModuleId`].
     pub fn modules(&self) -> &[ModuleDecl] {
-        &self.modules
+        &self.decls.modules
     }
 
     /// The scheduled transfers.
@@ -518,22 +536,22 @@ impl RtModel {
     /// The declared register arrays (their elements also appear in
     /// [`registers`](Self::registers)).
     pub fn arrays(&self) -> &[ArrayDecl] {
-        &self.arrays
+        &self.decls.arrays
     }
 
     /// The declared memories, indexable by [`MemoryId`].
     pub fn memories(&self) -> &[MemoryDecl] {
-        &self.memories
+        &self.decls.memories
     }
 
     /// Looks up a memory by name.
     pub fn memory_by_name(&self, name: &str) -> Option<MemoryId> {
-        self.mem_index.get(name).copied()
+        self.decls.mem_index.get(name).copied()
     }
 
     /// Looks up an array declaration by base name.
     pub fn array_by_name(&self, name: &str) -> Option<&ArrayDecl> {
-        self.arrays.iter().find(|a| a.name == name)
+        self.decls.arrays.iter().find(|a| a.name == name)
     }
 
     /// `true` when `name` names a register that belongs to a declared
@@ -544,17 +562,17 @@ impl RtModel {
 
     /// Looks up a register by name.
     pub fn register_by_name(&self, name: &str) -> Option<RegisterId> {
-        self.reg_index.get(name).copied()
+        self.decls.reg_index.get(name).copied()
     }
 
     /// Looks up a bus by name.
     pub fn bus_by_name(&self, name: &str) -> Option<BusId> {
-        self.bus_index.get(name).copied()
+        self.decls.bus_index.get(name).copied()
     }
 
     /// Looks up a module by name.
     pub fn module_by_name(&self, name: &str) -> Option<ModuleId> {
-        self.mod_index.get(name).copied()
+        self.decls.mod_index.get(name).copied()
     }
 
     /// The effective operation of a (validated) tuple: its selector, or
@@ -571,17 +589,18 @@ impl RtModel {
                 let m = self
                     .module_by_name(&tuple.module)
                     .expect("validated tuple references known module");
-                self.modules[m.0 as usize].ops[0]
+                self.decls.modules[m.0 as usize].ops[0]
             }
         }
     }
 
     /// Overwrites a register's initial value in place.
     ///
-    /// This is a **mutation helper** for fault-injection campaigns
-    /// (stuck-at-`DISC` and corrupted-init faults in
-    /// `clockless-verify::faults`); regular model construction should pass
-    /// the init to [`add_register_init`](Self::add_register_init).
+    /// This is a **mutation helper** for stimuli (fleet `init` overrides)
+    /// and fault-injection campaigns (stuck-at-`DISC` and corrupted-init
+    /// faults in `clockless-verify::faults`); regular model construction
+    /// should pass the init to
+    /// [`add_register_init`](Self::add_register_init).
     ///
     /// # Errors
     ///
@@ -594,6 +613,28 @@ impl RtModel {
         Ok(())
     }
 
+    /// Sets `CS_MAX` to `cs_max` and re-validates every transfer against
+    /// it, as [`add_transfer`](Self::add_transfer) would on a model built
+    /// with that step count.
+    ///
+    /// # Errors
+    ///
+    /// The first transfer's [`ModelError`] under the new step count (for
+    /// instance [`ModelError::StepOutOfRange`] when the schedule no
+    /// longer fits); the model is left unchanged.
+    pub fn set_cs_max(&mut self, cs_max: Step) -> Result<(), ModelError> {
+        let old = std::mem::replace(&mut self.cs_max, cs_max);
+        if let Some(e) = self
+            .tuples
+            .iter()
+            .find_map(|t| self.validate_tuple(t).err())
+        {
+            self.cs_max = old;
+            return Err(e);
+        }
+        Ok(())
+    }
+
     /// Removes and returns the transfer at `index`, or `None` when the
     /// index is out of range.
     ///
@@ -602,7 +643,7 @@ impl RtModel {
     /// transfer cannot violate any scheduling invariant).
     pub fn remove_transfer(&mut self, index: usize) -> Option<TransferTuple> {
         if index < self.tuples.len() {
-            Some(self.tuples.remove(index))
+            Some(Arc::make_mut(&mut self.tuples).remove(index))
         } else {
             None
         }
@@ -640,7 +681,10 @@ impl RtModel {
             self.tuples.len()
         );
         self.validate_tuple_resources(&tuple)?;
-        Ok(std::mem::replace(&mut self.tuples[index], tuple))
+        Ok(std::mem::replace(
+            &mut Arc::make_mut(&mut self.tuples)[index],
+            tuple,
+        ))
     }
 
     /// The resource-existence subset of
@@ -674,25 +718,26 @@ impl RtModel {
     /// Rebuilds the name indices; required after deserialization (they are
     /// not serialized).
     pub fn rebuild_indices(&mut self) {
-        self.reg_index = self
+        let decls = Arc::make_mut(&mut self.decls);
+        decls.reg_index = self
             .registers
             .iter()
             .enumerate()
             .map(|(i, r)| (r.name.clone(), RegisterId(i as u32)))
             .collect();
-        self.bus_index = self
+        decls.bus_index = decls
             .buses
             .iter()
             .enumerate()
             .map(|(i, b)| (b.name.clone(), BusId(i as u32)))
             .collect();
-        self.mod_index = self
+        decls.mod_index = decls
             .modules
             .iter()
             .enumerate()
             .map(|(i, m)| (m.name.clone(), ModuleId(i as u32)))
             .collect();
-        self.mem_index = self
+        decls.mem_index = decls
             .memories
             .iter()
             .enumerate()
@@ -1073,13 +1118,136 @@ mod tests {
     }
 
     #[test]
+    fn register_names_may_not_alias_memory_words() {
+        // Memory first: `M[9]` and `M[1]` would read as words of `M`.
+        let mut m = base();
+        m.add_memory("M", 4, Value::Num(0)).unwrap();
+        for name in ["M[9]", "M[1]", "M[R1]"] {
+            assert_eq!(
+                m.add_register_init(name, Value::Num(1)),
+                Err(ModelError::DuplicateName(name.into()))
+            );
+        }
+        assert!(matches!(
+            m.add_array("M", 2, Value::Disc),
+            Err(ModelError::DuplicateName(_))
+        ));
+        // Registers first: the memory is the one refused.
+        let mut m = base();
+        m.add_register_init("M[9]", Value::Num(1)).unwrap();
+        assert_eq!(
+            m.add_memory("M", 4, Value::Num(0)),
+            Err(ModelError::DuplicateName("M".into()))
+        );
+        // Other names stay apart: `MM[1]` does not alias `M`.
+        m.add_register("MM[1]").unwrap();
+        assert!(m.add_memory("MEM", 4, Value::Num(0)).is_ok());
+    }
+
+    #[test]
+    fn set_cs_max_revalidates_every_transfer() {
+        let mut m = fig1_model(3, 4);
+        m.set_cs_max(9).unwrap();
+        assert_eq!(m.cs_max(), 9);
+        // The write-back at step 6 no longer fits: the first transfer's
+        // error, with the model unchanged.
+        assert_eq!(
+            m.set_cs_max(5),
+            Err(ModelError::StepOutOfRange { step: 6, cs_max: 5 })
+        );
+        assert_eq!(m.cs_max(), 9);
+        // A skewed transfer fails validation at any step count.
+        let mut skew = m.tuples()[0].clone();
+        skew.write.as_mut().unwrap().step = 7;
+        m.replace_transfer_unchecked(0, skew).unwrap();
+        assert_eq!(
+            m.set_cs_max(9),
+            Err(ModelError::WrongWriteStep {
+                got: 7,
+                expected: 6
+            })
+        );
+    }
+
+    /// A clone shares the original's declarations and transfers; editing
+    /// the clone through any mutator must leave the original as it was.
+    #[test]
+    fn clones_copy_on_write() {
+        use crate::resource::ModuleTiming;
+        use crate::text::{parse_model, to_text};
+        let original = parse_model(
+            "model cow steps 8\nregister A init 1\nregister B\narray V[2] init 0\n\
+             memory M[4] init 5\nbus X\nbus Y\nmodule CP ops passa comb\n\
+             transfer (A,X,-,-,2,CP,2,Y,B)\ntransfer (M[1],X,-,-,3,CP,3,Y,V[0])\n",
+        )
+        .unwrap();
+        let (text, table) = (to_text(&original), original.registers().to_vec());
+        let edit = |what: &str, edit: &dyn Fn(&mut RtModel)| {
+            let mut clone = original.clone();
+            edit(&mut clone);
+            assert_eq!(to_text(&original), text, "{what} leaves the text");
+            // `to_text` prints an array's shared init, so compare the
+            // register table too; and every name must still resolve.
+            assert_eq!(original.registers(), table, "{what} leaves the inits");
+            assert!(table
+                .iter()
+                .all(|r| original.register_by_name(&r.name).is_some()));
+            assert!(original.bus_by_name("X").is_some() && original.memory_by_name("M").is_some());
+        };
+        edit("add_register", &|m| {
+            m.add_register("C").unwrap();
+        });
+        edit("add_register_init", &|m| {
+            m.add_register_init("D", Value::Num(2)).unwrap();
+        });
+        edit("add_bus", &|m| {
+            m.add_bus("Z").unwrap();
+        });
+        edit("add_module", &|m| {
+            let decl = ModuleDecl::single("CQ", Op::PassA, ModuleTiming::Combinational);
+            m.add_module(decl).unwrap();
+        });
+        edit("add_array", &|m| {
+            m.add_array("W", 2, Value::Num(1)).unwrap()
+        });
+        edit("add_memory", &|m| {
+            m.add_memory("N", 2, Value::Num(0)).unwrap();
+        });
+        edit("add_transfer", &|m| {
+            let t = TransferTuple::new(6, "CP")
+                .src_a("B", "X")
+                .write(6, "Y", "A");
+            m.add_transfer(t).unwrap();
+        });
+        edit("remove_transfer", &|m| {
+            m.remove_transfer(0).unwrap();
+        });
+        edit("replace_transfer_unchecked", &|m| {
+            let skew = TransferTuple::new(4, "CP")
+                .src_a("A", "X")
+                .write(5, "Y", "B");
+            m.replace_transfer_unchecked(0, skew).unwrap();
+        });
+        edit("set_register_init", &|m| {
+            m.set_register_init("V[1]", Value::Num(9)).unwrap();
+            m.set_register_init("A", Value::Disc).unwrap();
+        });
+        edit("rebuild_indices", &|m| {
+            Arc::make_mut(&mut m.decls).reg_index.clear();
+            m.rebuild_indices();
+        });
+        edit("set_cs_max", &|m| m.set_cs_max(12).unwrap());
+    }
+
+    #[test]
     fn indices_rebuild_after_being_cleared() {
         // Emulates the post-deserialization state, where the skipped
         // index maps come back empty.
         let mut m2 = fig1_model(1, 2);
-        m2.reg_index.clear();
-        m2.bus_index.clear();
-        m2.mod_index.clear();
+        let decls = Arc::make_mut(&mut m2.decls);
+        decls.reg_index.clear();
+        decls.bus_index.clear();
+        decls.mod_index.clear();
         m2.rebuild_indices();
         assert!(m2.register_by_name("R1").is_some());
         assert!(m2.bus_by_name("B2").is_some());

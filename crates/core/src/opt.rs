@@ -487,15 +487,8 @@ impl Stream {
         options: &ExecOptions,
         checks: Option<&PlanChecks>,
     ) -> Result<(ExecOutcome, Option<CheckReport>), KernelError> {
-        let limit = options.delta_limit.unwrap_or(100_000_000);
+        plan.check_delta_limit(options)?;
         let needed = [self.bounds.len() as u64 - 1];
-        if needed[0] > limit {
-            let at = SimTime {
-                fs: 0,
-                delta: limit,
-            };
-            return Err(KernelError::DeltaOverflow { at, limit });
-        }
         let mut values: Vec<Value> = plan.signals.iter().map(|s| s.init).collect();
         let mut trace = options.trace.then(|| plan.initial_trace());
         let (counts, checker) = self.walk(

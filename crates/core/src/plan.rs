@@ -569,6 +569,22 @@ impl ExecPlan {
         schedule_deltas(self.cs_max, self.last_writes)
     }
 
+    /// The kernel's [`KernelError::DeltaOverflow`] when a run of
+    /// [`total_deltas`](Self::total_deltas) exceeds the delta budget of
+    /// `options`: checked before anything that grows with the step count
+    /// is allocated.
+    pub(crate) fn check_delta_limit(&self, options: &ExecOptions) -> Result<(), KernelError> {
+        let limit = options.delta_limit.unwrap_or(100_000_000);
+        if self.total_deltas() > limit {
+            let at = SimTime {
+                fs: 0,
+                delta: limit,
+            };
+            return Err(KernelError::DeltaOverflow { at, limit });
+        }
+        Ok(())
+    }
+
     /// A fresh trace holding every signal's initial value at time zero —
     /// what the kernel records on initialization.
     pub(crate) fn initial_trace(&self) -> Trace<Value> {
@@ -630,6 +646,7 @@ impl ExecPlan {
     /// is static), [`KernelError::WallBudgetExceeded`] when the deadline
     /// passes mid-walk.
     pub fn execute(&self, options: &ExecOptions) -> Result<ExecOutcome, KernelError> {
+        self.check_delta_limit(options)?;
         Stream::solo(self, options.opt.config())
             .execute(self, options, None)
             .map(|(outcome, _)| outcome)

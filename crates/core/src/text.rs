@@ -565,4 +565,27 @@ mod tests {
         let err = parse_model("model x steps 1\nmemory M[2]\nmemory M[2]\n").unwrap_err();
         assert_eq!(err.line, 3);
     }
+
+    /// A register named like a memory word is refused in either
+    /// declaration order: both engines would read the memory word.
+    #[test]
+    fn registers_aliasing_memory_words_are_rejected_with_lines() {
+        let transfer = "bus B\nmodule CP ops passa comb\ntransfer (M[9],B,-,-,1,CP,1,B,R)\n";
+        let memory_first =
+            format!("model a steps 1\nmemory M[4]\nregister M[9] init 1\nregister R\n{transfer}");
+        let err = parse_model(&memory_first).unwrap_err();
+        assert_eq!(
+            (err.line, err.msg.as_str()),
+            (3, "duplicate resource name `M[9]`")
+        );
+        let register_first =
+            format!("model a steps 1\nregister M[9] init 1\nmemory M[4]\nregister R\n{transfer}");
+        let err = parse_model(&register_first).unwrap_err();
+        assert_eq!(
+            (err.line, err.msg.as_str()),
+            (3, "duplicate resource name `M`")
+        );
+        let word = "model a steps 1\nregister M[1] init 1\nmemory M[4]\n";
+        assert_eq!(parse_model(word).unwrap_err().line, 3);
+    }
 }

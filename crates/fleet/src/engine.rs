@@ -23,6 +23,7 @@
 //! classified failures. The legacy fail-fast behaviour remains available
 //! via [`FleetConfig::fail_fast`].
 
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -110,7 +111,10 @@ pub fn run_batch(spec: &BatchSpec, workers: usize) -> Result<FleetReport, FleetE
 /// given [`FleetConfig`] and aggregates the results.
 ///
 /// Jobs are resolved to models up front (sequentially — parse errors
-/// carry clean line/job attribution), then submitted to a
+/// carry clean line/job attribution). Jobs sharing a source and `steps`
+/// share one resolution: the file is read, parsed or synthesized once,
+/// and each job runs a copy with its own `init` overrides. They are
+/// then submitted to a
 /// [`ThreadPool`] executor under their spec
 /// index as the ticket. Emissions arrive in completion order and are
 /// reordered by ticket, so the report is identical at any worker count
@@ -140,8 +144,13 @@ pub fn run_batch_with(
         return Err(FleetError::EmptyBatch);
     }
     let mut resolved = Vec::with_capacity(spec.jobs.len());
+    let mut groups = HashMap::new();
     for j in &spec.jobs {
-        let job = ResolvedJob::from_spec(j, config);
+        let model = match j.group_key() {
+            Some(key) => j.stimulate(groups.entry(key).or_insert_with(|| j.build())),
+            None => j.resolve(),
+        };
+        let job = ResolvedJob::with_model(j, config, model);
         if config.fail_fast {
             // Preserve the legacy contract: resolution errors (Io/Build,
             // with line/job attribution) abort before anything runs.
@@ -559,6 +568,85 @@ mod tests {
         let compiled = run_batch_with(&spec, 4, &config).expect("runs");
         assert_eq!(interp.to_json(false), compiled.to_json(false));
         assert_eq!(compiled.failed_jobs(), 3);
+    }
+
+    /// Jobs that share a source share its resolution and its failure:
+    /// every job of a failing group is quarantined with the text a job
+    /// resolved alone reports, and its clean siblings still run.
+    #[test]
+    fn grouped_build_failures_quarantine_every_job_of_the_group() {
+        let models = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models");
+        let spec = BatchSpec::parse(
+            "job ok      rtl fig1.rtl init R1=5\n\
+             job unk_a   rtl fig1.rtl init NOPE=1\n\
+             job unk_b   rtl fig1.rtl init R1=2 init NOPE=3\n\
+             job small_a rtl fig1.rtl steps 5\n\
+             job small_b rtl fig1.rtl steps 5 init R2=9\n\
+             job both    rtl fig1.rtl steps 5 init NOPE=1\n\
+             job gone_a  rtl missing.rtl\n\
+             job gone_b  rtl missing.rtl init R1=4\n\
+             job wide    rtl fig1.rtl steps 9 init R2=1\n",
+            models,
+        )
+        .expect("parses");
+        let unknown = "init override names unknown register `NOPE`";
+        let small = "step 6 outside 1..=5";
+        let gone = std::fs::read_to_string(format!("{models}/missing.rtl"))
+            .expect_err("no such file")
+            .to_string();
+        let report = run_batch(&spec, 2).expect("keep-going survives builds");
+        let rows: Vec<(&str, FailureKind, &str)> = report
+            .quarantined()
+            .map(|q| (q.name.as_str(), q.kind, q.error.as_str()))
+            .collect();
+        let build = FailureKind::Build;
+        assert_eq!(
+            rows,
+            [
+                ("unk_a", build, unknown),
+                ("unk_b", build, unknown),
+                ("small_a", build, small),
+                ("small_b", build, small),
+                ("both", build, unknown),
+                ("gone_a", build, gone.as_str()),
+                ("gone_b", build, gone.as_str()),
+            ]
+        );
+        // Each failing job alone reports the same text, under its name.
+        for job in &spec.jobs[1..8] {
+            let alone = job.resolve().expect_err("fails alone");
+            let msg = match &alone {
+                FleetError::Build { job: name, msg } => {
+                    assert_eq!(*name, job.name);
+                    msg
+                }
+                FleetError::Io { msg, .. } => msg,
+                other => panic!("{other}"),
+            };
+            let row = rows.iter().find(|r| r.0 == job.name).expect("quarantined");
+            assert_eq!(msg, row.2);
+        }
+        assert_eq!(
+            report.job("ok").unwrap().register("R1"),
+            Some(Value::Num(5 + 4))
+        );
+        assert_eq!(report.job("wide").unwrap().cs_max, 9);
+        // Fail-fast names the failing job, not the group's first.
+        let config = FleetConfig {
+            fail_fast: true,
+            ..FleetConfig::default()
+        };
+        let tail = BatchSpec {
+            jobs: vec![spec.jobs[0].clone(), spec.jobs[2].clone()],
+        };
+        let err = run_batch_with(&tail, 1, &config).expect_err("fails");
+        assert_eq!(
+            err,
+            FleetError::Build {
+                job: "unk_b".into(),
+                msg: unknown.into()
+            }
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use clockless_core::{
     execute_checked, Backend, CheckProgram, CheckedError, ExecOptions, OptLevel, RtModel,
@@ -323,9 +323,19 @@ impl ResolvedJob {
     /// errors are captured in [`ResolvedJob::model`], not returned — the
     /// executor quarantines them per-job.
     pub fn from_spec(spec: &JobSpec, config: &FleetConfig) -> ResolvedJob {
+        ResolvedJob::with_model(spec, config, spec.resolve())
+    }
+
+    /// [`from_spec`](Self::from_spec) with the job's model resolved
+    /// already.
+    pub(crate) fn with_model(
+        spec: &JobSpec,
+        config: &FleetConfig,
+        model: Result<RtModel, FleetError>,
+    ) -> ResolvedJob {
         ResolvedJob {
             name: spec.name.clone(),
-            model: spec.resolve(),
+            model,
             delta_budget: min_budget(config.delta_budget, spec.delta_budget),
             backend: config.backend.or(spec.backend).unwrap_or_default(),
             opt: config.opt,
@@ -382,20 +392,7 @@ pub fn execute_job(job: &ResolvedJob, config: &FleetConfig) -> JobOutcome {
     };
     let mut attempt: u64 = 0;
     loop {
-        let run = fenced(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                run_job(
-                    &job.name,
-                    model,
-                    job.delta_budget,
-                    config.wall_budget,
-                    job.backend,
-                    job.opt,
-                    job.check.as_deref(),
-                    job.chaos,
-                )
-            }))
-        });
+        let run = fenced(|| catch_unwind(AssertUnwindSafe(|| run_job(job, model, config))));
         let failure = match run {
             Ok(Ok(mut result)) => {
                 result.stats.retries = attempt;
@@ -437,32 +434,27 @@ fn build_error_text(e: &FleetError) -> String {
     }
 }
 
-/// Runs one job on a fresh, private engine instance of the selected
-/// backend (always traced, so conflict diagnoses are available in the
-/// report), enforcing the configured budgets and evaluating the value
-/// checkers when a program is armed.
-#[allow(clippy::too_many_arguments)]
+/// Runs `job`, whose model is `model`, on a fresh, private engine
+/// instance of the selected backend (always traced, so conflict
+/// diagnoses are available in the report), enforcing the configured
+/// budgets and evaluating the value checkers when a program is armed.
 fn run_job(
-    name: &str,
+    job: &ResolvedJob,
     model: &RtModel,
-    delta_budget: Option<u64>,
-    wall_budget: Option<Duration>,
-    backend: Backend,
-    opt: OptLevel,
-    check: Option<&CheckProgram>,
-    chaos: Option<ChaosProbe>,
+    config: &FleetConfig,
 ) -> Result<JobResult, (FailureKind, String)> {
-    if let Some(probe) = chaos {
+    if let Some(probe) = job.chaos {
         probe.trip();
     }
+    let (backend, delta_budget) = (job.backend, job.delta_budget);
     let t0 = Instant::now();
     let options = ExecOptions {
         trace: true,
         delta_limit: delta_budget,
-        deadline: wall_budget.map(|d| t0 + d),
-        opt,
+        deadline: config.wall_budget.map(|d| t0 + d),
+        opt: job.opt,
     };
-    let (summary, check) = match check {
+    let (summary, check) = match job.check.as_deref() {
         Some(program) => {
             let (outcome, verdict) =
                 execute_checked(model, backend, &options, program).map_err(|e| match e {
@@ -483,7 +475,7 @@ fn run_job(
     };
     let wall_ns = t0.elapsed().as_nanos() as u64;
     Ok(JobResult {
-        name: name.to_string(),
+        name: job.name.clone(),
         model: model.name().to_string(),
         cs_max: model.cs_max(),
         tuples: model.tuples().len(),

@@ -106,7 +106,7 @@ impl std::error::Error for FleetError {}
 
 /// A synthetic high-level-synthesis workload, scheduled and emitted on
 /// the fly (no input files needed).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HlsWorkload {
     /// An n-tap FIR filter (`clockless_hls::fir`).
     Fir {
@@ -192,10 +192,11 @@ pub struct JobSpec {
     pub name: String,
     /// Where the model comes from.
     pub source: JobSource,
-    /// Optional `CS_MAX` override (the model is rebuilt on the new step
-    /// count; transfers must still fit).
+    /// Optional `CS_MAX` override (every transfer is re-validated
+    /// against the new step count; they must still fit).
     pub steps: Option<Step>,
     /// Register-init overrides `(register, value)` — the job's stimulus.
+    /// A register overridden twice takes the later value.
     pub overrides: Vec<(String, i64)>,
     /// Optional per-job delta-cycle budget (`budget <N>` in the spec
     /// text). When the batch config also sets a budget, the smaller one
@@ -230,8 +231,30 @@ impl JobSpec {
     /// # Errors
     ///
     /// [`FleetError::Io`] or [`FleetError::Build`] when the source cannot
-    /// be materialized.
+    /// be materialized, an override names an unknown register, or the
+    /// transfers do not fit the `steps` override.
     pub fn resolve(&self) -> Result<RtModel, FleetError> {
+        self.stimulate(&self.build())
+    }
+
+    /// Jobs with equal keys, the same source and `steps`, share one
+    /// [`build`](Self::build). `Model` and `Chaos` jobs resolve alone.
+    pub(crate) fn group_key(&self) -> Option<(SourceKey<'_>, Option<Step>)> {
+        let source = match &self.source {
+            JobSource::RtlFile(path) => SourceKey::File(path),
+            JobSource::RtlText(text) => SourceKey::Text(text),
+            JobSource::Hls(workload) => SourceKey::Hls(workload),
+            JobSource::IksIk { x, y } => SourceKey::IksIk(x.to_bits(), y.to_bits()),
+            JobSource::IksFir => SourceKey::IksFir,
+            JobSource::Model(_) | JobSource::Chaos(_) => return None,
+        };
+        Some((source, self.steps))
+    }
+
+    /// The job's source model with its `steps` override made. A failed
+    /// `steps` edit leaves the model as the source built it and comes
+    /// back beside it: a job reports unknown override names first.
+    pub(crate) fn build(&self) -> Base {
         let build_err = |msg: String| FleetError::Build {
             job: self.name.clone(),
             msg,
@@ -271,12 +294,49 @@ impl JobSpec {
                 m
             }
         };
-        if self.steps.is_some() || !self.overrides.is_empty() {
-            model =
-                rebuild_with_overrides(&model, self.steps, &self.overrides).map_err(build_err)?;
-        }
-        Ok(model)
+        let steps = self
+            .steps
+            .and_then(|n| model.set_cs_max(n).err().map(|e| e.to_string()));
+        Ok((model, steps))
     }
+
+    /// This job's model: a copy of `base`, the build of its group, with
+    /// the `init` overrides applied in order.
+    pub(crate) fn stimulate(&self, base: &Base) -> Result<RtModel, FleetError> {
+        let build_err = |msg: String| FleetError::Build {
+            job: self.name.clone(),
+            msg,
+        };
+        let (model, steps) = match base {
+            Ok(base) => base,
+            Err(FleetError::Build { msg, .. }) => return Err(build_err(msg.clone())),
+            Err(e) => return Err(e.clone()),
+        };
+        let mut model = model.clone();
+        for (reg, v) in &self.overrides {
+            model
+                .set_register_init(reg, Value::Num(*v))
+                .map_err(|_| build_err(format!("init override names unknown register `{reg}`")))?;
+        }
+        match steps {
+            Some(msg) => Err(build_err(msg.clone())),
+            None => Ok(model),
+        }
+    }
+}
+
+/// What [`JobSpec::build`] makes for a group of jobs: the model and the
+/// error of its `steps` edit, or why the source could not be built.
+pub(crate) type Base = Result<(RtModel, Option<String>), FleetError>;
+
+/// A job source as a [`JobSpec::group_key`].
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) enum SourceKey<'a> {
+    File(&'a Path),
+    Text(&'a str),
+    Hls(&'a HlsWorkload),
+    IksIk(u64, u64),
+    IksFir,
 }
 
 /// Synthesizes an [`HlsWorkload`] with unconstrained resources and
@@ -314,70 +374,6 @@ fn synthesize_workload(workload: &HlsWorkload) -> Result<RtModel, String> {
     synthesize(&dfg, &resources, &inputs)
         .map(|syn| syn.model)
         .map_err(|e| e.to_string())
-}
-
-/// Rebuilds `model` with a new `CS_MAX` and/or register-init overrides,
-/// revalidating every transfer against the new parameters. Registers
-/// keep their declaration order; array and memory declarations carry
-/// over.
-fn rebuild_with_overrides(
-    model: &RtModel,
-    steps: Option<Step>,
-    overrides: &[(String, i64)],
-) -> Result<RtModel, String> {
-    for (reg, _) in overrides {
-        if model.register_by_name(reg).is_none() {
-            return Err(format!("init override names unknown register `{reg}`"));
-        }
-    }
-    let init_of = |name: &str, init: Value| {
-        overrides
-            .iter()
-            .rev() // later overrides win
-            .find(|(n, _)| n == name)
-            .map_or(init, |(_, v)| Value::Num(*v))
-    };
-    let mut m = RtModel::new(model.name(), steps.unwrap_or(model.cs_max()));
-    let regs = model.registers();
-    let mut i = 0;
-    while i < regs.len() {
-        // Array elements are contiguous registers `A[0]`…; re-declaring
-        // the array recreates them in place, then each keeps its own init.
-        let array = model
-            .arrays()
-            .iter()
-            .find(|a| regs[i].name == format!("{}[0]", a.name));
-        let elements = match array {
-            Some(a) => {
-                m.add_array(&a.name, a.len, a.init)
-                    .map_err(|e| e.to_string())?;
-                a.len as usize
-            }
-            None => {
-                m.add_register(&regs[i].name).map_err(|e| e.to_string())?;
-                1
-            }
-        };
-        for r in &regs[i..i + elements] {
-            m.set_register_init(&r.name, init_of(&r.name, r.init))
-                .map_err(|e| e.to_string())?;
-        }
-        i += elements;
-    }
-    for mem in model.memories() {
-        m.add_memory(&mem.name, mem.len, mem.init)
-            .map_err(|e| e.to_string())?;
-    }
-    for b in model.buses() {
-        m.add_bus(&b.name).map_err(|e| e.to_string())?;
-    }
-    for decl in model.modules() {
-        m.add_module(decl.clone()).map_err(|e| e.to_string())?;
-    }
-    for t in model.tuples() {
-        m.add_transfer(t.clone()).map_err(|e| e.to_string())?;
-    }
-    Ok(m)
 }
 
 /// A batch of independent simulation jobs.
@@ -685,12 +681,13 @@ mod tests {
     }
 
     #[test]
-    fn overrides_apply_to_rebuilt_model() {
+    fn overrides_apply_to_the_resolved_model() {
         use clockless_core::model::fig1_model;
         let mut job = JobSpec::new("j", JobSource::Model(Box::new(fig1_model(3, 4))));
         job.steps = Some(6);
-        job.overrides = vec![("R2".into(), 100)];
-        let m = job.resolve().expect("rebuilds");
+        // A register overridden twice takes the later value.
+        job.overrides = vec![("R2".into(), 1), ("R2".into(), 100)];
+        let m = job.resolve().expect("resolves");
         assert_eq!(m.cs_max(), 6);
         assert_eq!(m.registers()[1].init, Value::Num(100));
         // A steps override that no longer fits the schedule is rejected.
@@ -718,9 +715,8 @@ mod tests {
     }
 
     /// `init` and `steps` overrides on models with a memory or an array
-    /// rebuild them with their storage intact: each job resolves to, and
-    /// reports exactly what, the model with that edit made in its text
-    /// does.
+    /// keep their storage intact: each job resolves to, and reports
+    /// exactly what, the model with that edit made in its text does.
     #[test]
     fn overrides_keep_memories_and_arrays() {
         let memory = corpus_text("memory");
@@ -753,7 +749,7 @@ mod tests {
             job.overrides = init.map(|(r, v)| (r.to_string(), v)).into_iter().collect();
             let reference = JobSpec::new("job", JobSource::RtlText(edited));
             assert_eq!(
-                clockless_core::text::to_text(&job.resolve().expect("rebuilds")),
+                clockless_core::text::to_text(&job.resolve().expect("resolves")),
                 clockless_core::text::to_text(&reference.resolve().expect("parses")),
             );
             let (got, want) = (run_alone(job), run_alone(reference));

@@ -87,6 +87,38 @@ grep -q "2 job(s) quarantined" <<<"$fleet_out"
 grep -q "panicked" <<<"$fleet_out"
 grep -q "delta-budget-exceeded" <<<"$fleet_out"
 
+echo "== fleet shared source (jobs sharing one file report what jobs on distinct copies do)"
+share_dir="$(mktemp -d)"
+for i in $(seq 1 9); do
+  cp models/fig1.rtl "$share_dir/copy$i.rtl"
+  opts="init R1=$i init R2=$((3 * i - 7))"
+  [ "$i" -eq 9 ] && opts="steps 9 init R2=5"
+  echo "job s$i rtl $PWD/models/fig1.rtl $opts" >> "$share_dir/shared.fleet"
+  echo "job s$i rtl copy$i.rtl $opts" >> "$share_dir/copies.fleet"
+done
+for backend in interpreted compiled; do
+  shared_json="$(./target/release/clockless fleet "$share_dir/shared.fleet" --jobs 2 --json --backend "$backend")"
+  copies_json="$(./target/release/clockless fleet "$share_dir/copies.fleet" --jobs 2 --json --backend "$backend")"
+  [ "$shared_json" = "$copies_json" ]
+  grep -q '"cs_max": 9' <<<"$shared_json"
+done
+rm -rf "$share_dir"
+
+echo "== compiled admission (a run longer than the delta limit fails before its per-step tables exist)"
+big_dir="$(mktemp -d)"
+printf 'model big steps 4000000000\nregister A init 1\n' > "$big_dir/big.rtl"
+big_status=0
+big_out="$( (ulimit -v 4000000; ./target/release/clockless run "$big_dir/big.rtl" --backend compiled) 2>&1)" || big_status=$?
+[ "$big_status" -eq 1 ]
+grep -q "delta-cycle limit 100000000 exhausted" <<<"$big_out"
+# The checked run compiles through its own branch.
+printf '{"invariants": {"model": "big", "signals": 1, "rules": 1}, "signals": [{"name": "A", "kind": "register"}], "rules": [{"kind": "range", "signal": "A", "min": 1, "max": 1}]}\n' > "$big_dir/inv.json"
+big_status=0
+big_out="$( (ulimit -v 4000000; ./target/release/clockless run "$big_dir/big.rtl" --backend compiled --check "$big_dir/inv.json") 2>&1)" || big_status=$?
+[ "$big_status" -eq 1 ]
+grep -q "delta-cycle limit 100000000 exhausted" <<<"$big_out"
+rm -rf "$big_dir"
+
 echo "== backend sweep (compiled engine must be byte-identical to interpreted)"
 for model in models/*.rtl; do
   interp_status=0 compiled_status=0

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use clockless::core::prelude::*;
 use clockless::core::{resolve, Endpoint, TransferTuple};
+use clockless::fleet::{JobSource, JobSpec};
 use clockless::hls::{random_dag, synthesize, ResourceClass, ResourceSet};
 use clockless::verify::{concrete_check, roundtrip_check, verify_synthesis};
 
@@ -622,4 +623,123 @@ fn fault_lanes_match_the_kernel_across_chunks() {
         report.applicable()
     );
     assert_lanes_match_kernel(&model, "random_dag(42, 24, 4)");
+}
+
+// ---- Fleet: one resolution per source -----------------------------------
+
+/// Runs `jobs` as one batch, where jobs sharing a source share its
+/// resolution, and each job in a batch of its own: the batch report must
+/// equal the solo rows and their merged totals, byte for byte.
+fn assert_grouped_matches_alone(jobs: &[JobSpec], what: &str) {
+    use clockless::fleet::{run_batch, BatchSpec, FleetReport};
+    let grouped = run_batch(
+        &BatchSpec {
+            jobs: jobs.to_vec(),
+        },
+        2,
+    )
+    .expect("batch runs");
+    let mut alone = FleetReport {
+        jobs: Vec::new(),
+        totals: Default::default(),
+        workers: grouped.workers,
+        elapsed_ns: 0,
+    };
+    for job in jobs {
+        let solo = run_batch(
+            &BatchSpec {
+                jobs: vec![job.clone()],
+            },
+            1,
+        )
+        .expect("batch runs");
+        alone.totals.merge(&solo.totals);
+        alone.jobs.extend(solo.jobs);
+    }
+    assert!(grouped.failed_jobs() == 0, "{what}: {grouped}");
+    assert_eq!(grouped.to_json(false), alone.to_json(false), "{what}");
+}
+
+/// A random register of `names` with a random initial value.
+fn arb_override(names: &[String], rng: &mut Rng) -> Vec<(String, i64)> {
+    match names.len() {
+        0 => Vec::new(),
+        n => vec![(names[rng.range(0, n)].clone(), rng.range_i64(-100, 100))],
+    }
+}
+
+/// One source's stimulus jobs: the model as written, overrides on plain
+/// registers and on array elements, one register overridden twice, and
+/// a group of two jobs with a `steps` override.
+fn stimulus_jobs(source: &JobSource, rng: &mut Rng) -> Vec<JobSpec> {
+    let model = JobSpec::new("probe", source.clone())
+        .resolve()
+        .expect("source resolves");
+    let names: Vec<String> = model.registers().iter().map(|r| r.name.clone()).collect();
+    let (elements, plain): (Vec<String>, Vec<String>) = names
+        .iter()
+        .cloned()
+        .partition(|n| model.is_array_element(n));
+    let mut twice = arb_override(&names, rng);
+    if let Some((reg, _)) = twice.first().cloned() {
+        twice.extend(arb_override(&names, rng));
+        twice.push((reg, rng.range_i64(-100, 100)));
+    }
+    let steps = Some(model.cs_max() + 2);
+    let mut mixed = arb_override(&elements, rng);
+    mixed.extend(arb_override(&plain, rng));
+    let shapes = [
+        ("as_is", None, Vec::new()),
+        ("plain", None, arb_override(&plain, rng)),
+        ("element", None, arb_override(&elements, rng)),
+        ("twice", None, twice),
+        ("steps", steps, Vec::new()),
+        ("steps_mixed", steps, mixed),
+    ];
+    shapes
+        .into_iter()
+        .map(|(name, steps, overrides)| {
+            let mut job = JobSpec::new(name, source.clone());
+            job.steps = steps;
+            job.overrides = overrides;
+            job
+        })
+        .collect()
+}
+
+/// A batch resolves each source once and gives each job a copy with its
+/// overrides: every corpus file, fuzz-zoo model, HLS and IKS source
+/// reports exactly what its jobs report when each runs alone.
+#[test]
+fn grouped_fleet_jobs_report_what_each_reports_alone() {
+    use clockless::core::text::to_text;
+    use clockless::fleet::HlsWorkload;
+    use clockless::verify::{generate_hls_model, generate_model};
+    let mut rng = Rng::new(0xF1EE7);
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/models");
+    let mut sources: Vec<(String, JobSource)> = std::fs::read_dir(corpus)
+        .expect("corpus")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rtl"))
+        .map(|p| (p.display().to_string(), JobSource::RtlFile(p)))
+        .collect();
+    sources.sort_by(|a, b| a.0.cmp(&b.0));
+    for case in 0..HEAVY_CASES {
+        let seed = Rng::new(0xF1_0000 + case).next_u64();
+        for (kind, model) in [
+            ("model", generate_model(seed)),
+            ("HLS model", generate_hls_model(seed)),
+        ] {
+            let what = format!("case {case} (seed {seed}) {kind}");
+            sources.push((what, JobSource::RtlText(to_text(&model))));
+        }
+    }
+    sources.push((
+        "hls fir 3".into(),
+        JobSource::Hls(HlsWorkload::Fir { taps: 3 }),
+    ));
+    sources.push(("iks fir".into(), JobSource::IksFir));
+    for (what, source) in &sources {
+        assert_grouped_matches_alone(&stimulus_jobs(source, &mut rng), what);
+    }
 }
