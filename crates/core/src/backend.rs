@@ -42,7 +42,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
 
-use clockless_kernel::{KernelError, SimStats};
+use clockless_kernel::KernelError;
 
 use crate::diag::Conflict;
 use crate::elaborate::ElaborateOptions;
@@ -172,7 +172,8 @@ pub struct ExecOptions {
     /// commit log and VCD export; costs memory and time.
     pub trace: bool,
     /// Per-instant delta-cycle budget; `None` uses the kernel default
-    /// (10^8). Exceeding it fails the run with
+    /// ([`DEFAULT_DELTA_LIMIT`](clockless_kernel::DEFAULT_DELTA_LIMIT)).
+    /// Exceeding it fails the run with
     /// [`KernelError::DeltaOverflow`].
     pub delta_limit: Option<u64>,
     /// Wall-clock deadline; passing it fails the run with
@@ -231,9 +232,10 @@ impl ExecOutcome {
     }
 }
 
-/// Per-column result of [`ExecPlan::execute_batch`]: exactly the
-/// observables a fault-campaign classifier needs, without the solo
-/// engines' trace/VCD machinery.
+/// Per-column result of [`ExecPlan::execute_batch`]: exactly what a
+/// fault campaign reports — its classifier's observables and the two
+/// kernel counters its totals print — without the solo engines'
+/// trace/VCD machinery or the counters no campaign prints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Final register and memory-word values, in declaration order —
@@ -243,11 +245,13 @@ pub struct BatchOutcome {
     /// The run's first `ILLEGAL` transition, localized like the traced
     /// engines' conflict report (`ConflictReport::first`).
     pub first_conflict: Option<Conflict>,
-    /// The column's kernel counters — identical to the stats a solo run
-    /// of the same mutant reports.
-    pub stats: SimStats,
-    /// The column's schedule exceeded the delta budget: nothing ran, and
-    /// `stats` records only the exhausted budget as `delta_cycles`.
+    /// The column's delta cycles — those a solo run of the same mutant
+    /// reports; the exhausted budget when it overflowed.
+    pub delta_cycles: u64,
+    /// The column's process activations — those a solo run of the same
+    /// mutant reports; none when it overflowed.
+    pub process_activations: u64,
+    /// The column's schedule exceeded the delta budget: nothing ran.
     pub overflowed: bool,
     /// Check verdict when the batch ran with value checkers
     /// ([`ExecPlan::execute_batch_checked`]); `None` on unchecked runs

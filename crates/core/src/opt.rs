@@ -49,10 +49,13 @@
 //! interpreted kernel, the independent reference: final registers,
 //! trace/VCD, commit log, conflict sites (step **and** phase),
 //! [`SimStats`] (every counter, including the pending-queue high-water
-//! mark), rendered errors and checker verdicts. The obligations each
-//! pass discharges are recorded in DESIGN.md §5i; `clockless-verify`
-//! enforces them against the kernel at every level over the corpus, the
-//! IKS chips, the fuzz zoo and every fault mutant.
+//! mark), rendered errors and checker verdicts. A fault lane reports
+//! what a campaign prints of its mutant's run — registers, first
+//! conflict, checker verdict, delta count and activations, the last two
+//! closed forms of its schedule — and counts nothing else. The
+//! obligations each pass discharges are recorded in DESIGN.md §5i;
+//! `clockless-verify` enforces them against the kernel at every level
+//! over the corpus, the IKS chips, the fuzz zoo and every fault mutant.
 
 use std::time::Instant;
 
@@ -200,7 +203,8 @@ pub(crate) struct Stream {
     /// Per op, the lanes it runs in; empty for a solo stream.
     masks: Vec<u64>,
     /// Per delta, the module pushes DSE dropped that would have been
-    /// applied there (one pending entry and one driver update each).
+    /// applied there (one pending entry and one driver update each of a
+    /// solo run's counters).
     phantom: Vec<u32>,
     /// Driver slots and tallies of the signals that resolve through one.
     layout: DriverLayout,
@@ -502,14 +506,14 @@ impl Stream {
         let stats = SimStats {
             delta_cycles: needed[0],
             process_activations: plan.activations,
-            events: counts[0].events,
-            driver_updates: counts[0].driver_updates,
+            events: counts.events,
+            driver_updates: counts.driver_updates,
             wake_filter_hits: plan.wake_hits,
             wake_filter_misses: plan.wake_misses,
             // The initialization delta runs every process at once — the
             // high-water mark of the whole run.
             peak_runnable: plan.process_count,
-            peak_pending_updates: counts[0].peak_pending,
+            peak_pending_updates: counts.peak_pending,
             ..SimStats::default()
         };
         let report = checker.zip(checks).map(|(mut checker, ck)| {
@@ -543,14 +547,15 @@ impl Stream {
             let reports = checker.finish(&needed, |i| &values[ck.sigs[i]]);
             reports.into_iter()
         });
-        for (c, counts) in counts.iter().enumerate() {
+        for (c, &first_illegal) in counts.first_illegal.iter().enumerate() {
             let check = reports.as_mut().and_then(Iterator::next);
             let check = check.filter(|_| needed[c] > 0);
             let finals = match (needed[c], &initial) {
                 (0, Some(initial)) => initial,
                 _ => &values,
             };
-            out.push(lanes.outcome(plan, c, |sig| finals[sig].get(c), counts, check));
+            let read = |sig: usize| finals[sig].get(c);
+            out.push(lanes.outcome(plan, c, read, first_illegal, check));
         }
         Ok(())
     }
@@ -573,9 +578,10 @@ impl Stream {
     /// `needed[c]` deltas (none: it never runs). Each delta applies the
     /// pending driver updates, feeds the checkers and runs its ops, each
     /// op on whole words in the lanes of its mask. A solo walk is one
-    /// scalar lane whose ops all run in it; a chunk walks packed
-    /// columns. Returns each lane's counters and, when checked, the
-    /// lanes' checkers.
+    /// scalar lane whose ops all run in it, and counts the kernel
+    /// counters its run reports; a chunk walks packed columns and counts
+    /// only each lane's first `ILLEGAL`. Returns those counts and, when
+    /// checked, the lanes' checkers.
     fn walk<'c, W: Word>(
         &self,
         plan: &ExecPlan,
@@ -584,11 +590,12 @@ impl Stream {
         mut trace: Option<&mut Trace<Value>>,
         checks: Option<&'c PlanChecks>,
         deadline: Option<Instant>,
-    ) -> Result<(Vec<LaneCounts>, Option<LaneChecks<'c>>), KernelError> {
+    ) -> Result<(Counts, Option<LaneChecks<'c>>), KernelError> {
         let n = needed.len();
         let full = (0..n).filter(|&c| needed[c] > 0).fold(0, |m, c| m | 1 << c);
-        let (mut events, mut pending) = (MaskCount::new(n), MaskCount::new(n));
-        let mut counts = vec![LaneCounts::default(); n];
+        // A solo walk's kernel counters, and each lane's first `ILLEGAL`.
+        let (mut events, mut driver_updates, mut peak_pending) = (0, 0, 0);
+        let mut first_illegal = vec![None; n];
         let mut illegal_seen = 0u64;
         let mut checker = checks.map(|ck| LaneChecks::new(&ck.program, &ck.index, n));
         // The lanes whose checkers still observe: running, and not yet
@@ -613,20 +620,11 @@ impl Stream {
         let mut carry: u64 = 0;
 
         for d in 0..self.bounds.len() as u64 - 1 {
-            let credit = carry + u64::from(self.phantom[d as usize]);
-
             // Update phase: apply the pushed transactions in push order,
             // one row at a time (two drives of one signal in one delta
             // each produce their own event, exactly like the kernel). A
-            // row moves its word in the lanes of its mask; its events are
-            // the lanes it changed. Rows and changes in every running lane
-            // are counted once per delta, the others lane by lane.
-            let (mut split_rows, mut moves) = (0, carry);
+            // row moves its word in the lanes of its mask.
             for (dst, mask, pushed) in cur.rows() {
-                if W::LANES > 1 && mask != full {
-                    pending.add_split(mask, full);
-                    split_rows += 1;
-                }
                 let sig = dst.sig as usize;
                 let effective = match dst.slot {
                     NO_SLOT => pushed,
@@ -639,18 +637,19 @@ impl Stream {
                 }
                 if W::LANES == 1 || moved == full {
                     *value = *effective;
-                    moves += 1;
                 } else {
                     value.blend(effective, moved);
-                    events.add_split(moved, full);
                 }
-                // Control signals never carry `ILLEGAL`, so a lane's first
-                // one is always a conflict site.
+                // A solo walk counts the event; a chunk latches each lane's
+                // first `ILLEGAL` (control signals never carry one, so it
+                // is always a conflict site).
                 let fresh = moved & effective.illegal() & !illegal_seen;
-                if W::LANES > 1 && fresh != 0 {
+                if W::LANES == 1 {
+                    events += 1;
+                } else if fresh != 0 {
                     illegal_seen |= fresh;
                     for c in bits(fresh) {
-                        counts[c].first_illegal = Some((sig, d));
+                        first_illegal[c] = Some((sig, d));
                     }
                 }
                 if let Some(t) = trace.as_deref_mut() {
@@ -663,17 +662,15 @@ impl Stream {
                     }
                 }
             }
-            events.all += moves;
-            // Each lane applied `credit` updates plus its rows.
-            pending.all += credit + (cur.len - split_rows) as u64;
-            for (c, k) in counts.iter_mut().enumerate() {
-                if full >> c & 1 != 0 {
-                    let rows = pending.get(c);
-                    k.driver_updates += rows;
-                    k.peak_pending = k.peak_pending.max(rows);
-                }
+            if W::LANES == 1 {
+                // The kernel applies every pushed row, skipped control
+                // push and dropped dead push as one pending update; each
+                // skipped control push is also an event.
+                let updates = carry + u64::from(self.phantom[d as usize]) + cur.len as u64;
+                driver_updates += updates;
+                peak_pending = peak_pending.max(updates);
+                events += carry;
             }
-            pending.clear();
             cur.clear();
             carry = 0;
 
@@ -815,9 +812,12 @@ impl Stream {
                 return Err(KernelError::WallBudgetExceeded { at });
             }
         }
-        for (c, k) in counts.iter_mut().enumerate() {
-            k.events = events.get(c);
-        }
+        let counts = Counts {
+            driver_updates,
+            events,
+            peak_pending,
+            first_illegal,
+        };
         Ok((counts, checker))
     }
 }
@@ -874,69 +874,15 @@ impl<W: Word> Pending<W> {
     }
 }
 
-/// Per-lane counts kept from lane masks: lane `c` counts `all +
-/// lane[c]` (wrapping). The walk adds masks of every running lane to
-/// `all` itself; any other mask costs one increment per lane it holds,
-/// or one per running lane it lacks when it holds more than half.
-#[derive(Debug, Clone)]
-struct MaskCount {
-    all: u64,
-    lane: Vec<u64>,
-    /// Whether some lane's own count moved.
-    split: bool,
-}
-
-impl MaskCount {
-    fn new(lanes: usize) -> MaskCount {
-        MaskCount {
-            all: 0,
-            lane: vec![0; lanes],
-            split: false,
-        }
-    }
-
-    /// Counts one in every lane of `mask`, a strict subset of `full`.
-    /// Out of line: most masks hold every running lane.
-    #[inline(never)]
-    fn add_split(&mut self, mask: u64, full: u64) {
-        self.split = true;
-        let lacking = full & !mask;
-        if lacking.count_ones() < mask.count_ones() {
-            self.all += 1;
-            for c in bits(lacking) {
-                self.lane[c] = self.lane[c].wrapping_sub(1);
-            }
-        } else {
-            for c in bits(mask) {
-                self.lane[c] = self.lane[c].wrapping_add(1);
-            }
-        }
-    }
-
-    /// Lane `c`'s count.
-    #[inline]
-    fn get(&self, c: usize) -> u64 {
-        self.all.wrapping_add(self.lane[c])
-    }
-
-    fn clear(&mut self) {
-        self.all = 0;
-        if self.split {
-            self.lane.fill(0);
-            self.split = false;
-        }
-    }
-}
-
-/// One lane's dynamic counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LaneCounts {
-    pub(crate) driver_updates: u64,
-    pub(crate) events: u64,
-    pub(crate) peak_pending: u64,
-    /// The lane's first `ILLEGAL` transition as `(signal, delta)` (lane
-    /// walks only).
-    pub(crate) first_illegal: Option<(usize, u64)>,
+/// What a walk counts: a solo run's kernel counters, or each lane's
+/// first `ILLEGAL` transition as `(signal, delta)` — a chunk's lanes count
+/// nothing else.
+#[derive(Debug)]
+struct Counts {
+    driver_updates: u64,
+    events: u64,
+    peak_pending: u64,
+    first_illegal: Vec<Option<(usize, u64)>>,
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@
 //! and the same [`SimStats`]. Counters the compiled engine has no dynamic
 //! equivalent for (process activations, wake-filter hits and misses, peak
 //! runnable) are derived from the specs in closed form; the rest
-//! (events, driver updates, pending-update peaks) are counted during the
-//! walk. `clockless-verify`'s `backend_equiv` asserts the byte-level
+//! (events, driver updates, pending-update peaks) are counted during a
+//! solo walk. `clockless-verify`'s `backend_equiv` asserts the byte-level
 //! agreement over the whole corpus.
 //!
 //! Lowering costs time linear in the transfer specs, and placing them
@@ -37,7 +37,9 @@
 //! spurious driver becomes two appended specs plus one shadow module —
 //! and places the result by the same kernel-order rules (one placement
 //! function, the stream compiler's), so the lanes go through the same
-//! passes and the same loop as a solo run, over packed lane columns.
+//! passes and the same loop as a solo run, over packed lane columns. A
+//! lane counts nothing but its first `ILLEGAL`: its delta count and
+//! process activations are closed forms of its schedule.
 //!
 //! Conflicts are found *dynamically*, as the paper describes: the
 //! `ILLEGAL` events of a traced walk. The static prediction over a
@@ -46,7 +48,7 @@
 
 use std::sync::Arc;
 
-use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace};
+use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace, DEFAULT_DELTA_LIMIT};
 
 use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome, OptConfig};
 use crate::check::{CheckIndex, CheckProgram, CheckReport, SignalKind};
@@ -54,7 +56,7 @@ use crate::diag::{Conflict, ConflictSite};
 use crate::elaborate::SignalRole;
 use crate::model::RtModel;
 use crate::op::Op;
-use crate::opt::{LaneCounts, Src, Stream};
+use crate::opt::{Src, Stream};
 use crate::phase::{Phase, PhaseTime, Step};
 use crate::resource::ModuleTiming;
 use crate::run::{RunSummary, Waveform};
@@ -569,12 +571,16 @@ impl ExecPlan {
         schedule_deltas(self.cs_max, self.last_writes)
     }
 
-    /// The kernel's [`KernelError::DeltaOverflow`] when a run of
-    /// [`total_deltas`](Self::total_deltas) exceeds the delta budget of
-    /// `options`: checked before anything that grows with the step count
-    /// is allocated.
-    pub(crate) fn check_delta_limit(&self, options: &ExecOptions) -> Result<(), KernelError> {
-        let limit = options.delta_limit.unwrap_or(100_000_000);
+    /// Checks a run of [`total_deltas`](Self::total_deltas) against the
+    /// delta budget of `options` (the kernel default when it sets none)
+    /// before anything that grows with the step count is allocated.
+    ///
+    /// # Errors
+    ///
+    /// The kernel's [`KernelError::DeltaOverflow`] when the run exceeds
+    /// the budget.
+    pub fn check_delta_limit(&self, options: &ExecOptions) -> Result<(), KernelError> {
+        let limit = options.delta_limit.unwrap_or(DEFAULT_DELTA_LIMIT);
         if self.total_deltas() > limit {
             let at = SimTime {
                 fs: 0,
@@ -807,11 +813,14 @@ impl ExecPlan {
     /// the golden specs as lane masks, places them into one micro-op
     /// stream at `options.opt` by the placement rules of a solo run and
     /// walks it with the loop [`execute`](Self::execute) uses, each op
-    /// on whole columns. Each lane's observables — final registers (in
-    /// declaration order, see [`BatchOutcome::registers`]), first
-    /// conflict, kernel counters — are identical to lowering and
-    /// executing that mutant's model on its own (`clockless-verify`
-    /// pins this differentially against the kernel's per-mutant runs).
+    /// on whole columns. Each lane reports what a fault campaign prints —
+    /// final registers (in declaration order, see
+    /// [`BatchOutcome::registers`]), first conflict, delta count and
+    /// process activations — identical to lowering and executing that
+    /// mutant's model on its own (`clockless-verify` pins this
+    /// differentially against the kernel's per-mutant runs). The walk
+    /// counts nothing per lane but its first `ILLEGAL`; the two counters
+    /// are closed forms of the lane's schedule.
     ///
     /// A lane whose schedule exceeds `options.delta_limit` is latched as
     /// [`BatchOutcome::overflowed`] up front (the schedule length is
@@ -898,7 +907,7 @@ impl ExecPlan {
         config: OptConfig,
         checks: Option<&PlanChecks>,
     ) -> Result<Vec<BatchOutcome>, KernelError> {
-        let delta_limit = options.delta_limit.unwrap_or(100_000_000);
+        let delta_limit = options.delta_limit.unwrap_or(DEFAULT_DELTA_LIMIT);
         let mut out = Vec::with_capacity(deltas.len());
         for chunk in deltas.chunks(LANES) {
             let (lanes, stream) = self.lanes(chunk, delta_limit, config);
@@ -907,50 +916,32 @@ impl ExecPlan {
         Ok(out)
     }
 
-    /// One mutant's delta count and closed-form kernel counters, derived
-    /// from the golden plan's in O(edits): a dropped spec takes its
-    /// [`spec_counts`] share away, a re-stepped one moves it, and a spur
-    /// adds one fixed process (the shadow module) plus its two specs.
-    /// Guard edits leave the schedule shape, and so the counters, alone.
-    fn lane_schedule(&self, d: &PlanDelta) -> (u64, SimStats) {
+    /// One mutant's delta count and process activations, derived from
+    /// the golden plan's in O(edits): a dropped spec takes its
+    /// [`spec_counts`] activations away, a re-stepped one moves them, and
+    /// a spur adds one fixed process (the shadow module) plus its two
+    /// specs. Guard edits leave the schedule shape, and so both, alone.
+    fn lane_schedule(&self, d: &PlanDelta) -> (u64, u64) {
         let cs_max = self.cs_max;
-        let steps = cs_max as u64;
         let last = |step: Step, phase: Phase| u64::from(is_last_write(cs_max, step, phase));
+        let share = |step: Step, phase: Phase| spec_counts(cs_max, step, phase).0;
         let mut activations = self.activations;
-        let mut hits = self.wake_hits;
-        let mut procs = self.process_count;
         let mut last_writes = self.last_writes;
         for &i in &d.disabled_specs {
             let sp = &self.specs[i];
-            let (a, h) = spec_counts(cs_max, sp.step, sp.phase);
-            activations -= a;
-            hits -= h;
-            procs -= 1;
+            activations -= share(sp.step, sp.phase);
             last_writes -= last(sp.step, sp.phase);
         }
         for &(i, step) in &d.moved_specs {
             let sp = &self.specs[i];
-            let (a, h) = spec_counts(cs_max, sp.step, sp.phase);
-            let (a2, h2) = spec_counts(cs_max, step, sp.phase);
-            activations = activations + a2 - a;
-            hits = hits + h2 - h;
+            activations = activations + share(step, sp.phase) - share(sp.step, sp.phase);
             last_writes = last_writes + last(step, sp.phase) - last(sp.step, sp.phase);
         }
         if let Some(spur) = &d.spur {
-            let (ra, rh) = spec_counts(cs_max, spur.step, Phase::Ra);
-            let (ba, bh) = spec_counts(cs_max, spur.step, Phase::Rb);
-            activations += 1 + steps + ra + ba;
-            hits += steps + rh + bh;
-            procs += 3;
+            let specs = share(spur.step, Phase::Ra) + share(spur.step, Phase::Rb);
+            activations += 1 + cs_max as u64 + specs;
         }
-        let stats = SimStats {
-            process_activations: activations,
-            wake_filter_hits: hits,
-            wake_filter_misses: self.wake_misses,
-            peak_runnable: procs,
-            ..SimStats::default()
-        };
-        (schedule_deltas(cs_max, last_writes), stats)
+        (schedule_deltas(cs_max, last_writes), activations)
     }
 
     /// Applies one chunk of up to [`LANES`] deltas to the golden specs as
@@ -970,17 +961,11 @@ impl ExecPlan {
     ) -> (Lanes<'d>, Stream) {
         let bit = |c: usize| 1u64 << c;
         // Per-lane schedule summaries in O(edits): an over-budget lane
-        // never runs and records only the exhausted budget.
-        let schedules: Vec<(u64, SimStats)> = deltas
+        // never runs.
+        let schedules: Vec<(u64, u64)> = deltas
             .iter()
             .map(|d| match self.lane_schedule(d) {
-                (needed, _) if needed > delta_limit => {
-                    let budget = SimStats {
-                        delta_cycles: delta_limit,
-                        ..SimStats::default()
-                    };
-                    (0, budget)
-                }
+                (needed, _) if needed > delta_limit => (0, 0),
                 summary => summary,
             })
             .collect();
@@ -1082,7 +1067,12 @@ impl ExecPlan {
         }
         let walked = schedules.iter().map(|&(d, _)| d).max().unwrap_or(0);
         let stream = Stream::compile(self, &placed, Some(&masks), full, ext, walked, config);
-        (Lanes { deltas, schedules }, stream)
+        let lanes = Lanes {
+            deltas,
+            schedules,
+            delta_limit,
+        };
+        (lanes, stream)
     }
 }
 
@@ -1150,9 +1140,11 @@ impl Extension {
 /// [`ExecPlan::execute_lanes`]).
 pub(crate) struct Lanes<'d> {
     deltas: &'d [PlanDelta],
-    /// Per lane: delta count (none when over budget: it never runs) and
-    /// closed-form counters.
-    schedules: Vec<(u64, SimStats)>,
+    /// Per lane: delta count and process activations, both none when it
+    /// is over budget: it never runs.
+    schedules: Vec<(u64, u64)>,
+    /// The delta budget an over-budget lane exhausts.
+    delta_limit: u64,
 }
 
 impl Lanes<'_> {
@@ -1175,17 +1167,17 @@ impl Lanes<'_> {
     }
 
     /// Lane `c`'s outcome from its final values (`read(sig)`) and its
-    /// counters.
+    /// first `ILLEGAL` transition as `(signal, delta)`.
     pub(crate) fn outcome(
         &self,
         plan: &ExecPlan,
         c: usize,
         read: impl Fn(usize) -> Value,
-        counts: &LaneCounts,
+        first_illegal: Option<(usize, u64)>,
         check: Option<CheckReport>,
     ) -> BatchOutcome {
         let registers = plan.register_signals().map(read).collect();
-        let first_conflict = counts.first_illegal.and_then(|(sig, delta)| {
+        let first_conflict = first_illegal.and_then(|(sig, delta)| {
             let (site, name) = match plan.roles.get(sig) {
                 Some(role) => role.conflict_site()?,
                 // A shadow signal: the spur module's ports or output.
@@ -1203,18 +1195,13 @@ impl Lanes<'_> {
                 visible_at,
             })
         });
-        let (needed, mut stats) = self.schedules[c];
-        if needed > 0 {
-            stats.delta_cycles = needed;
-            stats.events = counts.events;
-            stats.driver_updates = counts.driver_updates;
-            stats.peak_pending_updates = counts.peak_pending;
-        }
+        let (needed, process_activations) = self.schedules[c];
         let overflowed = needed == 0;
         BatchOutcome {
             registers,
             first_conflict,
-            stats,
+            delta_cycles: if overflowed { self.delta_limit } else { needed },
+            process_activations,
             overflowed,
             check,
         }
@@ -1391,6 +1378,7 @@ pub(crate) fn combine(a: Value, b: Value, op_sel: Option<Value>, ops: &[Op]) -> 
 mod tests {
     use super::*;
     use crate::backend::{Backend, ExecOptions};
+    use crate::check::{check_signals, execute_checked, record_table, Invariant};
     use crate::model::{fig1_model, RtModel};
     use crate::op::Op;
     use crate::resource::{ModuleDecl, ModuleTiming};
@@ -1653,17 +1641,77 @@ mod tests {
         }
     }
 
-    /// Lane `i` must show exactly the observables the kernel shows for
-    /// `mutants[i]` — registers, first conflict, kernel counters — under
-    /// every pass configuration of the lane walk.
+    /// The golden checkers of `golden`: its monitor table, a range for
+    /// every signal that only ever holds numbers, and an equality for
+    /// every pair of signals that always agree.
+    fn golden_program(golden: &RtModel) -> CheckProgram {
+        let signals = check_signals(golden);
+        let table = record_table(golden, &signals).unwrap();
+        let w = signals.len();
+        let column = |i: usize| table.values.iter().skip(i).step_by(w).copied();
+        let mut invariants = Vec::new();
+        for a in 0..w {
+            if let Some(nums) = column(a).map(|v| v.num()).collect::<Option<Vec<i64>>>() {
+                let (min, max) = (nums.iter().min().unwrap(), nums.iter().max().unwrap());
+                invariants.push(Invariant::Range {
+                    sig: a,
+                    min: *min,
+                    max: *max,
+                });
+            }
+            for b in a + 1..w {
+                if column(a).eq(column(b)) {
+                    invariants.push(Invariant::Eq { a, b });
+                }
+            }
+        }
+        CheckProgram {
+            signals,
+            monitor: Some(table),
+            invariants,
+        }
+    }
+
+    /// Lane `i` must show exactly what the kernel shows for `mutants[i]`,
+    /// under every pass configuration of the lane walk: its registers,
+    /// first conflict, delta count and activations; checked against the
+    /// golden checkers, the kernel's verdict; and checked against a
+    /// monitor table of its own kernel run, walked alone and in the
+    /// chunk, a clean verdict — every register, memory word and bus equal
+    /// to the kernel's at every delta.
     fn assert_lanes_match_kernel(golden: &RtModel, deltas: &[PlanDelta], mutants: &[RtModel]) {
         assert_eq!(deltas.len(), mutants.len());
         let plan = ExecPlan::lower(golden);
         let kernel: Vec<ExecOutcome> = mutants.iter().map(interpreted_traced).collect();
+        let program = golden_program(golden);
+        let checks = plan.resolve_checks(&program).unwrap();
+        let options = ExecOptions::default();
+        let verdict = |m: &RtModel, program: &CheckProgram| {
+            execute_checked(m, Backend::Interpreted, &options, program)
+                .unwrap()
+                .1
+        };
+        let verdicts: Vec<CheckReport> = mutants.iter().map(|m| verdict(m, &program)).collect();
+        assert!(
+            verdicts.iter().any(|v| !v.is_clean()),
+            "no mutant trips a checker"
+        );
+        let own: Vec<PlanChecks> = (mutants.iter())
+            .map(|m| {
+                let program = CheckProgram {
+                    signals: program.signals.clone(),
+                    monitor: Some(record_table(m, &program.signals).unwrap()),
+                    invariants: Vec::new(),
+                };
+                plan.resolve_checks(&program).unwrap()
+            })
+            .collect();
         for config in crate::opt::tests::pass_configs() {
-            let outs = plan
-                .execute_lanes(deltas, &ExecOptions::default(), config, None)
-                .unwrap();
+            let run = |deltas: &[PlanDelta], checks| {
+                plan.execute_lanes(deltas, &options, config, checks)
+                    .unwrap()
+            };
+            let (outs, checked) = (run(deltas, None), run(deltas, Some(&checks)));
             for (i, (out, solo)) in outs.iter().zip(&kernel).enumerate() {
                 assert!(!out.overflowed, "lane {i} at {config:?}");
                 let registers: Vec<(String, Value)> = plan
@@ -1679,10 +1727,28 @@ mod tests {
                     solo.summary.conflicts.as_ref().unwrap().first(),
                     "lane {i} conflict at {config:?}"
                 );
+                let stats = &solo.summary.stats;
                 assert_eq!(
-                    out.stats, solo.summary.stats,
-                    "lane {i} stats at {config:?}"
+                    (out.delta_cycles, out.process_activations),
+                    (stats.delta_cycles, stats.process_activations),
+                    "lane {i} counters at {config:?}"
                 );
+                assert_eq!(
+                    checked[i].check.as_ref(),
+                    Some(&verdicts[i]),
+                    "lane {i} golden verdict at {config:?}"
+                );
+                // Alone, and beside the other lanes, its whole run meets a
+                // monitor of its own kernel run.
+                let alone = run(&deltas[i..=i], Some(&own[i])).swap_remove(0);
+                let beside = run(deltas, Some(&own[i])).swap_remove(i);
+                for (how, out) in [("alone", alone), ("beside the others", beside)] {
+                    assert_eq!(
+                        out.check,
+                        Some(CheckReport::default()),
+                        "lane {i} trajectory {how} at {config:?}"
+                    );
+                }
             }
         }
     }
@@ -1847,13 +1913,7 @@ mod tests {
         // init edits included.
         assert_eq!(plan.register_names().collect::<Vec<_>>(), ["R1", "R2"]);
         assert_eq!(outs[1].registers, [Value::Num(3), Value::Num(9)]);
-        assert_eq!(
-            outs[1].stats,
-            SimStats {
-                delta_cycles: 43,
-                ..SimStats::default()
-            }
-        );
+        assert_eq!((outs[1].delta_cycles, outs[1].process_activations), (43, 0));
     }
 
     #[test]

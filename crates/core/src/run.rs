@@ -243,7 +243,8 @@ impl RtSimulation {
         Ok(true)
     }
 
-    /// Sets the kernel's per-instant delta-cycle budget (default 10^8).
+    /// Sets the kernel's per-instant delta-cycle budget (default
+    /// [`DEFAULT_DELTA_LIMIT`](clockless_kernel::DEFAULT_DELTA_LIMIT)).
     ///
     /// A well-formed RT model quiesces after exactly
     /// `1 + 6 × CS_MAX` delta cycles, so batch engines and fault

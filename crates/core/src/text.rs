@@ -23,8 +23,9 @@
 //! `sequential <latency>`. Transfers use the paper's 9-tuple notation
 //! (with the `MODULE:op` extension), optionally prefixed by a guard
 //! `if <cond> then`. `array NAME[N]` declares `N` element registers
-//! `NAME[0]`…; `memory NAME[N]` declares an indexed storage resource.
-//! `#` starts a comment.
+//! `NAME[0]`…, and a later `register NAME[i] [init <value>]` line sets
+//! element `i`'s own initial value; `memory NAME[N]` declares an indexed
+//! storage resource. `#` starts a comment.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -189,10 +190,8 @@ pub fn parse_model(text: &str) -> Result<RtModel, ParseModelError> {
                 let m = model
                     .as_mut()
                     .ok_or_else(|| ParseModelError::new(lineno, "`model` line must come first"))?;
-                match tokens.as_slice() {
-                    [_, name] => m
-                        .add_register(*name)
-                        .map_err(|e| ParseModelError::from((lineno, e)))?,
+                let (name, init) = match tokens.as_slice() {
+                    [_, name] => (*name, Value::Disc),
                     [_, name, "init", v] => {
                         let v: i64 = v.parse().map_err(|_| {
                             ParseModelError::at(
@@ -201,8 +200,7 @@ pub fn parse_model(text: &str) -> Result<RtModel, ParseModelError> {
                                 format!("bad init value `{v}`"),
                             )
                         })?;
-                        m.add_register_init(*name, Value::Num(v))
-                            .map_err(|e| ParseModelError::from((lineno, e)))?
+                        (*name, Value::Num(v))
                     }
                     _ => {
                         return Err(ParseModelError::new(
@@ -211,6 +209,12 @@ pub fn parse_model(text: &str) -> Result<RtModel, ParseModelError> {
                         ))
                     }
                 };
+                // An element of a declared array: the line sets its init.
+                let result = match m.register_by_name(name) {
+                    Some(_) if m.is_array_element(name) => m.set_register_init(name, init),
+                    _ => m.add_register_init(name, init).map(|_| ()),
+                };
+                result.map_err(|e| ParseModelError::from((lineno, e)))?;
             }
             "array" | "memory" => {
                 let directive = tokens[0];
@@ -341,7 +345,10 @@ fn storage_line(out: &mut String, directive: &str, name: &str, len: u32, init: V
 /// Renders a model in the textual format; [`parse_model`] of the result
 /// reproduces the model. Array element registers are folded back into
 /// their `array` declaration (emitted where the first element sits in
-/// declaration order); memories follow the registers.
+/// declaration order), followed by a `register` line for each element
+/// whose init differs from the declared one (a stimulus or fault edit
+/// made by [`RtModel::set_register_init`]); memories follow the
+/// registers.
 pub fn to_text(model: &RtModel) -> String {
     use std::fmt::Write as _;
 
@@ -357,21 +364,21 @@ pub fn to_text(model: &RtModel) -> String {
     let _ = writeln!(out, "model {} steps {}", model.name(), model.cs_max());
     for r in model.registers() {
         if let Some(&(ai, i)) = elements.get(&r.name) {
+            let a = &model.arrays()[ai];
             if i == 0 {
-                let a = &model.arrays()[ai];
                 storage_line(&mut out, "array", &a.name, a.len, a.init);
             }
-            continue;
+            // Elements are declared in order, right after one another.
+            if r.init == a.init {
+                continue;
+            }
         }
         match r.init {
-            Value::Disc => {
-                let _ = writeln!(out, "register {}", r.name);
-            }
             Value::Num(n) => {
                 let _ = writeln!(out, "register {} init {}", r.name, n);
             }
-            Value::Illegal => {
-                // Unreachable for built models; keep the text loadable.
+            // ILLEGAL init is unreachable for built models; keep loadable.
+            Value::Disc | Value::Illegal => {
                 let _ = writeln!(out, "register {}", r.name);
             }
         }
@@ -493,6 +500,34 @@ mod tests {
         assert_eq!(m2.arrays(), m.arrays());
         assert_eq!(m2.memories(), m.memories());
         assert_eq!(m2.tuples(), m.tuples());
+    }
+
+    #[test]
+    fn edited_element_inits_roundtrip() {
+        let text = "model st steps 1\narray V[3] init 7\nregister R init 1\narray W[2]\n";
+        let mut m = parse_model(text).unwrap();
+        m.set_register_init("V[2]", Value::Num(9)).unwrap();
+        m.set_register_init("V[0]", Value::Disc).unwrap();
+        m.set_register_init("W[1]", Value::Num(-4)).unwrap();
+        let rendered = to_text(&m);
+        assert!(
+            rendered.contains(
+                "array V[3] init 7\nregister V[0]\nregister V[2] init 9\n\
+                 register R init 1\narray W[2]\nregister W[1] init -4\n"
+            ),
+            "{rendered}"
+        );
+        let m2 = parse_model(&rendered).unwrap();
+        assert_eq!(m2.registers(), m.registers());
+        assert_eq!(m2.arrays(), m.arrays());
+        // Unedited models render as before: no element lines.
+        assert_eq!(to_text(&parse_model(text).unwrap()).lines().count(), 4);
+        // Re-declaring a plain register is still a duplicate, on its line.
+        let err = parse_model("model a steps 1\nregister R\nregister R init 2\n").unwrap_err();
+        assert_eq!(
+            (err.line, err.msg.as_str()),
+            (3, "duplicate resource name `R`")
+        );
     }
 
     #[test]

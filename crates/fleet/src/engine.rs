@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use clockless_core::{Backend, CheckProgram, OptLevel};
 
-use crate::executor::{execute_job, Emission, JobExecutor, ResolvedJob, ThreadPool};
+use crate::executor::{execute_job, Emission, ResolvedJob, ThreadPool};
 use crate::report::{FailureKind, FleetReport, JobFailure, JobOutcome};
 use crate::spec::{BatchSpec, FleetError};
 

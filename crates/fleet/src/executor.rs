@@ -17,10 +17,8 @@
 //! Because results are keyed by ticket rather than by arrival order, a
 //! caller that wants deterministic output (the fleet report) reorders
 //! them, while a caller that wants latency (the daemon streaming NDJSON
-//! response lines) forwards them as they arrive. An async front end can
-//! replace either caller without touching job execution: the
-//! [`JobExecutor`] trait is object-safe, and the emission channel is the
-//! only coupling between execution and transport.
+//! response lines) forwards them as they arrive. The emission channel is
+//! the only coupling between execution and transport.
 //!
 //! Panic fencing lives at the executor layer: a unit of work that panics
 //! is caught at the worker fence and converted to an emission by the
@@ -31,7 +29,7 @@
 //!
 //! ```
 //! use std::sync::mpsc;
-//! use clockless_fleet::executor::{Emission, JobExecutor, ThreadPool};
+//! use clockless_fleet::executor::{Emission, ThreadPool};
 //!
 //! let (tx, rx) = mpsc::channel();
 //! let pool = ThreadPool::new(2, tx, |_ticket, msg| format!("panicked: {msg}"));
@@ -70,26 +68,10 @@ pub type WorkFn<T> = Box<dyn FnOnce() -> T + Send + 'static>;
 /// under.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Emission<T> {
-    /// The caller-chosen correlation id from [`JobExecutor::submit`].
+    /// The caller-chosen correlation id from [`ThreadPool::submit`].
     pub ticket: u64,
     /// What the work produced.
     pub payload: T,
-}
-
-/// The object-safe submission surface of a job-queue executor emitting
-/// payloads of type `T`.
-///
-/// Both of the executor's callers program against this trait — the batch
-/// engine through a concrete [`ThreadPool`], the daemon through
-/// `&dyn JobExecutor<_>` — so a future async executor only has to
-/// implement `submit`/`queue_depth` and feed the same emission channel.
-pub trait JobExecutor<T>: Send + Sync {
-    /// Enqueues a unit of work under `ticket`. Returns immediately; the
-    /// result arrives on the executor's emission channel.
-    fn submit(&self, ticket: u64, work: WorkFn<T>);
-
-    /// Units submitted but not yet emitted (queued + running).
-    fn queue_depth(&self) -> usize;
 }
 
 /// What the worker threads share.
@@ -164,6 +146,22 @@ impl<T: Send + 'static> ThreadPool<T> {
         self.workers
     }
 
+    /// Enqueues a unit of work under `ticket`. Returns immediately; the
+    /// result arrives on the pool's emission channel.
+    pub fn submit(&self, ticket: u64, work: WorkFn<T>) {
+        {
+            let mut st = lock(&self.shared);
+            st.queue.push_back((ticket, work));
+        }
+        self.shared.signal.notify_all();
+    }
+
+    /// Units submitted but not yet emitted (queued + running).
+    pub fn queue_depth(&self) -> usize {
+        let st = lock(&self.shared);
+        st.queue.len() + st.running
+    }
+
     /// Blocks until every unit submitted so far has been emitted. New
     /// submissions during the wait extend it.
     pub fn drain(&self) {
@@ -199,21 +197,6 @@ impl<T> Drop for ThreadPool<T> {
         st.shutdown = true;
         drop(st);
         self.shared.signal.notify_all();
-    }
-}
-
-impl<T: Send + 'static> JobExecutor<T> for ThreadPool<T> {
-    fn submit(&self, ticket: u64, work: WorkFn<T>) {
-        {
-            let mut st = lock(&self.shared);
-            st.queue.push_back((ticket, work));
-        }
-        self.shared.signal.notify_all();
-    }
-
-    fn queue_depth(&self) -> usize {
-        let st = lock(&self.shared);
-        st.queue.len() + st.running
     }
 }
 

@@ -66,8 +66,6 @@ pub mod report;
 pub mod spec;
 
 pub use engine::{run_batch, run_batch_with, FleetConfig};
-pub use executor::{
-    classify_kernel_error, execute_job, Emission, JobExecutor, ResolvedJob, ThreadPool, WorkFn,
-};
+pub use executor::{classify_kernel_error, execute_job, Emission, ResolvedJob, ThreadPool, WorkFn};
 pub use report::{FailureKind, FleetReport, JobFailure, JobOutcome, JobResult};
 pub use spec::{BatchSpec, ChaosProbe, FleetError, HlsWorkload, JobSource, JobSpec};

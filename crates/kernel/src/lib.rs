@@ -56,7 +56,7 @@ pub mod trace;
 pub use error::KernelError;
 pub use process::{Process, ProcessCtx, ProcessId, Wait};
 pub use signal::{Resolver, SignalId};
-pub use sim::{RunBudget, SimStats, SimValue, Simulator, StepOutcome};
+pub use sim::{RunBudget, SimStats, SimValue, Simulator, StepOutcome, DEFAULT_DELTA_LIMIT};
 pub use time::{Femtos, SimTime, NS, PS};
 pub use trace::{Trace, TraceEvent};
 

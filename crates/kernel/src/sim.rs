@@ -32,6 +32,11 @@ use crate::trace::Trace;
 pub trait SimValue: Clone + Eq + fmt::Debug + Send + 'static {}
 impl<T: Clone + Eq + fmt::Debug + Send + 'static> SimValue for T {}
 
+/// The per-instant delta-cycle budget of a new [`Simulator`], and of
+/// every run that sets none: exceeding it is
+/// [`KernelError::DeltaOverflow`].
+pub const DEFAULT_DELTA_LIMIT: u64 = 100_000_000;
+
 /// Counters describing one simulation run.
 ///
 /// All counters are cumulative over the simulator's lifetime.
@@ -306,7 +311,7 @@ impl<V: SimValue> Simulator<V> {
             trace: None,
             observe: Vec::new(),
             commit_log: Vec::new(),
-            delta_limit: 100_000_000,
+            delta_limit: DEFAULT_DELTA_LIMIT,
             life: LifeCycle::Building,
             scratch_out: Vec::new(),
             scratch_changed: Vec::new(),
@@ -392,7 +397,8 @@ impl<V: SimValue> Simulator<V> {
         self.trace = Some(Trace::new());
     }
 
-    /// Sets the per-instant delta-cycle budget (default: 10^8).
+    /// Sets the per-instant delta-cycle budget (default:
+    /// [`DEFAULT_DELTA_LIMIT`], 10^8).
     ///
     /// Exceeding it aborts the run with [`KernelError::DeltaOverflow`],
     /// the usual symptom of a zero-delay oscillation.

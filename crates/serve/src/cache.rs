@@ -15,7 +15,10 @@
 //!
 //! Build failures are **not** cached: a malformed model answers with an
 //! error and leaves the cache untouched, so a typo cannot evict a warm
-//! plan.
+//! plan. Nor is a model whose run would exceed the kernel's default delta
+//! limit, which serve runs never raise: its schedule length is known once
+//! it is lowered, so it fails with the kernel's `DeltaOverflow` text
+//! before anything that grows with its step count is compiled.
 
 use std::sync::Arc;
 
@@ -151,7 +154,10 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// The `build` error, verbatim. Failures are not cached.
+    /// The `build` error, verbatim, or — checked after lowering, before
+    /// compiling — the kernel's [`KernelError::DeltaOverflow`] text when
+    /// a run of the model exceeds the default delta limit. Failures are
+    /// not cached.
     pub fn get_or_insert(
         &mut self,
         key: u64,
@@ -168,7 +174,10 @@ impl PlanCache {
         self.misses += 1;
         self.by_level[opt as usize].1 += 1;
         let model = build()?;
-        let compiled = OptPlan::from_plan(ExecPlan::lower(&model), opt.config());
+        let plan = ExecPlan::lower(&model);
+        plan.check_delta_limit(&ExecOptions::default())
+            .map_err(|e| e.to_string())?;
+        let compiled = OptPlan::from_plan(plan, opt.config());
         let cached = Arc::new(CachedPlan {
             model,
             opt,

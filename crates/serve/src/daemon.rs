@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
-use clockless_fleet::{Emission, JobExecutor as _, ThreadPool};
+use clockless_fleet::{Emission, ThreadPool};
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::jobs::{dispatch, JobCtx};

@@ -71,7 +71,6 @@ use clockless_core::{
 use clockless_fleet::{
     run_batch_with, BatchSpec, FailureKind, FleetConfig, FleetError, JobSource, JobSpec,
 };
-use clockless_kernel::SimStats;
 
 use crate::monitor::{build_checkers, CheckerMode};
 
@@ -688,7 +687,23 @@ pub struct CampaignReport {
     pub rows: Vec<CampaignRow>,
     /// Merged kernel counters of every mutant run, with
     /// `injected_faults` stamped to the campaign size.
-    pub totals: SimStats,
+    pub totals: CampaignTotals,
+}
+
+/// The merged counters of a campaign's mutant runs: the four its JSON
+/// report prints.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CampaignTotals {
+    /// Delta cycles over every mutant run; an overflowed mutant counts
+    /// its exhausted budget.
+    pub delta_cycles: u64,
+    /// Process activations over every mutant run.
+    pub process_activations: u64,
+    /// The campaign size: every row, inapplicable ones included.
+    pub injected_faults: u64,
+    /// Mutant runs retried (the legacy engine's fleet retries; the
+    /// batched engine never retries).
+    pub retries: u64,
 }
 
 impl CampaignReport {
@@ -1160,7 +1175,7 @@ fn run_mutants_batched(
     delta_budget: u64,
     check: Option<&CheckProgram>,
     opt: OptLevel,
-) -> Result<(Vec<Option<FaultOutcome>>, SimStats), FaultsError> {
+) -> Result<(Vec<Option<FaultOutcome>>, CampaignTotals), FaultsError> {
     let plan = ExecPlan::lower(model);
     let mut deltas = Vec::new();
     let mut slots = Vec::new(); // fault index of each delta column
@@ -1192,9 +1207,10 @@ fn run_mutants_batched(
     .map_err(|e| FaultsError::Golden { msg: e.to_string() })?;
 
     let mut outcomes: Vec<Option<FaultOutcome>> = vec![None; faults.len()];
-    let mut totals = SimStats::default();
+    let mut totals = CampaignTotals::default();
     for (i, out) in slots.into_iter().zip(outs) {
-        totals.merge(&out.stats);
+        totals.delta_cycles += out.delta_cycles;
+        totals.process_activations += out.process_activations;
         outcomes[i] = Some(if out.overflowed {
             FaultOutcome::DeltaOverflow
         } else if let Some(first) = &out.first_conflict {
@@ -1222,7 +1238,7 @@ fn run_mutants_legacy(
     delta_budget: u64,
     check: Option<&CheckProgram>,
     config: &CampaignConfig,
-) -> Result<(Vec<Option<FaultOutcome>>, SimStats), FaultsError> {
+) -> Result<(Vec<Option<FaultOutcome>>, CampaignTotals), FaultsError> {
     let mut jobs = Vec::new();
     let mut slots = Vec::new(); // fault index of each job
     for (i, fault) in faults.iter().enumerate() {
@@ -1241,7 +1257,7 @@ fn run_mutants_legacy(
     }
     let mut outcomes: Vec<Option<FaultOutcome>> = vec![None; faults.len()];
     if jobs.is_empty() {
-        return Ok((outcomes, SimStats::default()));
+        return Ok((outcomes, CampaignTotals::default()));
     }
     let fleet_config = FleetConfig {
         delta_budget: Some(delta_budget),
@@ -1278,7 +1294,13 @@ fn run_mutants_legacy(
             }
         });
     }
-    Ok((outcomes, report.totals))
+    let totals = CampaignTotals {
+        delta_cycles: report.totals.delta_cycles,
+        process_activations: report.totals.process_activations,
+        retries: report.totals.retries,
+        ..CampaignTotals::default()
+    };
+    Ok((outcomes, totals))
 }
 
 /// Translates a model-level [`FaultKind`] into the equivalent

@@ -73,8 +73,8 @@ pub use equiv::{
 };
 pub use faults::{
     generate_faults, run_campaign, run_campaign_with_faults, CampaignConfig, CampaignEngine,
-    CampaignReport, CampaignRow, ClassCoverage, FaultClass, FaultKind, FaultOutcome, FaultsError,
-    ALL_CLASSES,
+    CampaignReport, CampaignRow, CampaignTotals, ClassCoverage, FaultClass, FaultKind,
+    FaultOutcome, FaultsError, ALL_CLASSES,
 };
 pub use fuzz::{generate_hls_model, generate_model, run_fuzz, FuzzDivergence, FuzzReport};
 pub use invariants::{

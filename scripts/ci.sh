@@ -118,6 +118,17 @@ big_out="$( (ulimit -v 4000000; ./target/release/clockless run "$big_dir/big.rtl
 [ "$big_status" -eq 1 ]
 grep -q "delta-cycle limit 100000000 exhausted" <<<"$big_out"
 rm -rf "$big_dir"
+# The daemon's plan cache lowers and checks the limit before it compiles:
+# both requests fail with an error envelope, and the daemon still answers.
+big_model='model big steps 4000000000\nregister A init 1\n'
+big_status=0
+big_out="$( (ulimit -v 4000000; printf '%s\n' \
+  "{\"id\":1,\"op\":\"run\",\"model\":\"$big_model\",\"backend\":\"compiled\"}" \
+  "{\"id\":2,\"op\":\"faults\",\"model\":\"$big_model\"}" \
+  '{"id":3,"op":"ping"}' | ./target/release/clockless serve) 2>&1)" || big_status=$?
+[ "$big_status" -eq 0 ]
+[ "$(grep -c '"ok":false,"error":{"code":"build-failed","message":"delta-cycle limit 100000000 exhausted' <<<"$big_out")" -eq 2 ]
+grep -q '"id":3,"op":"ping","ok":true,"payload":"pong\\n"' <<<"$big_out"
 
 echo "== backend sweep (compiled engine must be byte-identical to interpreted)"
 for model in models/*.rtl; do
