@@ -51,8 +51,9 @@ use crate::opt::Stream;
 use crate::phase::PhaseTime;
 use crate::plan::ExecPlan;
 use crate::run::RtSimulation;
+use crate::tuples::CmpOp;
 use crate::value::Value;
-use crate::word::{bits, Word};
+use crate::word::{bits, Operand, Word};
 
 /// What kind of resource a monitored signal is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,35 +230,23 @@ impl Invariant {
         }
     }
 
-    /// Evaluates the invariant against the value row that `row(i)`
-    /// reads; on violation returns the attributed signal index and its
-    /// offending value.
-    fn violated(&self, row: impl Fn(usize) -> Value) -> Option<(usize, Value)> {
-        match self {
-            Invariant::Range { sig, min, max } => match row(*sig) {
-                Value::Num(v) if *min <= v && v <= *max => None,
-                other => Some((*sig, other)),
-            },
-            Invariant::Reachable { sig, values } => match row(*sig) {
-                Value::Num(v) if values.binary_search(&v).is_ok() => None,
-                other => Some((*sig, other)),
-            },
-            Invariant::Eq { a, b } => {
-                if row(*a) == row(*b) {
-                    None
-                } else {
-                    Some((*a, row(*a)))
-                }
+    /// The lanes of `mask` in which the invariant is violated, signal `i`
+    /// holding `word(i)`: one evaluation for every lane of the word. A
+    /// violation is attributed to [`site`](Self::site), with the value
+    /// it holds in the lane.
+    fn violated<'v, W: Word + 'v>(&self, mask: u64, word: impl Fn(usize) -> &'v W) -> u64 {
+        let (a, b) = self.operands();
+        let (x, y) = (Operand::Word(word(a)), Operand::Word(word(b)));
+        let holds = match self {
+            Invariant::Range { min, max, .. } => W::holds(x, x, |v, _| *min <= v && v <= *max),
+            Invariant::Reachable { values, .. } => {
+                W::holds(x, x, |v, _| values.binary_search(&v).is_ok())
             }
-            Invariant::Le { a, b } => match (row(*a), row(*b)) {
-                (Value::Num(x), Value::Num(y)) if x <= y => None,
-                _ => Some((*a, row(*a))),
-            },
-            Invariant::Offset { a, b, delta } => match (row(*a), row(*b)) {
-                (Value::Num(x), Value::Num(y)) if x.wrapping_sub(y) == *delta => None,
-                _ => Some((*a, row(*a))),
-            },
-        }
+            Invariant::Eq { .. } => !word(a).diff(word(b)),
+            Invariant::Le { .. } => W::compare(CmpOp::Le, x, y),
+            Invariant::Offset { delta, .. } => W::holds(x, y, |x, y| x.wrapping_sub(y) == *delta),
+        };
+        mask & !holds
     }
 }
 
@@ -665,7 +654,9 @@ impl<'p> LaneChecks<'p> {
 
     /// Latches, in each open lane of `lanes`, the lowest-indexed
     /// invariant violated over a signal the lane changed — every other
-    /// invariant holds as it did at the previous delta.
+    /// invariant holds as it did at the previous delta. Each candidate is
+    /// evaluated once for the whole word; only the lanes it violates are
+    /// visited, to write their verdicts.
     fn check_invariants<'v, W: Word + 'v>(
         &mut self,
         delta: u64,
@@ -685,18 +676,21 @@ impl<'p> LaneChecks<'p> {
         for &k in &self.candidates {
             let inv = &self.program.invariants[k];
             let (a, b) = inv.operands();
-            for c in bits(open & (self.changed[a] | self.changed[b])) {
-                if let Some((sig, got)) = inv.violated(|j| word(j).get(c)) {
-                    self.invariant[c] = Some(InvariantViolation {
-                        rule: inv.render(&self.program.signals),
-                        signal: self.program.signals[sig].name.clone(),
-                        delta,
-                        got,
-                    });
-                    open &= !(1 << c);
-                    self.invariant_hit |= 1 << c;
-                }
+            let violated = inv.violated(open & (self.changed[a] | self.changed[b]), word);
+            if violated == 0 {
+                continue;
             }
+            let (sig, signals) = (inv.site(), &self.program.signals);
+            for c in bits(violated) {
+                self.invariant[c] = Some(InvariantViolation {
+                    rule: inv.render(signals),
+                    signal: signals[sig].name.clone(),
+                    delta,
+                    got: word(sig).get(c),
+                });
+            }
+            open &= !violated;
+            self.invariant_hit |= violated;
             if open == 0 {
                 break;
             }
@@ -821,14 +815,18 @@ fn run_observed(
         Some(deadline) => sim.run_to_completion_deadlined(deadline)?,
         None => sim.run_to_completion()?,
     };
+    // Kernel signal → program index (the first, when a signal is listed
+    // twice).
+    let mut program_index =
+        vec![usize::MAX; ids.iter().map(|id| id.index() + 1).max().unwrap_or(0)];
+    for (i, id) in ids.iter().enumerate().rev() {
+        program_index[id.index()] = i;
+    }
     let log = sim
         .kernel()
         .commit_log()
         .iter()
-        .map(|(delta, sid, value)| {
-            let i = ids.iter().position(|id| id == sid).expect("observed id");
-            (*delta, i, *value)
-        })
+        .map(|(delta, sid, value)| (*delta, program_index[sid.index()], *value))
         .collect();
     let deltas = summary.stats.delta_cycles;
     Ok(ObservedRun {
@@ -1097,6 +1095,122 @@ mod tests {
         }
     }
 
+    /// The scalar rule, the reference the word-level evaluation is held
+    /// to: the invariant over the value row that `row(i)` reads, and on
+    /// violation the attributed signal and its value.
+    fn scalar_violated(inv: &Invariant, row: impl Fn(usize) -> Value) -> Option<(usize, Value)> {
+        let broken = match inv {
+            Invariant::Range { sig, min, max } => {
+                !matches!(row(*sig), Value::Num(v) if *min <= v && v <= *max)
+            }
+            Invariant::Reachable { sig, values } => {
+                !matches!(row(*sig), Value::Num(v) if values.binary_search(&v).is_ok())
+            }
+            Invariant::Eq { a, b } => row(*a) != row(*b),
+            Invariant::Le { a, b } => {
+                !matches!((row(*a), row(*b)), (Value::Num(x), Value::Num(y)) if x <= y)
+            }
+            Invariant::Offset { a, b, delta } => !matches!(
+                (row(*a), row(*b)),
+                (Value::Num(x), Value::Num(y)) if x.wrapping_sub(y) == *delta
+            ),
+        };
+        broken.then(|| (inv.site(), row(inv.site())))
+    }
+
+    /// Random lane columns — numbers near zero and at the `i64` extremes,
+    /// `DISC` and `ILLEGAL` lanes — under every invariant kind: the word
+    /// evaluation flags, in the lanes of its mask, exactly the lanes the
+    /// scalar rule finds violated, for columns and for a solo value.
+    #[test]
+    fn word_invariants_equal_the_scalar_rule_lane_by_lane() {
+        use crate::plan::LANES;
+        use crate::word::Col;
+        let palette = [
+            Value::Disc,
+            Value::Illegal,
+            Value::Num(0),
+            Value::Num(1),
+            Value::Num(2),
+            Value::Num(-1),
+            Value::Num(i64::MIN),
+            Value::Num(i64::MAX),
+            Value::Num(i64::MIN + 1),
+        ];
+        let mut rng = 0x1a_2e5_u64;
+        let mut next = move |n: u64| crate::splitmix64(&mut rng) % n.max(1);
+        let pick = |next: &mut dyn FnMut(u64) -> u64| match next(4) {
+            0 => Value::Num(next(7) as i64 - 3),
+            _ => palette[next(palette.len() as u64) as usize],
+        };
+        let (mut kinds, mut violated, mut held) = ([0; 5], 0, 0);
+        for trial in 0..4000 {
+            let width = 1 + next(4) as usize;
+            let mut cols = vec![Col::splat(Value::Disc); width];
+            for col in &mut cols {
+                // Mostly one shared value per column, as in a fault chunk.
+                let base = pick(&mut next);
+                for c in 0..LANES {
+                    col.set(c, if next(3) == 0 { pick(&mut next) } else { base });
+                }
+            }
+            let (a, b) = (next(width as u64) as usize, next(width as u64) as usize);
+            let anchor = |next: &mut dyn FnMut(u64) -> u64| match cols[a].get(next(64) as usize) {
+                Value::Num(v) => v,
+                _ => next(5) as i64 - 2,
+            };
+            let kind = next(5) as usize;
+            let inv = match kind {
+                0 => {
+                    let lo = anchor(&mut next).saturating_sub(next(2) as i64);
+                    let hi = lo.saturating_add(next(3) as i64);
+                    Invariant::Range {
+                        sig: a,
+                        min: lo,
+                        max: hi,
+                    }
+                }
+                1 => {
+                    let mut values: Vec<i64> =
+                        (0..1 + next(4)).map(|_| anchor(&mut next)).collect();
+                    values.sort_unstable();
+                    values.dedup();
+                    Invariant::Reachable { sig: a, values }
+                }
+                2 => Invariant::Eq { a, b },
+                3 => Invariant::Le { a, b },
+                _ => {
+                    let c = next(64) as usize;
+                    let delta = match (cols[a].get(c), cols[b].get(c)) {
+                        (Value::Num(x), Value::Num(y)) => x.wrapping_sub(y),
+                        _ => next(3) as i64 - 1,
+                    };
+                    Invariant::Offset { a, b, delta }
+                }
+            };
+            kinds[kind] += 1;
+            let mask = match next(3) {
+                0 => !0,
+                _ => crate::splitmix64(&mut (trial as u64)),
+            };
+            let word = inv.violated(mask, |i| &cols[i]);
+            for c in 0..LANES {
+                let scalar = scalar_violated(&inv, |i| cols[i].get(c));
+                let want = mask >> c & 1 == 1 && scalar.is_some();
+                assert_eq!(word >> c & 1 == 1, want, "trial {trial} lane {c}: {inv:?}");
+                if let Some((sig, got)) = scalar {
+                    assert_eq!((sig, got), (inv.site(), cols[inv.site()].get(c)));
+                }
+                let row: Vec<Value> = cols.iter().map(|col| col.get(c)).collect();
+                let solo = inv.violated(1, |i| &row[i]);
+                assert_eq!(solo == 1, scalar.is_some(), "trial {trial} solo lane {c}");
+                *if want { &mut violated } else { &mut held } += 1;
+            }
+        }
+        assert!(kinds.iter().all(|&k| k > 500), "{kinds:?}");
+        assert!(violated > 20_000 && held > 20_000, "{violated}/{held}");
+    }
+
     /// The full-row scan reference: every delta compares the whole row
     /// against the golden table and evaluates every invariant in order,
     /// then a short run's frozen row meets the remaining golden rows.
@@ -1127,13 +1241,12 @@ mod tests {
             scan(d as u64, &last, &mut monitor);
             if invariant.is_none() {
                 invariant = program.invariants.iter().find_map(|inv| {
-                    inv.violated(|i| last[i])
-                        .map(|(sig, got)| InvariantViolation {
-                            rule: inv.render(&program.signals),
-                            signal: program.signals[sig].name.clone(),
-                            delta: d as u64,
-                            got,
-                        })
+                    scalar_violated(inv, |i| last[i]).map(|(sig, got)| InvariantViolation {
+                        rule: inv.render(&program.signals),
+                        signal: program.signals[sig].name.clone(),
+                        delta: d as u64,
+                        got,
+                    })
                 });
             }
         }

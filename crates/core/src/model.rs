@@ -237,7 +237,8 @@ impl RtModel {
     ///
     /// Returns [`ModelError::DuplicateName`] if a register of this name
     /// exists, or if the name reads as a word `M[i]` of a declared memory
-    /// `M`.
+    /// `M` or an element `A[i]` of a declared array `A` (the elements
+    /// exist already; any other index would pose as one).
     pub fn add_register_init(
         &mut self,
         name: impl Into<String>,
@@ -245,8 +246,11 @@ impl RtModel {
     ) -> Result<RegisterId, ModelError> {
         let name = name.into();
         let decls = Arc::make_mut(&mut self.decls);
+        let storage = |base: &str| {
+            decls.mem_index.contains_key(base) || decls.arrays.iter().any(|a| a.name == base)
+        };
         if decls.reg_index.contains_key(&name)
-            || indexed_parts(&name).is_some_and(|(base, _)| decls.mem_index.contains_key(base))
+            || indexed_parts(&name).is_some_and(|(b, _)| storage(b))
         {
             return Err(ModelError::DuplicateName(name));
         }
@@ -298,7 +302,8 @@ impl RtModel {
     ///
     /// [`ModelError::EmptyStorage`] for `len == 0`, or
     /// [`ModelError::DuplicateName`] if the base name is taken by another
-    /// array or a memory, or any element name collides with a register.
+    /// array or a memory, or is the base `A` of a register named `A[i]`
+    /// (which would collide with an element or pose as one).
     pub fn add_array(
         &mut self,
         name: impl Into<String>,
@@ -309,7 +314,11 @@ impl RtModel {
         if len == 0 {
             return Err(ModelError::EmptyStorage(name));
         }
-        if self.decls.mem_index.contains_key(&name) || self.array_by_name(&name).is_some() {
+        let aliased = |r: &RegisterDecl| indexed_parts(&r.name).is_some_and(|(b, _)| b == name);
+        if self.decls.mem_index.contains_key(&name)
+            || self.array_by_name(&name).is_some()
+            || self.registers.iter().any(aliased)
+        {
             return Err(ModelError::DuplicateName(name));
         }
         for i in 0..len {
@@ -1142,6 +1151,37 @@ mod tests {
         // Other names stay apart: `MM[1]` does not alias `M`.
         m.add_register("MM[1]").unwrap();
         assert!(m.add_memory("MEM", 4, Value::Num(0)).is_ok());
+    }
+
+    #[test]
+    fn register_names_may_not_pose_as_array_elements() {
+        // Array first: every `V[i]` is an element already, or poses as one.
+        let mut m = base();
+        m.add_array("V", 2, Value::Num(0)).unwrap();
+        for name in ["V[7]", "V[1]", "V[01]", "V[R1]"] {
+            assert_eq!(
+                m.add_register_init(name, Value::Num(1)),
+                Err(ModelError::DuplicateName(name.into()))
+            );
+        }
+        assert!(!m.registers().iter().any(|r| r.name == "V[7]"));
+        // The declared elements still take their own inits.
+        m.set_register_init("V[1]", Value::Num(9)).unwrap();
+        // Registers first: the array is the one refused, in range or not.
+        for name in ["V[7]", "V[0]"] {
+            let mut m = base();
+            m.add_register_init(name, Value::Num(1)).unwrap();
+            assert_eq!(
+                m.add_array("V", 2, Value::Num(0)),
+                Err(ModelError::DuplicateName("V".into()))
+            );
+            assert!(m.arrays().is_empty() && m.register_by_name("V[1]").is_none());
+        }
+        // Other names stay apart: `VV[7]` does not pose as an element of `V`.
+        let mut m = base();
+        m.add_register("VV[7]").unwrap();
+        m.add_array("V", 2, Value::Num(0)).unwrap();
+        m.add_register("VV[8]").unwrap();
     }
 
     #[test]

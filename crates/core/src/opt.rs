@@ -489,20 +489,56 @@ impl Stream {
         &self,
         plan: &ExecPlan,
         options: &ExecOptions,
-        checks: Option<&PlanChecks>,
+        checks: Option<&PlanChecks<'_>>,
     ) -> Result<(ExecOutcome, Option<CheckReport>), KernelError> {
+        let mut record = match options.trace {
+            true => Recording::Trace(plan.initial_trace()),
+            false => Recording::Nothing,
+        };
+        let (values, stats, report) = self.solo_walk(plan, options, checks, &mut record)?;
+        let trace = match record {
+            Recording::Trace(trace) => Some(trace),
+            _ => None,
+        };
+        Ok((plan.outcome(|sig| values[sig], stats, trace), report))
+    }
+
+    /// An untraced solo run of `plan`'s stream that records the
+    /// end-of-delta value of each signal of `sigs`, one row per delta.
+    ///
+    /// # Errors
+    ///
+    /// As [`OptPlan::execute`].
+    pub(crate) fn record(
+        &self,
+        plan: &ExecPlan,
+        options: &ExecOptions,
+        sigs: &[usize],
+    ) -> Result<(ExecOutcome, Vec<Value>), KernelError> {
+        let rows = Vec::with_capacity((self.bounds.len() - 1) * sigs.len());
+        let mut record = Recording::Table { sigs, rows };
+        let (values, stats, _) = self.solo_walk(plan, options, None, &mut record)?;
+        let Recording::Table { rows, .. } = record else {
+            unreachable!("the walk keeps its recording");
+        };
+        Ok((plan.outcome(|sig| values[sig], stats, None), rows))
+    }
+
+    /// The solo walk behind [`execute`](Self::execute) and
+    /// [`record`](Self::record): the final value of every signal, the
+    /// run's kernel counters and, when checked, its verdict.
+    fn solo_walk(
+        &self,
+        plan: &ExecPlan,
+        options: &ExecOptions,
+        checks: Option<&PlanChecks<'_>>,
+        record: &mut Recording<'_>,
+    ) -> Result<(Vec<Value>, SimStats, Option<CheckReport>), KernelError> {
         plan.check_delta_limit(options)?;
         let needed = [self.bounds.len() as u64 - 1];
         let mut values: Vec<Value> = plan.signals.iter().map(|s| s.init).collect();
-        let mut trace = options.trace.then(|| plan.initial_trace());
-        let (counts, checker) = self.walk(
-            plan,
-            &mut values,
-            &needed,
-            trace.as_mut(),
-            checks,
-            options.deadline,
-        )?;
+        let (counts, checker) =
+            self.walk(plan, &mut values, &needed, record, checks, options.deadline)?;
         let stats = SimStats {
             delta_cycles: needed[0],
             process_activations: plan.activations,
@@ -520,7 +556,7 @@ impl Stream {
             let mut reports = checker.finish(&needed, |i| &values[ck.sigs[i]]);
             reports.swap_remove(0)
         });
-        Ok((plan.outcome(|sig| values[sig], stats, trace), report))
+        Ok((values, stats, report))
     }
 
     /// Walks a lane chunk's stream, appending one outcome per lane.
@@ -533,7 +569,7 @@ impl Stream {
         plan: &ExecPlan,
         lanes: &Lanes<'_>,
         options: &ExecOptions,
-        checks: Option<&PlanChecks>,
+        checks: Option<&PlanChecks<'_>>,
         out: &mut Vec<BatchOutcome>,
     ) -> Result<(), KernelError> {
         let mut values = lanes.initial_values(plan, &self.ext);
@@ -541,8 +577,15 @@ impl Stream {
         // An overflowed lane never runs, but whole-column moves overwrite
         // it: it reports the values it started with.
         let initial = needed.contains(&0).then(|| values.clone());
-        let (counts, checker) =
-            self.walk(plan, &mut values, &needed, None, checks, options.deadline)?;
+        let nothing = &mut Recording::Nothing;
+        let (counts, checker) = self.walk(
+            plan,
+            &mut values,
+            &needed,
+            nothing,
+            checks,
+            options.deadline,
+        )?;
         let mut reports = checker.zip(checks).map(|(mut checker, ck)| {
             let reports = checker.finish(&needed, |i| &values[ck.sigs[i]]);
             reports.into_iter()
@@ -578,17 +621,18 @@ impl Stream {
     /// `needed[c]` deltas (none: it never runs). Each delta applies the
     /// pending driver updates, feeds the checkers and runs its ops, each
     /// op on whole words in the lanes of its mask. A solo walk is one
-    /// scalar lane whose ops all run in it, and counts the kernel
-    /// counters its run reports; a chunk walks packed columns and counts
-    /// only each lane's first `ILLEGAL`. Returns those counts and, when
-    /// checked, the lanes' checkers.
+    /// scalar lane whose ops all run in it, counts the kernel counters
+    /// its run reports and keeps what `record` asks for; a chunk walks
+    /// packed columns, records nothing and counts only each lane's first
+    /// `ILLEGAL`. Returns those counts and, when checked, the lanes'
+    /// checkers.
     fn walk<'c, W: Word>(
         &self,
         plan: &ExecPlan,
         values: &mut [W],
         needed: &[u64],
-        mut trace: Option<&mut Trace<Value>>,
-        checks: Option<&'c PlanChecks>,
+        record: &mut Recording<'_>,
+        checks: Option<&'c PlanChecks<'c>>,
         deadline: Option<Instant>,
     ) -> Result<(Counts, Option<LaneChecks<'c>>), KernelError> {
         let n = needed.len();
@@ -597,7 +641,7 @@ impl Stream {
         let (mut events, mut driver_updates, mut peak_pending) = (0, 0, 0);
         let mut first_illegal = vec![None; n];
         let mut illegal_seen = 0u64;
-        let mut checker = checks.map(|ck| LaneChecks::new(&ck.program, &ck.index, n));
+        let mut checker = checks.map(|ck| LaneChecks::new(ck.program, &ck.index, n));
         // The lanes whose checkers still observe: running, and not yet
         // settled (every armed family latched).
         let mut feeding = if checks.is_some() { full } else { 0 };
@@ -614,9 +658,10 @@ impl Stream {
         let widest = self.bounds.windows(2).map(|b| b[1] - b[0]).max();
         let widest = widest.unwrap_or(0) as usize;
         let (mut cur, mut nxt) = (Pending::<W>::new(widest), Pending::<W>::new(widest));
-        // Control pushes are only skippable when nothing records them;
-        // `carry` counts those skipped in the previous delta.
-        let elide_ctl = self.config.fold && trace.is_none();
+        // Control pushes are only skippable when no trace records them
+        // (no table holds a control signal); `carry` counts those skipped
+        // in the previous delta.
+        let elide_ctl = self.config.fold && !matches!(record, Recording::Trace(_));
         let mut carry: u64 = 0;
 
         for d in 0..self.bounds.len() as u64 - 1 {
@@ -652,7 +697,7 @@ impl Stream {
                         first_illegal[c] = Some((sig, d));
                     }
                 }
-                if let Some(t) = trace.as_deref_mut() {
+                if let Recording::Trace(t) = record {
                     let time = SimTime { fs: 0, delta: d };
                     t.push(time, SignalId::from_index(sig), effective.get(0));
                 }
@@ -684,6 +729,10 @@ impl Stream {
                 let observing = observing.fold(0, |m, c| m | 1 << c);
                 checker.observe(d, observing, |i| &values[ck.sigs[i]]);
                 feeding &= !(ending | checker.settled());
+            }
+            // A recording solo walk keeps the same end-of-delta values.
+            if let Recording::Table { sigs, rows } = record {
+                rows.extend(sigs.iter().map(|&s| values[s].get(0)));
             }
 
             // Run phase: the delta's straight-line ops (none in the
@@ -883,6 +932,17 @@ struct Counts {
     events: u64,
     peak_pending: u64,
     first_illegal: Vec<Option<(usize, u64)>>,
+}
+
+/// What a solo walk records as it goes, besides its outcome.
+enum Recording<'s> {
+    /// Nothing: an untraced run, or a lane chunk.
+    Nothing,
+    /// Every event: a traced run's waveform.
+    Trace(Trace<Value>),
+    /// The end-of-delta value of each signal of `sigs`, one row per
+    /// delta: a golden monitor table.
+    Table { sigs: &'s [usize], rows: Vec<Value> },
 }
 
 #[cfg(test)]

@@ -46,12 +46,16 @@
 //! model's tuples is `clockless-verify`'s `static_conflicts`, which
 //! `clockless check` cross-checks against them.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace, DEFAULT_DELTA_LIMIT};
 
 use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome, OptConfig};
-use crate::check::{CheckIndex, CheckProgram, CheckReport, SignalKind};
+use crate::check::{
+    CheckIndex, CheckProgram, CheckReport, CheckSignal, CheckedError, MonitorTable, SignalKind,
+};
 use crate::diag::{Conflict, ConflictSite};
 use crate::elaborate::SignalRole;
 use crate::model::RtModel;
@@ -66,15 +70,16 @@ use crate::word::{Col, Operand, Word};
 
 /// A [`CheckProgram`] resolved against one plan's dense signal table —
 /// the precomputed handle [`ExecPlan::execute_batch_checked`] consumes,
-/// built once per campaign by [`ExecPlan::resolve_checks`].
+/// built once per campaign by [`ExecPlan::resolve_checks`]. It borrows
+/// the program.
 #[derive(Debug, Clone)]
-pub struct PlanChecks {
+pub struct PlanChecks<'p> {
     /// Dense signal index of each program signal, in program order.
     pub(crate) sigs: Vec<usize>,
     /// The program indices of each dense signal (usually none or one).
     pub(crate) watch: Vec<Vec<usize>>,
-    /// The program itself (owned so the handle is self-contained).
-    pub(crate) program: CheckProgram,
+    /// The program itself.
+    pub(crate) program: &'p CheckProgram,
     /// The program's event-driven lookups.
     pub(crate) index: CheckIndex,
 }
@@ -658,6 +663,30 @@ impl ExecPlan {
             .map(|(outcome, _)| outcome)
     }
 
+    /// [`execute`](Self::execute), untraced, recording on the way the
+    /// golden monitor table of `signals`: their values at the end of
+    /// every delta, one row per delta — value for value the table
+    /// [`record_table`](crate::check::record_table) records from the
+    /// kernel, at every level. `options.trace` is ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckedError::Signals`] naming the first signal the plan does
+    /// not have, or the walk's own error, as for
+    /// [`execute`](Self::execute).
+    pub fn execute_recorded(
+        &self,
+        signals: &[CheckSignal],
+        options: &ExecOptions,
+    ) -> Result<(ExecOutcome, MonitorTable), CheckedError> {
+        let sigs = self.check_sigs(signals).map_err(CheckedError::Signals)?;
+        self.check_delta_limit(options)?;
+        let stream = Stream::solo(self, options.opt.config());
+        let (outcome, values) = stream.record(self, options, &sigs)?;
+        let deltas = outcome.summary.stats.delta_cycles;
+        Ok((outcome, MonitorTable { deltas, values }))
+    }
+
     // ------------------------------------------------------------------
     // Plan deltas: mutants as schedule edits
     // ------------------------------------------------------------------
@@ -847,24 +876,8 @@ impl ExecPlan {
     /// # Errors
     ///
     /// A message naming the first signal the plan does not have.
-    pub fn resolve_checks(&self, program: &CheckProgram) -> Result<PlanChecks, String> {
-        let sigs = program
-            .signals
-            .iter()
-            .map(|s| {
-                self.roles
-                    .iter()
-                    .position(|role| match (&s.kind, role) {
-                        (SignalKind::Register, SignalRole::RegOut(n)) => *n == s.name,
-                        (SignalKind::MemoryWord, SignalRole::MemWord { mem, index }) => {
-                            SignalRole::mem_word_name(mem, *index) == s.name
-                        }
-                        (SignalKind::Bus, SignalRole::Bus(n)) => *n == s.name,
-                        _ => false,
-                    })
-                    .ok_or_else(|| format!("unknown {} `{}`", s.kind, s.name))
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
+    pub fn resolve_checks<'p>(&self, program: &'p CheckProgram) -> Result<PlanChecks<'p>, String> {
+        let sigs = self.check_sigs(&program.signals)?;
         let mut watch = vec![Vec::new(); self.signals.len()];
         for (i, &s) in sigs.iter().enumerate() {
             watch[s].push(i);
@@ -872,9 +885,36 @@ impl ExecPlan {
         Ok(PlanChecks {
             sigs,
             watch,
-            program: program.clone(),
+            program,
             index: CheckIndex::new(program),
         })
+    }
+
+    /// The dense index of each of `signals`, looked up through one index
+    /// of the plan's monitorable signals by kind and name.
+    fn check_sigs(&self, signals: &[CheckSignal]) -> Result<Vec<usize>, String> {
+        let mut index: HashMap<(SignalKind, Cow<'_, str>), usize> = HashMap::new();
+        for (i, role) in self.roles.iter().enumerate() {
+            let key = match role {
+                SignalRole::RegOut(n) => (SignalKind::Register, Cow::Borrowed(n.as_str())),
+                SignalRole::MemWord { mem, index } => (
+                    SignalKind::MemoryWord,
+                    Cow::Owned(SignalRole::mem_word_name(mem, *index)),
+                ),
+                SignalRole::Bus(n) => (SignalKind::Bus, Cow::Borrowed(n.as_str())),
+                _ => continue,
+            };
+            index.entry(key).or_insert(i);
+        }
+        (signals.iter())
+            .map(|s| {
+                let key = (s.kind, Cow::Borrowed(s.name.as_str()));
+                index
+                    .get(&key)
+                    .copied()
+                    .ok_or_else(|| format!("unknown {} `{}`", s.kind, s.name))
+            })
+            .collect()
     }
 
     /// [`execute_batch`](Self::execute_batch) with value checkers: after
@@ -893,7 +933,7 @@ impl ExecPlan {
         &self,
         deltas: &[PlanDelta],
         options: &ExecOptions,
-        checks: &PlanChecks,
+        checks: &PlanChecks<'_>,
     ) -> Result<Vec<BatchOutcome>, KernelError> {
         self.execute_lanes(deltas, options, options.opt.config(), Some(checks))
     }
@@ -905,7 +945,7 @@ impl ExecPlan {
         deltas: &[PlanDelta],
         options: &ExecOptions,
         config: OptConfig,
-        checks: Option<&PlanChecks>,
+        checks: Option<&PlanChecks<'_>>,
     ) -> Result<Vec<BatchOutcome>, KernelError> {
         let delta_limit = options.delta_limit.unwrap_or(DEFAULT_DELTA_LIMIT);
         let mut out = Vec::with_capacity(deltas.len());
@@ -1696,15 +1736,15 @@ mod tests {
             verdicts.iter().any(|v| !v.is_clean()),
             "no mutant trips a checker"
         );
-        let own: Vec<PlanChecks> = (mutants.iter())
-            .map(|m| {
-                let program = CheckProgram {
-                    signals: program.signals.clone(),
-                    monitor: Some(record_table(m, &program.signals).unwrap()),
-                    invariants: Vec::new(),
-                };
-                plan.resolve_checks(&program).unwrap()
+        let own: Vec<CheckProgram> = (mutants.iter())
+            .map(|m| CheckProgram {
+                signals: program.signals.clone(),
+                monitor: Some(record_table(m, &program.signals).unwrap()),
+                invariants: Vec::new(),
             })
+            .collect();
+        let own: Vec<PlanChecks> = (own.iter())
+            .map(|program| plan.resolve_checks(program).unwrap())
             .collect();
         for config in crate::opt::tests::pass_configs() {
             let run = |deltas: &[PlanDelta], checks| {

@@ -214,7 +214,7 @@ pub fn parse_model(text: &str) -> Result<RtModel, ParseModelError> {
                     Some(_) if m.is_array_element(name) => m.set_register_init(name, init),
                     _ => m.add_register_init(name, init).map(|_| ()),
                 };
-                result.map_err(|e| ParseModelError::from((lineno, e)))?;
+                result.map_err(|e| ParseModelError::at(lineno, col(toks[1].0), e.to_string()))?;
             }
             "array" | "memory" => {
                 let directive = tokens[0];
@@ -247,7 +247,7 @@ pub fn parse_model(text: &str) -> Result<RtModel, ParseModelError> {
                 } else {
                     m.add_memory(name, len, init).map(|_| ())
                 };
-                result.map_err(|e| ParseModelError::from((lineno, e)))?;
+                result.map_err(|e| ParseModelError::at(lineno, col(toks[1].0), e.to_string()))?;
             }
             "bus" => {
                 let m = model
@@ -622,5 +622,29 @@ mod tests {
         );
         let word = "model a steps 1\nregister M[1] init 1\nmemory M[4]\n";
         assert_eq!(parse_model(word).unwrap_err().line, 3);
+    }
+
+    /// A plain register named like an element of a declared array is
+    /// refused in either declaration order, at the offending name; the
+    /// array's own elements keep taking per-element inits.
+    #[test]
+    fn registers_posing_as_array_elements_are_rejected_with_columns() {
+        let array_first = "model a steps 1\narray V[2] init 0\nregister V[7] init 1\n";
+        let err = parse_model(array_first).unwrap_err();
+        assert_eq!(
+            (err.line, err.col, err.msg.as_str()),
+            (3, 10, "duplicate resource name `V[7]`")
+        );
+        assert_eq!(err.to_string(), "line 3:10: duplicate resource name `V[7]`");
+        let register_first = "model a steps 1\nregister V[7] init 1\n  array V[2] init 0\n";
+        let err = parse_model(register_first).unwrap_err();
+        assert_eq!(
+            (err.line, err.col, err.msg.as_str()),
+            (3, 9, "duplicate resource name `V`")
+        );
+        let element = "model a steps 1\narray V[2] init 0\nregister V[1] init 9\n";
+        let m = parse_model(element).unwrap();
+        assert_eq!(m.registers()[1].init, Value::Num(9));
+        assert!(m.is_array_element("V[1]"));
     }
 }

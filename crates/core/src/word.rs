@@ -64,6 +64,10 @@ pub(crate) trait Word: Copy + std::fmt::Debug {
     /// The lanes in which `lhs cmp rhs` holds: only over two numbers.
     fn compare(cmp: CmpOp, lhs: Operand<'_, Self>, rhs: Operand<'_, Self>) -> u64;
 
+    /// The lanes in which `lhs` and `rhs` both hold numbers, `x` and
+    /// `y`, with `f(x, y)`.
+    fn holds(lhs: Operand<'_, Self>, rhs: Operand<'_, Self>, f: impl Fn(i64, i64) -> bool) -> u64;
+
     /// [`combine`] of the operand ports `a`, `b` and the operation
     /// select `select`, in (at least) the lanes of `mask`.
     fn combine(a: &Self, b: &Self, select: Option<&Self>, ops: &[Op], mask: u64, out: &mut Self);
@@ -139,12 +143,21 @@ impl Word for Value {
 
     #[inline]
     fn compare(cmp: CmpOp, lhs: Operand<'_, Value>, rhs: Operand<'_, Value>) -> u64 {
+        Value::holds(lhs, rhs, |a, b| cmp.holds(a, b))
+    }
+
+    #[inline]
+    fn holds(
+        lhs: Operand<'_, Value>,
+        rhs: Operand<'_, Value>,
+        f: impl Fn(i64, i64) -> bool,
+    ) -> u64 {
         let num = |o: Operand<'_, Value>| match o {
             Operand::Word(v) => v.num(),
             Operand::Const(k) => Some(k),
         };
         match (num(lhs), num(rhs)) {
-            (Some(a), Some(b)) => u64::from(cmp.holds(a, b)),
+            (Some(a), Some(b)) => u64::from(f(a, b)),
             _ => 0,
         }
     }
@@ -346,6 +359,19 @@ impl Word for Col {
 
     #[inline]
     fn compare(cmp: CmpOp, lhs: Operand<'_, Col>, rhs: Operand<'_, Col>) -> u64 {
+        // One lane loop per operator, so each vectorizes.
+        match cmp {
+            CmpOp::Eq => Col::holds(lhs, rhs, |a, b| a == b),
+            CmpOp::Ne => Col::holds(lhs, rhs, |a, b| a != b),
+            CmpOp::Lt => Col::holds(lhs, rhs, |a, b| a < b),
+            CmpOp::Le => Col::holds(lhs, rhs, |a, b| a <= b),
+            CmpOp::Gt => Col::holds(lhs, rhs, |a, b| a > b),
+            CmpOp::Ge => Col::holds(lhs, rhs, |a, b| a >= b),
+        }
+    }
+
+    #[inline(always)]
+    fn holds(lhs: Operand<'_, Col>, rhs: Operand<'_, Col>, f: impl Fn(i64, i64) -> bool) -> u64 {
         let nums = |o: Operand<'_, Col>| match o {
             Operand::Word(w) => w.nums(),
             Operand::Const(_) => !0,
@@ -354,16 +380,7 @@ impl Word for Col {
             Operand::Word(w) => w.pay[i],
             Operand::Const(k) => k,
         };
-        let (l, r) = (lhs, rhs);
-        let holds = match cmp {
-            CmpOp::Eq => lanes_where(|i| at(l, i) == at(r, i)),
-            CmpOp::Ne => lanes_where(|i| at(l, i) != at(r, i)),
-            CmpOp::Lt => lanes_where(|i| at(l, i) < at(r, i)),
-            CmpOp::Le => lanes_where(|i| at(l, i) <= at(r, i)),
-            CmpOp::Gt => lanes_where(|i| at(l, i) > at(r, i)),
-            CmpOp::Ge => lanes_where(|i| at(l, i) >= at(r, i)),
-        };
-        nums(lhs) & nums(rhs) & holds
+        nums(lhs) & nums(rhs) & lanes_where(|i| f(at(lhs, i), at(rhs, i)))
     }
 
     /// A single-operation module, or a multi-operation one whose lanes

@@ -13,10 +13,13 @@
 //! Two engines run the mutants, selected by [`CampaignEngine`]:
 //!
 //! * **Batched** (the default) — the golden model is lowered to one
-//!   [`ExecPlan`], each fault becomes a small [`PlanDelta`]
+//!   [`ExecPlan`]; one compiled walk of it is the golden run and, with
+//!   checkers armed, records the table they are armed from
+//!   ([`golden_walk`]); each fault becomes a small [`PlanDelta`]
 //!   (init-vector or schedule edit; no model clone, no re-elaboration),
 //!   and all mutants execute in lockstep over packed lane columns (64
-//!   mutants per machine word) via [`ExecPlan::execute_batch`].
+//!   mutants per machine word) via [`ExecPlan::execute_batch`]. No
+//!   kernel runs.
 //! * **Legacy** — every mutant model runs on a **private kernel
 //!   instance** via the fault-tolerant `clockless-fleet` engine. This is
 //!   the differential oracle: both engines produce byte-identical
@@ -72,7 +75,7 @@ use clockless_fleet::{
     run_batch_with, BatchSpec, FailureKind, FleetConfig, FleetError, JobSource, JobSpec,
 };
 
-use crate::monitor::{build_checkers, CheckerMode};
+use crate::monitor::{build_checkers, golden_walk, CheckerMode};
 
 /// The five fault classes a campaign can inject, used both to group
 /// coverage numbers and to filter generation (`--classes` on the CLI).
@@ -510,12 +513,16 @@ impl fmt::Display for FaultOutcome {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CampaignEngine {
-    /// Lower the golden plan once, run every mutant as a [`PlanDelta`]
-    /// column of one lockstep [`ExecPlan::execute_batch`] walk.
+    /// Lower the golden plan once, take the golden run and the checker
+    /// recording from one compiled walk of it ([`golden_walk`]), and run
+    /// every mutant as a [`PlanDelta`] column of one lockstep
+    /// [`ExecPlan::execute_batch`] walk. No kernel runs.
     #[default]
     Batched,
-    /// One fleet job per mutant model, each on a private kernel — the
-    /// differential oracle for the batched engine.
+    /// A golden run on [`CampaignConfig::backend`], the kernel's checker
+    /// recording ([`build_checkers`]), and one fleet job per mutant
+    /// model, each on a private kernel (or compiled, per the backend) —
+    /// the differential oracle for the batched engine.
     Legacy,
 }
 
@@ -561,10 +568,13 @@ pub struct CampaignConfig {
     pub max_faults: Option<usize>,
     /// Fleet worker threads for the mutant runs.
     pub workers: usize,
-    /// Execution backend for the golden run and every mutant. Both
-    /// engines are observably byte-identical, so the campaign report does
-    /// not depend on this — it only selects the machinery (and lets CI
-    /// exercise the compiled engine against the full mutant space).
+    /// Execution backend of the [`CampaignEngine::Legacy`] engine's
+    /// machinery: its golden run and every mutant job. The batched engine
+    /// is compiled throughout, its golden run included, and ignores it.
+    /// Both backends are observably byte-identical, so the campaign
+    /// report does not depend on this — it only selects the machinery
+    /// (and lets CI exercise the compiled engine against the full mutant
+    /// space).
     pub backend: Backend,
     /// Mutant-execution machinery; see [`CampaignEngine`]. Reports are
     /// byte-identical across engines.
@@ -573,10 +583,10 @@ pub struct CampaignConfig {
     /// [`CheckerMode::Off`] reproduces the paper's baseline: the
     /// resolution function and the delta budget are the only detectors.
     pub checkers: CheckerMode,
-    /// Optimization level for compiled-engine runs (golden and mutants;
-    /// the interpreter ignores it). Reports are byte-identical across
-    /// levels — like [`CampaignConfig::backend`], this only selects the
-    /// machinery.
+    /// Optimization level for compiled-engine runs (golden and mutants,
+    /// and the batched engine's checker recording; the interpreter
+    /// ignores it). Reports are byte-identical across levels — like
+    /// [`CampaignConfig::backend`], this only selects the machinery.
     pub opt: OptLevel,
 }
 
@@ -1049,17 +1059,6 @@ pub fn run_campaign_with_faults(
     if faults.is_empty() {
         return Err(FaultsError::NoFaults);
     }
-    let golden = config
-        .backend
-        .execute(model, &ExecOptions::default().at_opt(config.opt))
-        .map_err(|e| FaultsError::Golden { msg: e.to_string() })?
-        .summary;
-
-    // One clean-run recording arms both checker families for every
-    // mutant; a model that cannot run cleanly has no golden reference.
-    let check = build_checkers(model, config.checkers)
-        .map_err(|e| FaultsError::Golden { msg: e.to_string() })?;
-
     // Twice the exact quiescence bound (1 + 6·CS_MAX deltas) plus slack:
     // roomy for every legitimate mutant, tight enough that an oscillating
     // one is cut off after a few extra steps, not 10^8 deltas later.
@@ -1076,25 +1075,43 @@ pub fn run_campaign_with_faults(
         })
         .collect();
 
+    // Each engine first runs the golden model and records the clean run
+    // that arms both checker families for every mutant; a model that
+    // cannot run cleanly has no golden reference. The batched engine
+    // takes both from one walk of the plan its lanes run on.
+    let golden_failed = |e: &dyn fmt::Display| FaultsError::Golden { msg: e.to_string() };
     let (outcomes, totals) = match config.engine {
-        CampaignEngine::Batched => run_mutants_batched(
-            model,
-            &faults,
-            &quarantined,
-            &golden.registers,
-            delta_budget,
-            check.as_ref(),
-            config.opt,
-        )?,
-        CampaignEngine::Legacy => run_mutants_legacy(
-            model,
-            &faults,
-            &quarantined,
-            &golden.registers,
-            delta_budget,
-            check.as_ref(),
-            config,
-        )?,
+        CampaignEngine::Batched => {
+            let plan = ExecPlan::lower(model);
+            let (golden, check) = golden_walk(&plan, model, config.checkers, config.opt)
+                .map_err(|e| golden_failed(&e))?;
+            run_mutants_batched(
+                &plan,
+                &faults,
+                &quarantined,
+                &golden.registers,
+                delta_budget,
+                check.as_ref(),
+                config.opt,
+            )?
+        }
+        CampaignEngine::Legacy => {
+            let golden = config
+                .backend
+                .execute(model, &ExecOptions::default().at_opt(config.opt))
+                .map_err(|e| golden_failed(&e))?
+                .summary;
+            let check = build_checkers(model, config.checkers).map_err(|e| golden_failed(&e))?;
+            run_mutants_legacy(
+                model,
+                &faults,
+                &quarantined,
+                &golden.registers,
+                delta_budget,
+                check.as_ref(),
+                config,
+            )?
+        }
     };
 
     let rows: Vec<CampaignRow> = faults
@@ -1162,13 +1179,12 @@ fn classify_checked(
     classify_clean(values, golden)
 }
 
-/// The batched engine: lower the golden plan once, express every
-/// applicable fault as a [`PlanDelta`] and run all mutants in lockstep
-/// via [`ExecPlan::execute_batch`]. Returns per-fault outcomes (`None`
-/// on quarantined slots) and the merged kernel totals.
-#[allow(clippy::too_many_arguments)]
+/// The batched engine: express every applicable fault as a
+/// [`PlanDelta`] on the golden `plan` and run all mutants in lockstep via
+/// [`ExecPlan::execute_batch`]. Returns per-fault outcomes (`None` on
+/// quarantined slots) and the merged kernel totals.
 fn run_mutants_batched(
-    model: &RtModel,
+    plan: &ExecPlan,
     faults: &[FaultKind],
     quarantined: &[Option<FaultOutcome>],
     golden: &[(String, Value)],
@@ -1176,14 +1192,13 @@ fn run_mutants_batched(
     check: Option<&CheckProgram>,
     opt: OptLevel,
 ) -> Result<(Vec<Option<FaultOutcome>>, CampaignTotals), FaultsError> {
-    let plan = ExecPlan::lower(model);
     let mut deltas = Vec::new();
     let mut slots = Vec::new(); // fault index of each delta column
     for (i, fault) in faults.iter().enumerate() {
         if quarantined[i].is_some() {
             continue;
         }
-        let delta = fault_to_delta(&plan, fault).map_err(|msg| FaultsError::Apply {
+        let delta = fault_to_delta(plan, fault).map_err(|msg| FaultsError::Apply {
             fault: fault.to_string(),
             msg,
         })?;

@@ -81,7 +81,7 @@ pub use invariants::{
     mine_artifact, mine_invariants, mine_program, parse_artifact, render_artifact, REACHABLE_MAX,
 };
 pub use lint::{lint_model, Lint};
-pub use monitor::{build_checkers, CheckerMode, ParseCheckerModeError};
+pub use monitor::{build_checkers, golden_walk, CheckerMode, ParseCheckerModeError};
 pub use normalize::{equivalent, normalize, Atom, Poly};
 pub use semantics::{merge_partials, reconstruct_partials, roundtrip_check, SemanticsError};
 pub use sweep::{conflict_sweep, ConflictSweep, SweepRow};

@@ -11,9 +11,10 @@
 //! reported exactly like conflict detection reports its first `ILLEGAL`.
 //!
 //! [`CheckerMode`] selects which detector families a campaign arms;
-//! [`build_checkers`] performs the recording (and, via
-//! [`mine_invariants`], the mining)
-//! once per campaign.
+//! [`build_checkers`] performs the recording on the kernel (and, via
+//! [`mine_invariants`], the mining) once per campaign, and
+//! [`golden_walk`] does the same from one compiled walk of a campaign's
+//! own plan, the batched engine's golden run.
 //!
 //! # Examples
 //!
@@ -31,8 +32,13 @@
 use std::fmt;
 use std::str::FromStr;
 
-use clockless_core::check::{check_signals, record_table, CheckProgram, CheckedError};
+use clockless_core::check::{
+    check_signals, record_table, CheckProgram, CheckSignal, CheckedError, MonitorTable,
+};
 use clockless_core::model::RtModel;
+use clockless_core::plan::ExecPlan;
+use clockless_core::run::RunSummary;
+use clockless_core::{ExecOptions, OptLevel};
 
 use crate::invariants::mine_invariants;
 
@@ -130,16 +136,49 @@ pub fn build_checkers(
     }
     let signals = check_signals(model);
     let table = record_table(model, &signals)?;
+    Ok(Some(arm(mode, signals, table)))
+}
+
+/// The golden run of a campaign that runs its mutants on `plan`, the
+/// lowering of `model`: one untraced compiled walk at `opt` yields the
+/// run's summary and, unless `mode` is [`CheckerMode::Off`], the
+/// recorded table of `model`'s [`check_signals`], armed by the code
+/// [`build_checkers`] uses. The summary's registers are the kernel's
+/// and the program is [`build_checkers`]' own, value for value; no
+/// kernel runs and nothing is lowered again.
+///
+/// # Errors
+///
+/// The walk's own failure, with the kernel's error text.
+pub fn golden_walk(
+    plan: &ExecPlan,
+    model: &RtModel,
+    mode: CheckerMode,
+    opt: OptLevel,
+) -> Result<(RunSummary, Option<CheckProgram>), CheckedError> {
+    let options = ExecOptions::default().at_opt(opt);
+    if mode == CheckerMode::Off {
+        return Ok((plan.execute(&options)?.summary, None));
+    }
+    let signals = check_signals(model);
+    let (outcome, table) = plan.execute_recorded(&signals, &options)?;
+    Ok((outcome.summary, Some(arm(mode, signals, table))))
+}
+
+/// The program `mode` arms over a clean run's recorded `table` of
+/// `signals`: the table as the golden monitor, the invariants mined
+/// from it.
+fn arm(mode: CheckerMode, signals: Vec<CheckSignal>, table: MonitorTable) -> CheckProgram {
     let invariants = if mode.invariants() {
         mine_invariants(&signals, &table)
     } else {
         Vec::new()
     };
-    Ok(Some(CheckProgram {
+    CheckProgram {
         monitor: mode.monitors().then_some(table),
         signals,
         invariants,
-    }))
+    }
 }
 
 #[cfg(test)]

@@ -129,6 +129,15 @@ big_out="$( (ulimit -v 4000000; printf '%s\n' \
 [ "$big_status" -eq 0 ]
 [ "$(grep -c '"ok":false,"error":{"code":"build-failed","message":"delta-cycle limit 100000000 exhausted' <<<"$big_out")" -eq 2 ]
 grep -q '"id":3,"op":"ping","ok":true,"payload":"pong\\n"' <<<"$big_out"
+# A batched campaign's golden run is a compiled walk: it reports the
+# kernel's error text at once, before anything grows with the steps.
+big_dir="$(mktemp -d)"
+printf 'model big steps 4000000000\nregister A init 1\n' > "$big_dir/big.rtl"
+big_status=0
+big_out="$( (ulimit -v 4000000; timeout 5 ./target/release/clockless faults "$big_dir/big.rtl") 2>&1)" || big_status=$?
+[ "$big_status" -eq 1 ]
+grep -q "golden run failed: delta-cycle limit 100000000 exhausted" <<<"$big_out"
+rm -rf "$big_dir"
 
 echo "== backend sweep (compiled engine must be byte-identical to interpreted)"
 for model in models/*.rtl; do
@@ -211,6 +220,17 @@ for model in models/*.rtl; do
     family_batched="$(./target/release/clockless faults "$model" --json --checkers "$checkers")"
     family_legacy="$(./target/release/clockless faults "$model" --json --checkers "$checkers" --engine legacy --jobs 3)"
     [ "$family_batched" = "$family_legacy" ]
+  done
+done
+# The batched engine records its checker table from a compiled walk at
+# the requested level; the legacy engine records it on the kernel.
+for model in models/*.rtl; do
+  for checkers in golden invariants all; do
+    for lvl in 0 1; do
+      level_batched="$(./target/release/clockless faults "$model" --json --checkers "$checkers" --opt "$lvl")"
+      level_legacy="$(./target/release/clockless faults "$model" --json --checkers "$checkers" --opt "$lvl" --engine legacy)"
+      [ "$level_batched" = "$level_legacy" ]
+    done
   done
 done
 fleet_interp="$(./target/release/clockless fleet models/demo.fleet --jobs 2 --json)"

@@ -52,7 +52,9 @@
 //! observationally byte-identical (`clockless-verify` enforces it), so
 //! every report is the same either way; the compiled engine is simply
 //! faster. On `fleet` the flag overrides any per-job `backend` spec
-//! options. `--opt` sets the compiled engine's optimization level
+//! options. On `faults` it selects the legacy engine's machinery (its
+//! golden run and mutant jobs); the batched engine is compiled
+//! throughout, golden run included. `--opt` sets the compiled engine's optimization level
 //! (default `2`): `0` walks the plain micro-op stream with every pass
 //! off, `1` adds resolution specialization, `2` adds control-trajectory
 //! folding and dead-spur elimination. Every level is byte-identical

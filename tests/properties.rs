@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use clockless::core::prelude::*;
-use clockless::core::{resolve, Endpoint, TransferTuple};
+use clockless::core::{resolve, Endpoint, OptLevel, TransferTuple};
 use clockless::fleet::{JobSource, JobSpec};
 use clockless::hls::{random_dag, synthesize, ResourceClass, ResourceSet};
 use clockless::verify::{concrete_check, roundtrip_check, verify_synthesis};
@@ -623,6 +623,76 @@ fn fault_lanes_match_the_kernel_across_chunks() {
         report.applicable()
     );
     assert_lanes_match_kernel(&model, "random_dag(42, 24, 4)");
+}
+
+/// The batched campaign's golden run — one compiled walk of the lowered
+/// plan at each `-O` level — reports the kernel's final registers and
+/// records the checker program the kernel's recording arms (monitor
+/// table and mined invariants), or fails with the kernel's error.
+fn assert_golden_walk_matches_kernel(model: &RtModel, what: &str) {
+    use clockless::verify::{build_checkers, golden_walk, CheckerMode};
+    let kernel = Backend::Interpreted
+        .execute(model, &ExecOptions::default())
+        .map(|out| out.summary.registers)
+        .map_err(|e| e.to_string());
+    let checkers = build_checkers(model, CheckerMode::All).map_err(|e| e.to_string());
+    let plan = ExecPlan::lower(model);
+    for level in OptLevel::ALL {
+        let walk = golden_walk(&plan, model, CheckerMode::All, level);
+        match (walk, &kernel, &checkers) {
+            (Ok((summary, program)), Ok(registers), Ok(checkers)) => {
+                assert_eq!(&summary.registers, registers, "{what} -O{level}");
+                assert_eq!(&program, checkers, "{what} -O{level}");
+            }
+            (Err(walk), Err(registers), Err(checkers)) => {
+                assert_eq!(&walk.to_string(), registers, "{what} -O{level}");
+                assert_eq!(&walk.to_string(), checkers, "{what} -O{level}");
+            }
+            (walk, _, _) => panic!("{what} -O{level}: {walk:?} vs {kernel:?} / {checkers:?}"),
+        }
+        let plain = golden_walk(&plan, model, CheckerMode::Off, level);
+        match (plain, &kernel) {
+            (Ok((summary, None)), Ok(registers)) => {
+                assert_eq!(&summary.registers, registers, "{what} -O{level} unchecked")
+            }
+            (Err(walk), Err(registers)) => assert_eq!(&walk.to_string(), registers),
+            (plain, _) => panic!("{what} -O{level} unchecked: {plain:?} vs {kernel:?}"),
+        }
+    }
+}
+
+/// The golden walk over every corpus model, both IKS chips and the fuzz
+/// zoo's generators.
+#[test]
+fn golden_walk_records_what_the_kernel_records() {
+    use clockless::iks::prelude::*;
+    use clockless::verify::{generate_hls_model, generate_model};
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/models");
+    let mut paths: Vec<_> = std::fs::read_dir(corpus)
+        .expect("corpus")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rtl"))
+        .collect();
+    paths.sort();
+    for path in &paths {
+        let text = std::fs::read_to_string(path).expect("readable");
+        let model = clockless::core::text::parse_model(&text).expect("corpus model parses");
+        assert_golden_walk_matches_kernel(&model, &path.display().to_string());
+    }
+    let constants = IkConstants::new(ArmGeometry::new(1.0, 1.0));
+    let ik = build_ik_chip(to_fx(1.0), to_fx(0.5), constants).expect("ik chip");
+    assert_golden_walk_matches_kernel(&ik.model, "iks ik chip");
+    let samples = [to_fx(0.5), to_fx(1.5), to_fx(-1.0), to_fx(2.0)];
+    let coeffs = [to_fx(2.0), to_fx(-0.5), to_fx(0.25), to_fx(1.0)];
+    let fir = clockless::iks::build_fir_chip(samples, coeffs).expect("fir chip");
+    assert_golden_walk_matches_kernel(&fir, "iks fir chip");
+    for case in 0..HEAVY_CASES {
+        let seed = Rng::new(0x601D_0000 + case).next_u64();
+        let what = format!("case {case} (seed {seed})");
+        assert_golden_walk_matches_kernel(&generate_model(seed), &format!("{what} model"));
+        let hls = generate_hls_model(seed);
+        assert_golden_walk_matches_kernel(&hls, &format!("{what} HLS model"));
+    }
 }
 
 // ---- Fleet: one resolution per source -----------------------------------
