@@ -314,18 +314,7 @@ impl Backend {
                     trace: options.trace,
                     ..Default::default()
                 };
-                let mut sim = RtSimulation::with_options(model, elaborate)?;
-                if let Some(limit) = options.delta_limit {
-                    sim.set_delta_limit(limit);
-                }
-                let summary = match options.deadline {
-                    Some(deadline) => sim.run_to_completion_deadlined(deadline)?,
-                    None => sim.run_to_completion()?,
-                };
-                Ok(ExecOutcome {
-                    summary,
-                    waveform: sim.into_waveform(),
-                })
+                RtSimulation::with_options(model, elaborate)?.execute(options)
             }
             Backend::Compiled => ExecPlan::lower(model).execute(options),
         }

@@ -808,13 +808,7 @@ fn run_observed(
     let ids = resolve_kernel_ids(&sim, signals).map_err(CheckedError::Signals)?;
     let inits: Vec<Value> = ids.iter().map(|id| *sim.kernel().value(*id)).collect();
     sim.kernel_mut().observe_commits(&ids);
-    if let Some(limit) = options.delta_limit {
-        sim.set_delta_limit(limit);
-    }
-    let summary = match options.deadline {
-        Some(deadline) => sim.run_to_completion_deadlined(deadline)?,
-        None => sim.run_to_completion()?,
-    };
+    let summary = sim.run_with(options)?;
     // Kernel signal → program index (the first, when a signal is listed
     // twice).
     let mut program_index =

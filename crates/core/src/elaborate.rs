@@ -6,6 +6,8 @@
 //! per register, one module process per module and the transfer processes
 //! derived from the tuples.
 
+use std::sync::Arc;
+
 use clockless_kernel::{SignalId, Simulator};
 
 use crate::diag::ConflictSite;
@@ -150,8 +152,9 @@ pub struct SignalLayout {
     pub mem_waddr: Vec<SignalId>,
     /// Memory word signals, outer index like `RtModel::memories`.
     pub mem_word: Vec<Vec<SignalId>>,
-    /// Role of every kernel signal, indexed by `SignalId::index()`.
-    pub roles: Vec<SignalRole>,
+    /// Role of every kernel signal, indexed by `SignalId::index()` —
+    /// shared with the waveforms of the runs.
+    pub roles: Arc<[SignalRole]>,
 }
 
 impl SignalLayout {
@@ -383,7 +386,7 @@ pub fn elaborate(model: &RtModel, options: ElaborateOptions) -> (Simulator<Value
         mem_win,
         mem_waddr,
         mem_word,
-        roles,
+        roles: roles.into(),
     };
 
     for tuple in model.tuples() {

@@ -125,7 +125,7 @@ pub use resource::{
     ArrayDecl, BusDecl, BusId, MemoryDecl, MemoryId, ModuleDecl, ModuleId, ModuleTiming,
     RegisterDecl, RegisterId,
 };
-pub use run::{RegisterCommit, RtSimulation, RunSummary, Waveform};
+pub use run::{Elaboration, RegisterCommit, RtSimulation, RunSummary, Waveform};
 pub use stats::{model_stats, ModelStats, RunStatsReport};
 pub use transcript::{transcript, TranscriptError};
 pub use tuples::{

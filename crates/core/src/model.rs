@@ -161,7 +161,7 @@ pub struct RtModel {
 
 /// The declarations besides the register table, with the name indices of
 /// all four resource kinds.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Decls {
     name: String,
     buses: Vec<BusDecl>,
@@ -620,6 +620,21 @@ impl RtModel {
             .ok_or_else(|| ModelError::UnknownRegister(name.to_string()))?;
         self.registers[id.0 as usize].init = init;
         Ok(())
+    }
+
+    /// `true` when `other` is this model up to register initial values:
+    /// the same step count, declarations and transfers, and the same
+    /// registers in the same order. Models that share their declarations
+    /// and transfers (copies, and copies with init edits) compare in
+    /// O(registers).
+    pub fn same_except_inits(&self, other: &RtModel) -> bool {
+        self.cs_max == other.cs_max
+            && (Arc::ptr_eq(&self.decls, &other.decls) || self.decls == other.decls)
+            && (Arc::ptr_eq(&self.tuples, &other.tuples) || self.tuples == other.tuples)
+            && self.registers.len() == other.registers.len()
+            && (self.registers.iter())
+                .zip(&other.registers)
+                .all(|(a, b)| a.name == b.name)
     }
 
     /// Sets `CS_MAX` to `cs_max` and re-validates every transfer against

@@ -11,8 +11,9 @@
 //! owned by the controller.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use clockless_kernel::{ProcessCtx, SignalId, Wait};
+use clockless_kernel::{Process, ProcessCtx, SignalId, Wait};
 
 use crate::op::Op;
 use crate::phase::{Phase, Step};
@@ -38,7 +39,7 @@ fn num_of(ctx: &ProcessCtx<'_, Value>, sig: SignalId) -> i64 {
 ///
 /// Initial state (set at elaboration): `CS = 0`, `PH = cr` (`Phase'High`),
 /// exactly as in the paper's entity declaration.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Controller {
     cs_max: Step,
     cs: SignalId,
@@ -58,7 +59,11 @@ impl Controller {
     }
 }
 
-impl clockless_kernel::Process<Value> for Controller {
+impl Process<Value> for Controller {
+    fn try_clone(&self) -> Option<Box<dyn Process<Value>>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn resume(&mut self, ctx: &mut ProcessCtx<'_, Value>) -> Wait<Value> {
         let ph = Phase::from_index(num_of(ctx, self.ph) as u8);
         if ph == Phase::LAST {
@@ -152,7 +157,7 @@ impl TransGuard {
 /// `faithful_wakeups` disables both and reproduces byte-for-byte VHDL
 /// `wait until` behaviour; the style-comparison benches quantify the
 /// difference.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Trans {
     step: Step,
     phase: Phase,
@@ -160,7 +165,8 @@ pub struct Trans {
     ph: SignalId,
     src: TransSource,
     dst: SignalId,
-    guard: Option<TransGuard>,
+    /// Shared by copies of the process.
+    guard: Option<Arc<TransGuard>>,
     state: TransState,
     faithful_wakeups: bool,
     started: bool,
@@ -209,7 +215,7 @@ impl Trans {
     /// update (and release) still happen, so event counts and schedule
     /// statistics are guard-independent.
     pub fn with_guard(mut self, guard: Option<TransGuard>) -> Trans {
-        self.guard = guard;
+        self.guard = guard.map(Arc::new);
         self
     }
 
@@ -274,7 +280,11 @@ impl Trans {
     }
 }
 
-impl clockless_kernel::Process<Value> for Trans {
+impl Process<Value> for Trans {
+    fn try_clone(&self) -> Option<Box<dyn Process<Value>>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn resume(&mut self, ctx: &mut ProcessCtx<'_, Value>) -> Wait<Value> {
         if self.faithful_wakeups {
             return self.resume_faithful(ctx);
@@ -323,7 +333,7 @@ impl clockless_kernel::Process<Value> for Trans {
 /// `ILLEGAL` inputs are stored like any other non-`DISC` value — exactly
 /// the paper's `if R_in /= DISC then R_out <= R_in` — so a bus conflict
 /// visibly poisons the destination register.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Reg {
     ph: SignalId,
     input: SignalId,
@@ -343,7 +353,11 @@ impl Reg {
     }
 }
 
-impl clockless_kernel::Process<Value> for Reg {
+impl Process<Value> for Reg {
+    fn try_clone(&self) -> Option<Box<dyn Process<Value>>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn resume(&mut self, ctx: &mut ProcessCtx<'_, Value>) -> Wait<Value> {
         let ph = Phase::from_index(num_of(ctx, self.ph) as u8);
         if ph == Phase::Cr {
@@ -373,12 +387,13 @@ impl clockless_kernel::Process<Value> for Reg {
 /// `0..len` (including the ports having resolved to `ILLEGAL` under
 /// conflicting writers) poisons **every** word `ILLEGAL`, because which
 /// word was corrupted is unknowable.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemCommit {
     ph: SignalId,
     win: SignalId,
     waddr: SignalId,
-    words: Vec<SignalId>,
+    /// Shared by copies of the process.
+    words: Arc<[SignalId]>,
     started: bool,
 }
 
@@ -389,13 +404,17 @@ impl MemCommit {
             ph,
             win,
             waddr,
-            words,
+            words: words.into(),
             started: false,
         }
     }
 }
 
-impl clockless_kernel::Process<Value> for MemCommit {
+impl Process<Value> for MemCommit {
+    fn try_clone(&self) -> Option<Box<dyn Process<Value>>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn resume(&mut self, ctx: &mut ProcessCtx<'_, Value>) -> Wait<Value> {
         let ph = Phase::from_index(num_of(ctx, self.ph) as u8);
         if ph == Phase::Cr {
@@ -406,7 +425,7 @@ impl clockless_kernel::Process<Value> for MemCommit {
                         ctx.assign(self.words[a as usize], v);
                     }
                     _ => {
-                        for &w in &self.words {
+                        for &w in self.words.iter() {
                             ctx.assign(w, Value::Illegal);
                         }
                     }
@@ -435,14 +454,15 @@ impl clockless_kernel::Process<Value> for MemCommit {
 /// inserts the combination of the current operand ports into its internal
 /// pipeline — the generalization of the paper's `M_out <= M; M := …`
 /// idiom.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ModuleProc {
     ph: SignalId,
     in1: SignalId,
     in2: SignalId,
     op_port: Option<SignalId>,
     out: SignalId,
-    ops: Vec<Op>,
+    /// Shared by copies of the process.
+    ops: Arc<[Op]>,
     timing: ModuleTiming,
     /// Results in flight; `pipe.len() == latency` (empty if combinational).
     pipe: VecDeque<Value>,
@@ -482,7 +502,7 @@ impl ModuleProc {
             in2,
             op_port,
             out,
-            ops,
+            ops: ops.into(),
             timing,
             pipe: std::iter::repeat_n(Value::Disc, latency).collect(),
             busy: 0,
@@ -515,7 +535,11 @@ impl ModuleProc {
     }
 }
 
-impl clockless_kernel::Process<Value> for ModuleProc {
+impl Process<Value> for ModuleProc {
+    fn try_clone(&self) -> Option<Box<dyn Process<Value>>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn resume(&mut self, ctx: &mut ProcessCtx<'_, Value>) -> Wait<Value> {
         let ph = Phase::from_index(num_of(ctx, self.ph) as u8);
         if ph == Phase::Cm {

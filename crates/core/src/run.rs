@@ -1,16 +1,21 @@
 //! Running elaborated models and harvesting results.
 //!
-//! [`RtSimulation`] owns an elaborated model plus its kernel simulator and
-//! provides RT-level observation: current step/phase, register and bus
-//! values, per-commit logs and the conflict report promised by §2.7.
-//! [`Waveform`] is a traced run's recording, the one form in which both
-//! engines hand their events over; the conflict and commit extractors
-//! below are shared by both.
+//! [`Elaboration`] is a model elaborated onto the kernel and not yet
+//! started: every interpreted run initializes one, in place or as a
+//! private copy. [`RtSimulation`] owns an initialized model plus its
+//! kernel simulator and provides RT-level observation: current
+//! step/phase, register and bus values, per-commit logs and the conflict
+//! report promised by §2.7. [`Waveform`] is a traced run's recording, the
+//! one form in which both engines hand their events over; the conflict
+//! and commit extractors below are shared by both.
 
 use std::sync::Arc;
 
-use clockless_kernel::{KernelError, SimStats, Simulator, StepOutcome, Trace, TraceEvent};
+use clockless_kernel::{
+    KernelError, RunBudget, SimStats, SimTime, Simulator, StepOutcome, Trace, TraceEvent,
+};
 
+use crate::backend::{ExecOptions, ExecOutcome};
 use crate::diag::{Conflict, ConflictReport};
 use crate::elaborate::{elaborate, ElaborateOptions, SignalLayout, SignalRole};
 use crate::model::RtModel;
@@ -32,7 +37,7 @@ pub struct RegisterCommit {
 /// chronological order, plus the roles that name and classify the
 /// signals.
 ///
-/// Both engines return one in [`ExecOutcome`](crate::ExecOutcome). The
+/// Both engines return one in [`ExecOutcome`]. The
 /// roles are shared (a cached compiled plan hands out the same table to
 /// every run), and nothing is rendered until asked for: the commit log
 /// and the VCD document are derived from the events on each call.
@@ -131,6 +136,95 @@ impl RunSummary {
     }
 }
 
+/// A model elaborated onto the kernel, not yet initialized: the signals,
+/// drivers and processes of §2.7, ready to run.
+///
+/// [`into_simulation`](Self::into_simulation) starts it in place.
+/// [`instantiate`](Self::instantiate) starts a private copy instead, for
+/// any model that differs from the elaborated one only in register
+/// initial values — so a batch elaborates a source once and runs each of
+/// its stimuli on a copy. The elaboration itself is never changed by
+/// either: it can be shared read-only.
+///
+/// # Examples
+///
+/// ```
+/// use clockless_core::model::fig1_model;
+/// use clockless_core::run::Elaboration;
+/// use clockless_core::{ElaborateOptions, Value};
+///
+/// let template = Elaboration::new(&fig1_model(3, 4), ElaborateOptions::default());
+/// // The same chip with R2 preloaded to 39: a copy, not a new elaboration.
+/// let mut sim = template.instantiate(&fig1_model(3, 39))?;
+/// assert_eq!(sim.run_to_completion()?.register("R1"), Some(Value::Num(42)));
+/// // The template still runs its own stimulus.
+/// let mut sim = template.into_simulation()?;
+/// assert_eq!(sim.run_to_completion()?.register("R1"), Some(Value::Num(7)));
+/// # Ok::<(), clockless_kernel::KernelError>(())
+/// ```
+#[derive(Debug)]
+pub struct Elaboration {
+    model: RtModel,
+    sim: Simulator<Value>,
+    layout: Arc<SignalLayout>,
+}
+
+impl Elaboration {
+    /// Elaborates `model` under `options`.
+    pub fn new(model: &RtModel, options: ElaborateOptions) -> Elaboration {
+        let (sim, layout) = elaborate(model, options);
+        Elaboration {
+            model: model.clone(),
+            sim,
+            layout: Arc::new(layout),
+        }
+    }
+
+    /// Initializes the elaboration itself; nothing is copied.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel initialization errors.
+    pub fn into_simulation(self) -> Result<RtSimulation, KernelError> {
+        RtSimulation::start(self.model, self.sim, self.layout)
+    }
+
+    /// Initializes a private copy for `model`, whose register initial
+    /// values are written into the copy's register outputs and their
+    /// drivers — what elaborating `model` itself would declare. The
+    /// copy runs exactly as that elaboration would; this one is left
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel initialization errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` differs from the elaborated model in more than
+    /// register initial values
+    /// ([`RtModel::same_except_inits`]).
+    pub fn instantiate(&self, model: &RtModel) -> Result<RtSimulation, KernelError> {
+        assert!(
+            self.model.same_except_inits(model),
+            "model `{}` is not the elaborated `{}` up to register inits",
+            model.name(),
+            self.model.name()
+        );
+        let mut sim = self
+            .sim
+            .try_clone()
+            .expect("an unstarted RT elaboration copies itself");
+        let regs = model.registers().iter().zip(self.model.registers());
+        for ((reg, elaborated), &out) in regs.zip(&self.layout.reg_out) {
+            if reg.init != elaborated.init {
+                sim.set_initial_value(out, reg.init)?;
+            }
+        }
+        RtSimulation::start(model.clone(), sim, Arc::clone(&self.layout))
+    }
+}
+
 /// An elaborated, initialized clock-free RT simulation.
 ///
 /// # Examples
@@ -155,7 +249,7 @@ impl RunSummary {
 pub struct RtSimulation {
     model: RtModel,
     sim: Simulator<Value>,
-    layout: SignalLayout,
+    layout: Arc<SignalLayout>,
 }
 
 impl RtSimulation {
@@ -189,13 +283,18 @@ impl RtSimulation {
         model: &RtModel,
         options: ElaborateOptions,
     ) -> Result<RtSimulation, KernelError> {
-        let (mut sim, layout) = elaborate(model, options);
+        Elaboration::new(model, options).into_simulation()
+    }
+
+    /// Initializes an elaborated `sim` of `model`: the one start of every
+    /// interpreted run, in place or on a copy.
+    fn start(
+        model: RtModel,
+        mut sim: Simulator<Value>,
+        layout: Arc<SignalLayout>,
+    ) -> Result<RtSimulation, KernelError> {
         sim.initialize()?;
-        Ok(RtSimulation {
-            model: model.clone(),
-            sim,
-            layout,
-        })
+        Ok(RtSimulation { model, sim, layout })
     }
 
     /// The model this simulation was elaborated from.
@@ -258,14 +357,12 @@ impl RtSimulation {
     ///
     /// # Errors
     ///
-    /// Propagates kernel errors.
+    /// Propagates kernel errors. A run that needs more than the delta
+    /// limit — at least `1 + 6 × CS_MAX` deltas (§2.2) — fails before its
+    /// first delta, with the [`KernelError::DeltaOverflow`] the kernel
+    /// would reach at delta `limit`.
     pub fn run_to_completion(&mut self) -> Result<RunSummary, KernelError> {
-        let stats = self.sim.run()?;
-        Ok(RunSummary {
-            stats,
-            registers: self.registers(),
-            conflicts: self.conflicts(),
-        })
+        self.run_budgeted(RunBudget::Unbounded)
     }
 
     /// Runs to quiescence like
@@ -281,12 +378,68 @@ impl RtSimulation {
         &mut self,
         deadline: std::time::Instant,
     ) -> Result<RunSummary, KernelError> {
-        let stats = self.sim.run_deadlined(deadline)?;
+        self.run_budgeted(RunBudget::Wall(deadline))
+    }
+
+    /// The run of [`execute`](Self::execute), leaving the simulation in
+    /// place for the caller to observe.
+    pub(crate) fn run_with(&mut self, options: &ExecOptions) -> Result<RunSummary, KernelError> {
+        if let Some(limit) = options.delta_limit {
+            self.sim.set_delta_limit(limit);
+        }
+        self.run_budgeted(
+            options
+                .deadline
+                .map_or(RunBudget::Unbounded, RunBudget::Wall),
+        )
+    }
+
+    /// Runs to quiescence under the budgets of `options`, then returns the
+    /// observable output: the summary and, when traced, the recording.
+    /// The delta limit of `options`, when set, replaces the kernel's; its
+    /// deadline bounds the wall clock. Its trace and opt-level fields are
+    /// not read: the elaboration fixed whether this run traces.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_to_completion`](Self::run_to_completion), plus
+    /// [`KernelError::WallBudgetExceeded`] once the deadline passes.
+    pub fn execute(mut self, options: &ExecOptions) -> Result<ExecOutcome, KernelError> {
+        let summary = self.run_with(options)?;
+        Ok(ExecOutcome {
+            summary,
+            waveform: self.into_waveform(),
+        })
+    }
+
+    fn run_budgeted(&mut self, budget: RunBudget) -> Result<RunSummary, KernelError> {
+        self.check_delta_limit()?;
+        let stats = self.sim.run_with_budget(budget)?;
         Ok(RunSummary {
             stats,
             registers: self.registers(),
             conflicts: self.conflicts(),
         })
+    }
+
+    /// Refuses a run the delta limit certainly cannot finish, before its
+    /// first delta. A model runs at least `1 + 6 × CS_MAX` deltas (§2.2),
+    /// all at time zero, so when that exceeds the limit the kernel would
+    /// fail at delta `limit` — after recording every delta before it.
+    /// This returns that same error at once. It is a lower bound: a run
+    /// that passes may still overflow in the kernel, as one whose last
+    /// write needs a flush delta does.
+    fn check_delta_limit(&self) -> Result<(), KernelError> {
+        let limit = self.sim.delta_limit();
+        let least = 1 + PHASES_PER_STEP * u64::from(self.model.cs_max());
+        if least > limit && self.sim.now() == SimTime::ZERO {
+            let at = SimTime {
+                fs: 0,
+                delta: limit,
+            };
+            return Err(KernelError::DeltaOverflow { at, limit });
+        }
+        Ok(())
     }
 
     /// The current control step and phase, or `None` during
@@ -408,7 +561,7 @@ impl RtSimulation {
     /// the simulation was not traced).
     pub fn into_waveform(mut self) -> Option<Waveform> {
         let trace = self.sim.take_trace()?;
-        Some(Waveform::new(trace, self.layout.roles.into()))
+        Some(Waveform::new(trace, Arc::clone(&self.layout.roles)))
     }
 }
 
@@ -610,6 +763,118 @@ mod tests {
         sim.set_delta_limit(1 + PHASES_PER_STEP * model.cs_max() as u64);
         let summary = sim.run_to_completion().expect("exact budget suffices");
         assert_eq!(summary.register("R1"), Some(Value::Num(7)));
+    }
+
+    /// A model far longer than the delta limit fails at once, with the
+    /// error the kernel would reach at delta `limit` — nothing runs and
+    /// nothing is recorded past the initial values.
+    #[test]
+    fn certain_overruns_are_refused_before_the_run() {
+        let big = crate::text::parse_model("model big steps 4000000000\nregister A init 1\n")
+            .expect("parses");
+        let mut sim = RtSimulation::traced(&big).unwrap();
+        let err = sim.run_to_completion().expect_err("cannot finish");
+        let limit = clockless_kernel::DEFAULT_DELTA_LIMIT;
+        let at = SimTime {
+            fs: 0,
+            delta: limit,
+        };
+        assert_eq!(err, KernelError::DeltaOverflow { at, limit });
+        assert_eq!(
+            err.to_string(),
+            "delta-cycle limit 100000000 exhausted at 0ns+100000000d; model is oscillating"
+        );
+        assert_eq!(sim.stats(), SimStats::default());
+        let trace = sim.kernel().trace().expect("traced");
+        assert_eq!(
+            trace.len(),
+            sim.kernel().signal_count(),
+            "initial values only"
+        );
+        // The same under a tight budget, and with a deadline.
+        let model = fig1_model(3, 4);
+        let options = ExecOptions {
+            delta_limit: Some(10),
+            deadline: Some(std::time::Instant::now()),
+            ..ExecOptions::traced()
+        };
+        let sim = RtSimulation::traced(&model).unwrap();
+        let err = sim.execute(&options).expect_err("cannot finish");
+        let at = SimTime { fs: 0, delta: 10 };
+        assert_eq!(err, KernelError::DeltaOverflow { at, limit: 10 });
+    }
+
+    /// The static check only refuses what the kernel would certainly
+    /// refuse: the write-back of the last step needs one more delta than
+    /// `1 + 6 × CS_MAX`, so that budget passes the check and the kernel
+    /// itself overflows on the flush delta — with the error the compiled
+    /// engine diagnoses from its schedule, byte for byte.
+    #[test]
+    fn a_flush_delta_overflows_in_the_kernel() {
+        let model = crate::text::parse_model(
+            "model flush steps 2\nregister A init 1\nregister B\nbus X\nbus Y\n\
+             module CP ops passa comb\ntransfer (A,X,-,-,2,CP,2,Y,B)\n",
+        )
+        .expect("parses");
+        let least = 1 + PHASES_PER_STEP * model.cs_max() as u64;
+        let options = ExecOptions {
+            delta_limit: Some(least),
+            ..ExecOptions::traced()
+        };
+        let mut sim = RtSimulation::traced(&model).unwrap();
+        sim.set_delta_limit(least);
+        sim.check_delta_limit()
+            .expect("the lower bound fits the budget");
+        let err = sim
+            .execute(&options)
+            .expect_err("the flush delta overflows");
+        let at = SimTime {
+            fs: 0,
+            delta: least,
+        };
+        assert_eq!(err, KernelError::DeltaOverflow { at, limit: least });
+        let compiled = crate::Backend::Compiled
+            .execute(&model, &options)
+            .expect_err("the schedule is longer than the budget");
+        assert_eq!(err.to_string(), compiled.to_string());
+        // One more delta and both engines finish.
+        let options = ExecOptions {
+            delta_limit: Some(least + 1),
+            ..options
+        };
+        for backend in [crate::Backend::Interpreted, crate::Backend::Compiled] {
+            let out = backend.execute(&model, &options).expect("fits");
+            assert_eq!(out.summary.register("B"), Some(Value::Num(1)), "{backend}");
+        }
+    }
+
+    #[test]
+    fn instantiated_copies_run_as_their_own_elaborations() {
+        for options in [ElaborateOptions::default(), ElaborateOptions::traced()] {
+            let template = Elaboration::new(&fig1_model(3, 4), options);
+            for (a, b) in [(3, 4), (10, 20), (-5, 5), (3, 4)] {
+                let model = fig1_model(a, b);
+                let mut copy = template.instantiate(&model).unwrap();
+                let mut own = RtSimulation::with_options(&model, options).unwrap();
+                let (x, y) = (copy.run_to_completion(), own.run_to_completion());
+                let (x, y) = (x.unwrap(), y.unwrap());
+                assert_eq!(x.stats, y.stats);
+                assert_eq!(x.registers, y.registers);
+                assert_eq!(x.conflicts, y.conflicts);
+                assert_eq!(copy.activation_counts(), own.activation_counts());
+                assert_eq!(copy.to_vcd(), own.to_vcd());
+                assert_eq!(copy.model().registers(), model.registers());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "up to register inits")]
+    fn instantiate_refuses_another_model() {
+        let template = Elaboration::new(&fig1_model(3, 4), ElaborateOptions::default());
+        let mut longer = fig1_model(3, 4);
+        longer.set_cs_max(9).unwrap();
+        let _ = template.instantiate(&longer);
     }
 
     #[test]

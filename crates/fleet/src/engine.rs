@@ -5,10 +5,11 @@
 //! Single- or Multi-Threaded Execution* derives for RT-level simulation:
 //! jobs are fully independent simulation units, so the engine needs no
 //! synchronization beyond the queue handing out work and the emission
-//! channel carrying results back. Each worker elaborates and runs its
-//! jobs on private kernel instances — the kernel has no shared mutable
-//! state (enforced by `#![forbid(unsafe_code)]` plus the cross-thread
-//! isolation test in `clockless-kernel`) — so the engine is
+//! channel carrying results back. Each worker runs its jobs on private
+//! kernel instances — copies of its group's shared, read-only
+//! elaboration, or elaborated for the job alone — and the kernel has no
+//! shared mutable state (enforced by `#![forbid(unsafe_code)]` plus the
+//! cross-thread isolation test in `clockless-kernel`), so the engine is
 //! **deterministic by construction**: emissions arrive in completion
 //! order, are reordered by ticket into spec order, and are bit-identical
 //! for any worker count.
@@ -25,14 +26,14 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use clockless_core::{Backend, CheckProgram, OptLevel};
+use clockless_core::{Backend, CheckProgram, ElaborateOptions, Elaboration, OptLevel};
 
 use crate::executor::{execute_job, Emission, ResolvedJob, ThreadPool};
 use crate::report::{FailureKind, FleetReport, JobFailure, JobOutcome};
-use crate::spec::{BatchSpec, FleetError};
+use crate::spec::{Base, BatchSpec, FleetError};
 
 /// Execution policy for a batch: failure handling and budgets.
 ///
@@ -113,8 +114,10 @@ pub fn run_batch(spec: &BatchSpec, workers: usize) -> Result<FleetReport, FleetE
 /// Jobs are resolved to models up front (sequentially — parse errors
 /// carry clean line/job attribution). Jobs sharing a source and `steps`
 /// share one resolution: the file is read, parsed or synthesized once,
-/// and each job runs a copy with its own `init` overrides. They are
-/// then submitted to a
+/// and each job runs a copy with its own `init` overrides. Their
+/// delta-cycle kernel jobs share one elaboration too, made here and read
+/// by every job, which runs a private copy of it with its own inits.
+/// They are then submitted to a
 /// [`ThreadPool`] executor under their spec
 /// index as the ticket. Emissions arrive in completion order and are
 /// reordered by ticket, so the report is identical at any worker count
@@ -143,23 +146,7 @@ pub fn run_batch_with(
     if spec.jobs.is_empty() {
         return Err(FleetError::EmptyBatch);
     }
-    let mut resolved = Vec::with_capacity(spec.jobs.len());
-    let mut groups = HashMap::new();
-    for j in &spec.jobs {
-        let model = match j.group_key() {
-            Some(key) => j.stimulate(groups.entry(key).or_insert_with(|| j.build())),
-            None => j.resolve(),
-        };
-        let job = ResolvedJob::with_model(j, config, model);
-        if config.fail_fast {
-            // Preserve the legacy contract: resolution errors (Io/Build,
-            // with line/job attribution) abort before anything runs.
-            if let Err(e) = &job.model {
-                return Err(e.clone());
-            }
-        }
-        resolved.push(job);
-    }
+    let resolved = resolve_jobs(spec, config)?;
 
     let job_count = resolved.len();
     let worker_count = workers.max(1).min(job_count);
@@ -215,6 +202,78 @@ pub fn run_batch_with(
         workers: worker_count,
         elapsed_ns,
     })
+}
+
+/// Resolves every job of `spec` to the unit a worker runs. Jobs sharing
+/// a source and `steps` share one resolution, and their kernel jobs one
+/// elaboration ([`share_elaborations`]).
+///
+/// # Errors
+///
+/// With `config.fail_fast`, the first job's resolution error.
+fn resolve_jobs(spec: &BatchSpec, config: &FleetConfig) -> Result<Vec<ResolvedJob>, FleetError> {
+    let mut resolved = Vec::with_capacity(spec.jobs.len());
+    let mut groups = HashMap::new();
+    let mut bases = Vec::new();
+    let mut group_of = Vec::with_capacity(spec.jobs.len());
+    for j in &spec.jobs {
+        let (model, group) = match j.group_key() {
+            Some(key) => {
+                let g = *groups.entry(key).or_insert_with(|| {
+                    bases.push(j.build());
+                    bases.len() - 1
+                });
+                (j.stimulate(&bases[g]), Some(g))
+            }
+            None => (j.resolve(), None),
+        };
+        let job = ResolvedJob::with_model(j, config, model);
+        if config.fail_fast {
+            // Preserve the legacy contract: resolution errors (Io/Build,
+            // with line/job attribution) abort before anything runs.
+            if let Err(e) = &job.model {
+                return Err(e.clone());
+            }
+        }
+        resolved.push(job);
+        group_of.push(group);
+    }
+    share_elaborations(&mut resolved, &group_of, &bases);
+    Ok(resolved)
+}
+
+/// Gives every kernel job of a group with two or more of them a shared
+/// template: the group's model elaborated once, here on the resolving
+/// thread, which each job copies before it runs. A group's jobs differ
+/// only in register inits, which the copy takes from the job's model.
+/// Checked and compiled jobs never run an elaboration; a job alone in
+/// its group elaborates its own model and copies nothing.
+fn share_elaborations(jobs: &mut [ResolvedJob], group_of: &[Option<usize>], bases: &[Base]) {
+    let kernel_group = |job: &ResolvedJob, group: Option<usize>| {
+        group.filter(|_| {
+            job.model.is_ok() && job.backend == Backend::Interpreted && job.check.is_none()
+        })
+    };
+    let mut users = vec![0usize; bases.len()];
+    for (job, &g) in jobs.iter().zip(group_of) {
+        if let Some(g) = kernel_group(job, g) {
+            users[g] += 1;
+        }
+    }
+    let templates: Vec<Option<Arc<Mutex<Elaboration>>>> = (bases.iter().zip(&users))
+        .map(|(base, &n)| match base {
+            Ok((model, None)) if n > 1 => Some(Arc::new(Mutex::new(Elaboration::new(
+                model,
+                ElaborateOptions::traced(),
+            )))),
+            _ => None,
+        })
+        .collect();
+    for (job, &g) in jobs.iter_mut().zip(group_of) {
+        if let Some(g) = kernel_group(job, g) {
+            job.template = templates[g].clone();
+        }
+    }
 }
 
 /// Translates a quarantined failure into the legacy fail-fast error.
@@ -647,6 +706,59 @@ mod tests {
                 msg: unknown.into()
             }
         );
+    }
+
+    /// Which jobs run on a copy of a shared elaboration: the kernel jobs
+    /// of a group with two or more of them, all on the group's one copy.
+    #[test]
+    fn kernel_jobs_of_a_group_share_one_elaboration() {
+        let models = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models");
+        let spec = BatchSpec::parse(
+            "job a      rtl fig1.rtl init R1=5\n\
+             job b      rtl fig1.rtl init R2=9\n\
+             job fast   rtl fig1.rtl backend compiled\n\
+             job unk    rtl fig1.rtl init NOPE=1\n\
+             job c      rtl fig1.rtl\n\
+             job wide_a rtl fig1.rtl steps 9\n\
+             job wide_b rtl fig1.rtl steps 9 backend compiled\n\
+             job solo   rtl guarded.rtl init H[1]=3\n\
+             job d      hls fir 3\n\
+             job e      hls fir 3 init NOPE=2\n",
+            models,
+        )
+        .expect("parses");
+        let shared = |config: &FleetConfig| -> Vec<Option<Arc<Mutex<Elaboration>>>> {
+            let jobs = resolve_jobs(&spec, config).expect("resolves");
+            jobs.into_iter().map(|j| j.template).collect()
+        };
+        let templates = shared(&FleetConfig::default());
+        let fig1 = templates[0].as_ref().expect("a, b and c share one");
+        for i in [1, 4] {
+            assert!(Arc::ptr_eq(fig1, templates[i].as_ref().expect("shared")));
+        }
+        // Compiled and unresolved jobs run no elaboration, and a kernel
+        // job alone in its group (wide_a, solo, d) elaborates its own.
+        for (i, template) in templates.iter().enumerate() {
+            if ![0, 1, 4].contains(&i) {
+                assert!(template.is_none(), "{}", spec.jobs[i].name);
+            }
+        }
+        // A batch-wide compiled backend or checker runs none at all.
+        let compiled = FleetConfig {
+            backend: Some(Backend::Compiled),
+            ..FleetConfig::default()
+        };
+        let checked = FleetConfig {
+            check: Some(Arc::new(CheckProgram {
+                signals: Vec::new(),
+                monitor: None,
+                invariants: Vec::new(),
+            })),
+            ..FleetConfig::default()
+        };
+        for config in [compiled, checked] {
+            assert!(shared(&config).iter().all(Option::is_none));
+        }
     }
 
     #[test]

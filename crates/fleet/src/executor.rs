@@ -52,7 +52,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use clockless_core::{
-    execute_checked, Backend, CheckProgram, CheckedError, ExecOptions, OptLevel, RtModel,
+    execute_checked, Backend, CheckProgram, CheckedError, Elaboration, ExecOptions, OptLevel,
+    RtModel,
 };
 use clockless_kernel::KernelError;
 
@@ -91,7 +92,13 @@ struct QueueState<T> {
 /// Poison-tolerant lock: a panic on a sibling thread (outside the worker
 /// fence) must not wedge the queue.
 fn lock<T>(shared: &Shared<T>) -> MutexGuard<'_, QueueState<T>> {
-    shared.state.lock().unwrap_or_else(|e| e.into_inner())
+    lock_ignoring_poison(&shared.state)
+}
+
+/// Locks `mutex` even if a panicking holder poisoned it: the queue must
+/// stay usable, and a shared elaboration is only ever read.
+fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The sync job-queue executor: `workers` detached `std::thread`s pulling
@@ -298,6 +305,10 @@ pub struct ResolvedJob {
     pub check: Option<Arc<CheckProgram>>,
     /// Deliberate misbehaviour to trip inside the worker fence, if any.
     pub chaos: Option<ChaosProbe>,
+    /// The elaboration of the job's group, shared read-only by its kernel
+    /// jobs: the job runs a private copy of it instead of elaborating its
+    /// own model.
+    pub(crate) template: Option<Arc<Mutex<Elaboration>>>,
 }
 
 impl ResolvedJob {
@@ -327,6 +338,7 @@ impl ResolvedJob {
                 JobSource::Chaos(p) => Some(p),
                 _ => None,
             },
+            template: None,
         }
     }
 }
@@ -449,8 +461,16 @@ fn run_job(
             (outcome.summary, Some(verdict))
         }
         None => {
-            let summary = backend
-                .execute(model, &options)
+            let outcome = match &job.template {
+                Some(template) => {
+                    // The lock covers the copy and its initialization,
+                    // never the run.
+                    let sim = lock_ignoring_poison(template).instantiate(model);
+                    sim.and_then(|sim| sim.execute(&options))
+                }
+                None => backend.execute(model, &options),
+            };
+            let summary = outcome
                 .map(|outcome| outcome.summary)
                 .map_err(|e| (classify_kernel_error(&e, delta_budget), e.to_string()))?;
             (summary, None)

@@ -160,11 +160,23 @@ pub trait Process<V>: Send {
     ///
     /// Called once during initialization and then once per satisfied wait.
     fn resume(&mut self, ctx: &mut ProcessCtx<'_, V>) -> Wait<V>;
+
+    /// A copy of this process in its current state, for
+    /// [`Simulator::try_clone`](crate::sim::Simulator::try_clone).
+    ///
+    /// The default is `None`: a process that cannot copy itself (every
+    /// closure) makes its simulator refuse to be copied. Processes whose
+    /// state is plain data return `Some(Box::new(self.clone()))`.
+    fn try_clone(&self) -> Option<Box<dyn Process<V>>> {
+        None
+    }
 }
 
 /// Blanket impl so closures can serve as simple (often test-only) processes.
 ///
 /// The closure is invoked on every resumption and returns the next wait.
+/// Closures cannot copy themselves, so a simulator holding one refuses
+/// [`try_clone`](crate::sim::Simulator::try_clone).
 impl<V, F> Process<V> for F
 where
     F: FnMut(&mut ProcessCtx<'_, V>) -> Wait<V> + Send,

@@ -50,7 +50,8 @@ pub type Resolver<V> = Arc<dyn Fn(&[V]) -> V + Send + Sync>;
 
 /// Internal storage for one signal.
 pub(crate) struct SignalSlot<V> {
-    pub(crate) name: String,
+    /// Shared, so a copied simulator allocates no names.
+    pub(crate) name: Arc<str>,
     /// Current effective value.
     pub(crate) value: V,
     /// One value per attached driver.
@@ -87,12 +88,26 @@ impl<V: fmt::Debug> fmt::Debug for SignalSlot<V> {
 }
 
 impl<V: Clone> SignalSlot<V> {
-    pub(crate) fn new(name: String, init: V, resolver: Option<Resolver<V>>) -> Self {
+    pub(crate) fn new(name: Arc<str>, init: V, resolver: Option<Resolver<V>>) -> Self {
         SignalSlot {
             name,
             value: init,
             drivers: Vec::new(),
             resolver,
+            waiters: Vec::new(),
+            pred_buckets: Vec::new(),
+            last_event_tick: 0,
+        }
+    }
+
+    /// A copy of a slot no process has waited on yet: the same name,
+    /// value, drivers and resolver, with empty wait lists.
+    pub(crate) fn unstarted_copy(&self) -> Self {
+        SignalSlot {
+            name: Arc::clone(&self.name),
+            value: self.value.clone(),
+            drivers: self.drivers.clone(),
+            resolver: self.resolver.clone(),
             waiters: Vec::new(),
             pred_buckets: Vec::new(),
             last_event_tick: 0,

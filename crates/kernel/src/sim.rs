@@ -19,6 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::KernelError;
 use crate::process::{Process, ProcessCtx, ProcessId, Wait};
@@ -165,10 +166,11 @@ enum LifeCycle {
 }
 
 struct ProcSlot<V> {
-    name: String,
+    /// Shared with copies of the simulator, like `owned`.
+    name: Arc<str>,
     body: Option<Box<dyn Process<V>>>,
     /// `(signal, driver index within that signal)` pairs this process owns.
-    owned: Vec<(SignalId, u32)>,
+    owned: Arc<[(SignalId, u32)]>,
     /// Current sensitivity list (empty while in a timed wait or done).
     sens: Vec<SignalId>,
     /// In-kernel wake filter: only wake when the (single) watched signal
@@ -325,7 +327,7 @@ impl<V: SimValue> Simulator<V> {
     ///
     /// Unresolved signals accept at most one driver; violations are
     /// reported by [`initialize`](Self::initialize).
-    pub fn signal(&mut self, name: impl Into<String>, init: V) -> SignalId {
+    pub fn signal(&mut self, name: impl Into<Arc<str>>, init: V) -> SignalId {
         let id = SignalId(self.signals.len() as u32);
         self.signals
             .push(SignalSlot::new(name.into(), init.clone(), None));
@@ -339,7 +341,7 @@ impl<V: SimValue> Simulator<V> {
     /// input ports are modeled.
     pub fn resolved_signal(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         init: V,
         resolver: Resolver<V>,
     ) -> SignalId {
@@ -362,7 +364,7 @@ impl<V: SimValue> Simulator<V> {
     /// Panics if any driven signal id is unknown.
     pub fn process(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         drives: &[SignalId],
         body: impl Process<V> + 'static,
     ) -> ProcessId {
@@ -378,7 +380,7 @@ impl<V: SimValue> Simulator<V> {
         self.procs.push(ProcSlot {
             name: name.into(),
             body: Some(Box::new(body)),
-            owned,
+            owned: owned.into(),
             sens: Vec::new(),
             pred: None,
             token: 0,
@@ -406,6 +408,79 @@ impl<V: SimValue> Simulator<V> {
         self.delta_limit = limit;
     }
 
+    /// The per-instant delta-cycle budget runs are held to.
+    pub fn delta_limit(&self) -> u64 {
+        self.delta_limit
+    }
+
+    /// Changes the initial value of a signal that is still being built:
+    /// the signal and every driver already attached to it start at
+    /// `init`, exactly as if the signal had been declared with it.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::BadPhase`] once [`initialize`](Self::initialize)
+    /// has run, [`KernelError::UnknownSignal`] for an invalid id.
+    pub fn set_initial_value(&mut self, signal: SignalId, init: V) -> Result<(), KernelError> {
+        if self.life != LifeCycle::Building {
+            return Err(KernelError::BadPhase("set_initial_value after initialize"));
+        }
+        let slot = self
+            .signals
+            .get_mut(signal.index())
+            .ok_or(KernelError::UnknownSignal(signal))?;
+        for driver in &mut slot.drivers {
+            *driver = init.clone();
+        }
+        slot.value = init.clone();
+        self.inits[signal.index()] = init;
+        Ok(())
+    }
+
+    /// A copy of a simulator that is still being built: the same
+    /// signals, drivers, processes and settings, with its own state, so
+    /// it runs exactly as the original would and neither run affects the
+    /// other. Names and resolvers are shared, not copied.
+    ///
+    /// Returns `None` once [`initialize`](Self::initialize) has run, or
+    /// when a process cannot copy itself ([`Process::try_clone`]).
+    pub fn try_clone(&self) -> Option<Simulator<V>> {
+        if self.life != LifeCycle::Building {
+            return None;
+        }
+        let procs = self
+            .procs
+            .iter()
+            .map(|p| {
+                Some(ProcSlot {
+                    name: Arc::clone(&p.name),
+                    body: Some(p.body.as_ref()?.try_clone()?),
+                    owned: Arc::clone(&p.owned),
+                    sens: Vec::new(),
+                    pred: None,
+                    token: 0,
+                    runnable: false,
+                    done: false,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(Simulator {
+            signals: self
+                .signals
+                .iter()
+                .map(SignalSlot::unstarted_copy)
+                .collect(),
+            inits: self.inits.clone(),
+            procs,
+            next_delta: self.next_delta.clone(),
+            activations: vec![0; self.activations.len()],
+            trace: self.trace.as_ref().map(|_| Trace::new()),
+            observe: self.observe.clone(),
+            delta_limit: self.delta_limit,
+            ..Simulator::new()
+        })
+    }
+
     /// Runs every process once (VHDL initialization) and prepares the
     /// event loop.
     ///
@@ -422,7 +497,7 @@ impl<V: SimValue> Simulator<V> {
             if s.resolver.is_none() && s.drivers.len() > 1 {
                 return Err(KernelError::UnresolvedMultipleDrivers {
                     signal: SignalId(i as u32),
-                    name: s.name.clone(),
+                    name: s.name.to_string(),
                     drivers: s.drivers.len(),
                 });
             }
@@ -692,7 +767,7 @@ impl<V: SimValue> Simulator<V> {
 
     /// The names of all signals, in declaration (id) order.
     pub fn signal_names(&self) -> impl Iterator<Item = &str> {
-        self.signals.iter().map(|s| s.name.as_str())
+        self.signals.iter().map(|s| &*s.name)
     }
 
     /// Number of declared processes.
@@ -702,7 +777,7 @@ impl<V: SimValue> Simulator<V> {
 
     /// The names of all processes, in declaration (id) order.
     pub fn process_names(&self) -> impl Iterator<Item = &str> {
-        self.procs.iter().map(|p| p.name.as_str())
+        self.procs.iter().map(|p| &*p.name)
     }
 
     /// The current simulation time.
@@ -1104,6 +1179,43 @@ mod tests {
         sim.initialize().unwrap();
         sim.run().unwrap();
         assert_eq!(*sim.value(bus), 42);
+    }
+
+    #[test]
+    fn initial_values_reach_every_driver() {
+        // `quiet` and `late` never assign, so their drivers keep the
+        // initial value the signal declares; the resolver sums them with
+        // `d`'s write. `late` attaches after the edit.
+        let late = |sim: &mut Simulator<i64>, bus| {
+            sim.process("late", &[bus], |_: &mut ProcessCtx<'_, i64>| Wait::Done);
+        };
+        let build = |init: i64| {
+            let mut sim: Simulator<i64> = Simulator::new();
+            let bus = sim.resolved_signal("bus", init, Arc::new(|vs: &[i64]| vs.iter().sum()));
+            sim.process("quiet", &[bus], |_: &mut ProcessCtx<'_, i64>| Wait::Done);
+            sim.process("d", &[bus], move |ctx: &mut ProcessCtx<'_, i64>| {
+                ctx.assign(bus, 10);
+                Wait::Done
+            });
+            (sim, bus)
+        };
+        let (mut edited, bus) = build(0);
+        edited.set_initial_value(bus, 7).unwrap();
+        assert_eq!(*edited.value(bus), 7);
+        let (mut declared, _) = build(7);
+        for sim in [&mut edited, &mut declared] {
+            late(sim, bus);
+            sim.initialize().unwrap();
+            sim.run().unwrap();
+        }
+        assert_eq!(*edited.value(bus), 24);
+        assert_eq!(edited.stats(), declared.stats());
+        let unknown = SignalId::from_index(9);
+        let (mut sim, _) = build(0);
+        assert!(matches!(
+            sim.set_initial_value(unknown, 1),
+            Err(KernelError::UnknownSignal(_))
+        ));
     }
 
     #[test]

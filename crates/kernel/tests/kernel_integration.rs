@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use clockless_kernel::prelude::*;
+use clockless_kernel::TraceEvent;
 
 #[test]
 fn trace_records_initial_values_and_events() {
@@ -249,4 +250,215 @@ fn concurrent_instances_are_fully_isolated() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     assert_eq!(reference, concurrent);
+
+    // Copies of one shared template, each with its own stimulus, run
+    // concurrently exactly as they run one after another: the template
+    // is only read, and each copy owns all of its state.
+    let (template, sigs) = copyable_model();
+    let template = std::sync::Mutex::new(template);
+    let copy_and_run = |seed: i64| {
+        let mut sim = template.lock().unwrap().try_clone().expect("copyable");
+        sim.set_initial_value(sigs.seed, seed).unwrap();
+        run_observed(sim, &sigs)
+    };
+    let serial: Vec<Observed> = (1..=8).map(copy_and_run).collect();
+    let concurrent: Vec<Observed> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..=8)
+            .map(|seed| s.spawn(move || copy_and_run(seed)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(serial, concurrent);
+    assert_ne!(serial[0], serial[1], "the stimulus reaches the run");
+}
+
+// ---- Copying a simulator that is still being built ----------------------
+
+/// A counter that writes `1..=limit` onto its driver of a resolved bus,
+/// one value per delta, then pauses 5 ns and releases the bus.
+#[derive(Clone)]
+struct Counter {
+    bus: SignalId,
+    seed: SignalId,
+    n: i64,
+    limit: i64,
+}
+
+impl Process<i64> for Counter {
+    fn resume(&mut self, ctx: &mut ProcessCtx<'_, i64>) -> Wait<i64> {
+        self.n += 1;
+        if self.n <= self.limit {
+            let v = self.n + *ctx.value(self.seed);
+            ctx.assign(self.bus, v);
+            Wait::For(0)
+        } else if self.n == self.limit + 1 {
+            Wait::For(5 * NS)
+        } else {
+            ctx.assign(self.bus, 0);
+            Wait::Done
+        }
+    }
+
+    fn try_clone(&self) -> Option<Box<dyn Process<i64>>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+/// Copies the bus to `out` whenever the bus reaches `target`, counting
+/// its wake-ups in `out` (an in-kernel `UntilEq` filter).
+#[derive(Clone)]
+struct Watcher {
+    bus: SignalId,
+    out: SignalId,
+    target: i64,
+    wakes: i64,
+}
+
+impl Process<i64> for Watcher {
+    fn resume(&mut self, ctx: &mut ProcessCtx<'_, i64>) -> Wait<i64> {
+        self.wakes += 1;
+        ctx.assign(self.out, self.wakes * 100 + *ctx.value(self.bus));
+        Wait::UntilEq(self.bus, self.target)
+    }
+
+    fn try_clone(&self) -> Option<Box<dyn Process<i64>>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+/// The signals of [`copyable_model`].
+struct Sigs {
+    seed: SignalId,
+    bus: SignalId,
+    out: SignalId,
+}
+
+/// A traced simulator, not yet initialized, whose every process can copy
+/// itself: two counters summed on a resolved bus, a watcher of the bus,
+/// and an undriven `seed` input the counters add in.
+fn copyable_model() -> (Simulator<i64>, Sigs) {
+    let mut sim: Simulator<i64> = Simulator::new();
+    sim.enable_trace();
+    let seed = sim.signal("seed", 0);
+    let sum: Resolver<i64> = Arc::new(|d: &[i64]| d.iter().sum());
+    let bus = sim.resolved_signal("bus", 0, sum);
+    let out = sim.signal("out", -1);
+    for (name, limit) in [("c3", 3), ("c5", 5)] {
+        let counter = Counter {
+            bus,
+            seed,
+            n: 0,
+            limit,
+        };
+        sim.process(name, &[bus], counter);
+    }
+    let watcher = Watcher {
+        bus,
+        out,
+        target: 0,
+        wakes: 0,
+    };
+    sim.process("watch", &[out], watcher);
+    (sim, Sigs { seed, bus, out })
+}
+
+/// Everything a run shows.
+#[derive(Debug, PartialEq, Eq)]
+struct Observed {
+    values: Vec<i64>,
+    stats: SimStats,
+    activations: Vec<u64>,
+    trace: Vec<TraceEvent<i64>>,
+    now: SimTime,
+}
+
+fn run_observed(mut sim: Simulator<i64>, sigs: &Sigs) -> Observed {
+    sim.initialize().unwrap();
+    let stats = sim.run().unwrap();
+    Observed {
+        values: [sigs.seed, sigs.bus, sigs.out]
+            .iter()
+            .map(|&s| *sim.value(s))
+            .collect(),
+        stats,
+        activations: sim.activation_counts().to_vec(),
+        trace: sim.trace().expect("traced").events().to_vec(),
+        now: sim.now(),
+    }
+}
+
+#[test]
+fn a_copy_runs_exactly_as_its_original() {
+    let (template, sigs) = copyable_model();
+    let copy = template.try_clone().expect("every process copies itself");
+    assert_eq!(
+        copy.signal_names().collect::<Vec<_>>(),
+        ["seed", "bus", "out"]
+    );
+    assert_eq!(
+        copy.process_names().collect::<Vec<_>>(),
+        ["c3", "c5", "watch"]
+    );
+    let copied = run_observed(copy, &sigs);
+    let original = run_observed(template, &sigs);
+    assert_eq!(copied, original);
+    // The run did real work: bus events over deltas and a time advance.
+    assert_eq!(original.values, [0, 0, 200]);
+    assert_eq!(original.stats.time_advances, 1);
+    assert!(original.stats.wake_filter_hits > 0);
+    assert_eq!(
+        original.activations.iter().sum::<u64>(),
+        original.stats.process_activations
+    );
+}
+
+#[test]
+fn running_a_copy_leaves_the_template_untouched() {
+    let (template, sigs) = copyable_model();
+    let first = run_observed(template.try_clone().expect("copyable"), &sigs);
+    let second = run_observed(template.try_clone().expect("copyable"), &sigs);
+    assert_eq!(first, second, "two copies run in sequence are identical");
+    // The template itself still runs as a fresh simulator does.
+    assert_eq!(template.stats(), SimStats::default());
+    assert!(template.activation_counts().iter().all(|&n| n == 0));
+    assert_eq!(template.trace().map(|t| t.len()), Some(0));
+    assert_eq!(run_observed(template, &sigs), first);
+}
+
+#[test]
+fn a_copy_takes_its_own_initial_values() {
+    let (template, sigs) = copyable_model();
+    let mut copy = template.try_clone().expect("copyable");
+    copy.set_initial_value(sigs.seed, 10).unwrap();
+    let stimulated = run_observed(copy, &sigs);
+    // Declaring the model with seed 10 in the first place runs the same.
+    let mut fresh = copyable_model().0;
+    fresh.set_initial_value(sigs.seed, 10).unwrap();
+    assert_eq!(stimulated, run_observed(fresh, &sigs));
+    assert_ne!(stimulated, run_observed(template, &sigs));
+}
+
+#[test]
+fn a_simulator_with_a_closure_refuses_to_be_copied() {
+    let (mut sim, sigs) = copyable_model();
+    let bus = sigs.bus;
+    sim.process("closure", &[bus], move |ctx: &mut ProcessCtx<'_, i64>| {
+        ctx.assign(bus, 1);
+        Wait::Done
+    });
+    assert!(sim.try_clone().is_none());
+    // Refusing is not a failure: the original still runs.
+    sim.initialize().unwrap();
+    sim.run().unwrap();
+}
+
+#[test]
+fn only_unstarted_simulators_copy_or_take_initial_values() {
+    let (mut sim, sigs) = copyable_model();
+    sim.initialize().unwrap();
+    assert!(sim.try_clone().is_none());
+    assert!(matches!(
+        sim.set_initial_value(sigs.seed, 1),
+        Err(KernelError::BadPhase(_))
+    ));
 }

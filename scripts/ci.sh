@@ -93,15 +93,37 @@ for i in $(seq 1 9); do
   cp models/fig1.rtl "$share_dir/copy$i.rtl"
   opts="init R1=$i init R2=$((3 * i - 7))"
   [ "$i" -eq 9 ] && opts="steps 9 init R2=5"
+  # A tight budget and a compiled job inside the interpreted group.
+  [ "$i" -eq 4 ] && opts="$opts budget 20"
+  [ "$i" -eq 6 ] && opts="$opts backend compiled"
   echo "job s$i rtl $PWD/models/fig1.rtl $opts" >> "$share_dir/shared.fleet"
   echo "job s$i rtl copy$i.rtl $opts" >> "$share_dir/copies.fleet"
 done
+# An array element's override, in a group of its own. With A = B no
+# guard lets a transfer write H[1], so h3's override is its result.
+for i in 1 2 3; do
+  cp models/guarded.rtl "$share_dir/guarded$i.rtl"
+  opts="init H[1]=$((5 * i))"
+  [ "$i" -eq 3 ] && opts="init A=4 init B=4 $opts"
+  echo "job h$i rtl $PWD/models/guarded.rtl $opts" >> "$share_dir/shared.fleet"
+  echo "job h$i rtl guarded$i.rtl $opts" >> "$share_dir/copies.fleet"
+done
+# The budgeted job is quarantined (exit 1) on every engine and layout.
 for backend in interpreted compiled; do
-  shared_json="$(./target/release/clockless fleet "$share_dir/shared.fleet" --jobs 2 --json --backend "$backend")"
-  copies_json="$(./target/release/clockless fleet "$share_dir/copies.fleet" --jobs 2 --json --backend "$backend")"
+  shared_status=0 copies_status=0
+  shared_json="$(./target/release/clockless fleet "$share_dir/shared.fleet" --jobs 2 --json --backend "$backend")" || shared_status=$?
+  copies_json="$(./target/release/clockless fleet "$share_dir/copies.fleet" --jobs 2 --json --backend "$backend")" || copies_status=$?
+  [ "$shared_status" -eq 1 ] && [ "$copies_status" -eq 1 ]
   [ "$shared_json" = "$copies_json" ]
   grep -q '"cs_max": 9' <<<"$shared_json"
+  grep -q '"name": "s4", "status": "delta-budget-exceeded"' <<<"$shared_json"
+  grep -q '{"name": "H\[1\]", "value": "15"}' <<<"$shared_json"
 done
+# Per-job backends (no batch-wide flag): the same report again.
+default_status=0
+default_json="$(./target/release/clockless fleet "$share_dir/shared.fleet" --jobs 2 --json)" || default_status=$?
+[ "$default_status" -eq 1 ]
+[ "$default_json" = "$copies_json" ]
 rm -rf "$share_dir"
 
 echo "== compiled admission (a run longer than the delta limit fails before its per-step tables exist)"
@@ -137,6 +159,28 @@ big_status=0
 big_out="$( (ulimit -v 4000000; timeout 5 ./target/release/clockless faults "$big_dir/big.rtl") 2>&1)" || big_status=$?
 [ "$big_status" -eq 1 ]
 grep -q "golden run failed: delta-cycle limit 100000000 exhausted" <<<"$big_out"
+rm -rf "$big_dir"
+
+echo "== kernel admission (an interpreted run longer than the delta limit fails before it starts)"
+big_dir="$(mktemp -d)"
+printf 'model big steps 4000000000\nregister A init 1\n' > "$big_dir/big.rtl"
+printf 'job b rtl big.rtl\njob c rtl big.rtl init A=2\n' > "$big_dir/big.fleet"
+for cmd in "run $big_dir/big.rtl" "run $big_dir/big.rtl --trace" "check $big_dir/big.rtl" "fleet $big_dir/big.fleet --jobs 1"; do
+  big_status=0
+  # shellcheck disable=SC2086 # the command line splits into its words
+  big_out="$( (ulimit -v 4000000; timeout 5 ./target/release/clockless $cmd) 2>&1)" || big_status=$?
+  [ "$big_status" -eq 1 ]
+  grep -q "delta-cycle limit 100000000 exhausted" <<<"$big_out"
+done
+[ "$(grep -c "quarantined: [bc] (run-failed): delta-cycle limit 100000000 exhausted" <<<"$big_out")" -eq 2 ]
+# The daemon's fleet op quarantines both jobs and still answers.
+big_status=0
+big_out="$( (ulimit -v 4000000; printf '%s\n' \
+  "{\"id\":1,\"op\":\"fleet\",\"path\":\"$big_dir/big.fleet\"}" \
+  '{"id":2,"op":"ping"}' | timeout 5 ./target/release/clockless serve) 2>&1)" || big_status=$?
+[ "$big_status" -eq 0 ]
+[ "$(grep -o 'delta-cycle limit 100000000 exhausted' <<<"$big_out" | wc -l)" -eq 2 ]
+grep -q '"id":2,"op":"ping","ok":true,"payload":"pong\\n"' <<<"$big_out"
 rm -rf "$big_dir"
 
 echo "== backend sweep (compiled engine must be byte-identical to interpreted)"

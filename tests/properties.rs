@@ -813,3 +813,149 @@ fn grouped_fleet_jobs_report_what_each_reports_alone() {
         assert_grouped_matches_alone(&stimulus_jobs(source, &mut rng), what);
     }
 }
+
+// ---- Fleet: one elaboration per group -----------------------------------
+
+/// One source's stimulus batch: a group of 1–9 jobs with random
+/// overrides (array elements included), one of them under a random tight
+/// budget, one naming an unknown register, and a two-job group with a
+/// `steps` override.
+fn elaboration_jobs(source: &JobSource, rng: &mut Rng) -> Vec<JobSpec> {
+    let model = JobSpec::new("probe", source.clone())
+        .resolve()
+        .expect("source resolves");
+    let names: Vec<String> = model.registers().iter().map(|r| r.name.clone()).collect();
+    let elements: Vec<String> = names
+        .iter()
+        .filter(|n| model.is_array_element(n))
+        .cloned()
+        .collect();
+    let mut jobs = Vec::new();
+    for i in 0..rng.range(1, 10) {
+        let mut job = JobSpec::new(format!("g{i}"), source.clone());
+        for _ in 0..rng.range(0, 3) {
+            job.overrides.extend(arb_override(&names, rng));
+        }
+        if rng.bool() {
+            job.overrides.extend(arb_override(&elements, rng));
+        }
+        jobs.push(job);
+    }
+    // Around the `1 + 6 × CS_MAX` lower bound: refused before the run,
+    // stopped by the kernel's own limit on a flush delta, or finished.
+    let least = 1 + 6 * u64::from(model.cs_max());
+    let budgeted = rng.range(0, jobs.len());
+    jobs[budgeted].delta_budget = Some(least - 1 + rng.range(0, 4) as u64);
+    let mut unknown = JobSpec::new("unknown", source.clone());
+    unknown.overrides = vec![("NO_SUCH_REGISTER".into(), 1)];
+    jobs.push(unknown);
+    for i in 0..2 {
+        let mut job = JobSpec::new(format!("steps{i}"), source.clone());
+        job.steps = Some(model.cs_max() + 2);
+        job.overrides = arb_override(&names, rng);
+        // The last array element (`guarded.rtl`'s `H[1]`), in a group
+        // of two whatever the size of the first.
+        if let Some(last) = elements.last() {
+            job.overrides.push((last.clone(), rng.range_i64(-100, 100)));
+        }
+        jobs.push(job);
+    }
+    jobs
+}
+
+/// `jobs` with every job given a source text of its own: no two share a
+/// group, so each elaborates its own model.
+fn ungroupable(jobs: &[JobSpec]) -> Vec<JobSpec> {
+    use clockless::core::text::to_text;
+    let mut base: HashMap<String, String> = HashMap::new();
+    jobs.iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let probe = JobSpec {
+                overrides: Vec::new(),
+                steps: None,
+                ..job.clone()
+            };
+            let text = base
+                .entry(format!("{:?}", job.source))
+                .or_insert_with(|| to_text(&probe.resolve().expect("source resolves")));
+            JobSpec {
+                source: JobSource::RtlText(format!("{text}# job {i}\n")),
+                ..job.clone()
+            }
+        })
+        .collect()
+}
+
+/// Kernel jobs run on copies of their group's one elaboration: a batch
+/// must report, byte for byte, what the same jobs report when no two
+/// share a group, and what the compiled engine reports — budgets,
+/// retries and build failures included, at 1 and 3 workers.
+#[test]
+fn shared_elaborations_report_what_own_elaborations_report() {
+    use clockless::core::Backend;
+    use clockless::fleet::{run_batch_with, BatchSpec, FleetConfig};
+    use clockless::verify::{generate_hls_model, generate_model};
+    let mut rng = Rng::new(0xE1AB);
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/models");
+    let mut sources: Vec<(String, JobSource)> = std::fs::read_dir(corpus)
+        .expect("corpus")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rtl"))
+        .map(|p| (p.display().to_string(), JobSource::RtlFile(p)))
+        .collect();
+    sources.sort_by(|a, b| a.0.cmp(&b.0));
+    sources.push(("iks ik".into(), JobSource::IksIk { x: 1.0, y: 0.5 }));
+    sources.push(("iks fir".into(), JobSource::IksFir));
+    for case in 0..HEAVY_CASES {
+        let seed = Rng::new(0xE1_0000 + case).next_u64();
+        for (kind, model) in [
+            ("model", generate_model(seed)),
+            ("HLS model", generate_hls_model(seed)),
+        ] {
+            let text = clockless::core::text::to_text(&model);
+            sources.push((
+                format!("case {case} (seed {seed}) {kind}"),
+                JobSource::RtlText(text),
+            ));
+        }
+    }
+    let kernel = FleetConfig {
+        max_retries: 1,
+        ..FleetConfig::default()
+    };
+    let compiled = FleetConfig {
+        backend: Some(Backend::Compiled),
+        ..kernel.clone()
+    };
+    let mut retried = 0;
+    for (what, source) in &sources {
+        let jobs = elaboration_jobs(source, &mut rng);
+        let grouped = BatchSpec { jobs: jobs.clone() };
+        let alone = BatchSpec {
+            jobs: ungroupable(&jobs),
+        };
+        let reference = run_batch_with(&alone, 1, &kernel).expect("batch runs");
+        assert!(
+            reference.failed_jobs() >= 1,
+            "{what}: the unknown name fails"
+        );
+        retried += reference.totals.retries;
+        let expected = reference.to_json(false);
+        for workers in [1, 3] {
+            for (label, spec, config) in [
+                ("grouped", &grouped, &kernel),
+                ("own elaborations", &alone, &kernel),
+                ("compiled", &grouped, &compiled),
+            ] {
+                let report = run_batch_with(spec, workers, config).expect("batch runs");
+                assert_eq!(
+                    report.to_json(false),
+                    expected,
+                    "{what}: {label}, {workers} workers"
+                );
+            }
+        }
+    }
+    assert!(retried > 0, "a budgeted job failed and was retried");
+}
