@@ -46,5 +46,7 @@ pub use equiv::{
 };
 pub use handshake::HandshakeSim;
 pub use sim::{ClockedCommit, ClockedSimulation};
-pub use translate::{BusSource, ClockScheme, ClockedDesign, RoutingTables, TranslateError};
+pub use translate::{
+    BusSource, ClockScheme, ClockedDesign, RoutingTables, StepRoutes, TranslateError,
+};
 pub use vhdl::emit_clocked_vhdl;

@@ -8,6 +8,8 @@
 //! expressed in clock cycles and nanoseconds instead of control steps and
 //! delta cycles.
 
+use std::collections::BTreeMap;
+
 use clockless_core::{Guard, Op, RtModel, Step, Value};
 use clockless_kernel::{Femtos, KernelError, ProcessCtx, SignalId, SimStats, Simulator, Wait};
 
@@ -86,8 +88,8 @@ impl ClockedSimulation {
         let period = scheme.period_fs();
         let half = period / 2;
         let cps = scheme.cycles_per_step();
-        let cs_max = model.cs_max() as u64;
-        let total_edges = cs_max * cps + 1;
+        let total_edges = model.cs_max() as u64 * cps + 1;
+        let steps = &design.tables().steps;
 
         let mut sim: Simulator<Value> = Simulator::new();
         if trace {
@@ -180,19 +182,17 @@ impl ClockedSimulation {
 
         // --- Registers: latch at end-of-step edges ----------------------
         for (ridx, rdecl) in model.registers().iter().enumerate() {
-            // Per-step load source (bus signal), step 1 at index 0.
+            // Load source (bus signal) per step that loads the register.
             let rid = model.register_by_name(&rdecl.name).expect("own register");
             // Each load carries the owning tuple's guard (if any): a false
             // guard at the latch edge disables the load, mirroring the
             // write-side transfer process driving DISC.
-            let loads: Vec<Option<(SignalId, Option<ResolvedGuard>)>> = (0..cs_max as usize)
-                .map(|si| {
-                    design.tables().reg_load[si].get(&rid).map(|b| {
-                        let g = design.tables().reg_load_guard[si]
-                            .get(&rid)
-                            .map(|g| resolve_guard(&model, &reg_out, g));
-                        (bus_wmux[b.0 as usize], g)
-                    })
+            let loads: BTreeMap<Step, (SignalId, Option<ResolvedGuard>)> = (steps.iter())
+                .filter_map(|(&step, routes)| {
+                    let b = routes.reg_load.get(&rid)?;
+                    let g = (routes.reg_load_guard.get(&rid))
+                        .map(|g| resolve_guard(&model, &reg_out, g));
+                    Some((step, (bus_wmux[b.0 as usize], g)))
                 })
                 .collect();
             let q = reg_out[ridx];
@@ -207,13 +207,12 @@ impl ClockedSimulation {
                         // here when that cycle count is a multiple of cps.
                         if edge > 1 && (edge - 1).is_multiple_of(cps) {
                             let s = (edge - 1) / cps; // the completed step
-                            if s >= 1 && s <= cs_max {
-                                if let Some(Some((src, g))) = loads.get(s as usize - 1) {
-                                    if g.as_ref().is_none_or(|g| guard_passes(ctx, g)) {
-                                        let v = *ctx.value(*src);
-                                        if v != Value::Disc {
-                                            ctx.assign(q, v);
-                                        }
+                            let load = Step::try_from(s).ok().and_then(|s| loads.get(&s));
+                            if let Some((src, g)) = load {
+                                if g.as_ref().is_none_or(|g| guard_passes(ctx, g)) {
+                                    let v = *ctx.value(*src);
+                                    if v != Value::Disc {
+                                        ctx.assign(q, v);
                                     }
                                 }
                             }
@@ -264,40 +263,37 @@ impl ClockedSimulation {
             // just as TRANSG does in the clock-free model. Write-side
             // drives are never guarded here — a false guard already
             // surfaces as DISC operands and a disabled load.
-            type Drive = Vec<Option<(SignalId, Option<ResolvedGuard>)>>;
+            type Drive = BTreeMap<Step, (SignalId, Option<ResolvedGuard>)>;
             let sides: [(&str, Drive, SignalId); 2] = [
                 (
                     "r",
-                    (0..cs_max as usize)
-                        .map(|si| {
-                            design.tables().bus_read[si].get(&bid).map(|r| {
-                                let g = design.tables().bus_read_guard[si]
-                                    .get(&bid)
-                                    .map(|g| resolve_guard(&model, &reg_out, g));
-                                (reg_out[r.0 as usize], g)
-                            })
+                    (steps.iter())
+                        .filter_map(|(&step, routes)| {
+                            let r = routes.bus_read.get(&bid)?;
+                            let g = (routes.bus_read_guard.get(&bid))
+                                .map(|g| resolve_guard(&model, &reg_out, g));
+                            Some((step, (reg_out[r.0 as usize], g)))
                         })
                         .collect(),
                     bus_rmux[bidx],
                 ),
                 (
                     "w",
-                    (0..cs_max as usize)
-                        .map(|si| {
-                            design.tables().bus_write[si]
-                                .get(&bid)
-                                .map(|m| (mod_out[m.0 as usize], None))
+                    (steps.iter())
+                        .filter_map(|(&step, routes)| {
+                            let m = routes.bus_write.get(&bid)?;
+                            Some((step, (mod_out[m.0 as usize], None)))
                         })
                         .collect(),
                     bus_wmux[bidx],
                 ),
             ];
             for (tag, drive, sig) in sides {
-                if drive.iter().all(Option::is_none) {
+                if drive.is_empty() {
                     continue; // unused side: stays DISC, no process needed
                 }
                 let mut sens: Vec<SignalId> = vec![step_sig];
-                for (s, g) in drive.iter().flatten() {
+                for (s, g) in drive.values() {
                     if !sens.contains(s) {
                         sens.push(*s);
                     }
@@ -312,19 +308,11 @@ impl ClockedSimulation {
                     &[sig],
                     move |ctx: &mut ProcessCtx<'_, Value>| {
                         let step = ctx.value(step_sig).num().unwrap_or(0);
-                        let v = if step >= 1 && (step as usize) <= drive.len() {
-                            match &drive[step as usize - 1] {
-                                Some((src, g)) => {
-                                    if g.as_ref().is_none_or(|g| guard_passes(ctx, g)) {
-                                        *ctx.value(*src)
-                                    } else {
-                                        Value::Disc
-                                    }
-                                }
-                                None => Value::Disc,
+                        let v = match Step::try_from(step).ok().and_then(|s| drive.get(&s)) {
+                            Some((src, g)) if g.as_ref().is_none_or(|g| guard_passes(ctx, g)) => {
+                                *ctx.value(*src)
                             }
-                        } else {
-                            Value::Disc
+                            _ => Value::Disc,
                         };
                         ctx.assign(sig, v);
                         Wait::Event(sens.clone())
@@ -336,14 +324,13 @@ impl ClockedSimulation {
         // --- Module datapaths (combinational) -----------------------------
         for (midx, mdecl) in model.modules().iter().enumerate() {
             let mid = model.module_by_name(&mdecl.name).expect("own module");
-            let plan: Vec<(Option<SignalId>, Option<SignalId>, Option<Op>)> = (0..cs_max as usize)
-                .map(|si| {
-                    let t = design.tables();
-                    (
-                        t.mod_in1[si].get(&mid).map(|b| bus_rmux[b.0 as usize]),
-                        t.mod_in2[si].get(&mid).map(|b| bus_rmux[b.0 as usize]),
-                        t.mod_op[si].get(&mid).copied(),
-                    )
+            // The module's operands and operation per step that selects it.
+            let plan: BTreeMap<Step, (Option<SignalId>, Option<SignalId>, Op)> = (steps.iter())
+                .filter_map(|(&step, t)| {
+                    let op = *t.mod_op.get(&mid)?;
+                    let a = t.mod_in1.get(&mid).map(|b| bus_rmux[b.0 as usize]);
+                    let b = t.mod_in2.get(&mid).map(|b| bus_rmux[b.0 as usize]);
+                    Some((step, (a, b, op)))
                 })
                 .collect();
             let target = match mod_comb[midx] {
@@ -351,7 +338,7 @@ impl ClockedSimulation {
                 None => mod_out[midx],
             };
             let mut sens: Vec<SignalId> = vec![step_sig];
-            for (a, b, _) in &plan {
+            for (a, b, _) in plan.values() {
                 for s in [a, b].into_iter().flatten() {
                     if !sens.contains(s) {
                         sens.push(*s);
@@ -363,18 +350,13 @@ impl ClockedSimulation {
                 &[target],
                 move |ctx: &mut ProcessCtx<'_, Value>| {
                     let step = ctx.value(step_sig).num().unwrap_or(0);
-                    let v = if step >= 1 && (step as usize) <= plan.len() {
-                        let (a, b, op) = &plan[step as usize - 1];
-                        match op {
-                            Some(op) => {
-                                let av = a.map(|s| *ctx.value(s)).unwrap_or(Value::Disc);
-                                let bv = b.map(|s| *ctx.value(s)).unwrap_or(Value::Disc);
-                                op.apply(av, bv)
-                            }
-                            None => Value::Disc,
+                    let v = match Step::try_from(step).ok().and_then(|s| plan.get(&s)) {
+                        Some((a, b, op)) => {
+                            let av = a.map(|s| *ctx.value(s)).unwrap_or(Value::Disc);
+                            let bv = b.map(|s| *ctx.value(s)).unwrap_or(Value::Disc);
+                            op.apply(av, bv)
                         }
-                    } else {
-                        Value::Disc
+                        None => Value::Disc,
                     };
                     ctx.assign(target, v);
                     Wait::Event(sens.clone())

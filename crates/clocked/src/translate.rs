@@ -15,7 +15,7 @@
 //! model exposes dynamically as `ILLEGAL` values. The `clockless-verify`
 //! crate cross-checks the two detectors against each other.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use clockless_core::{BusId, Guard, ModuleId, ModuleTiming, Op, RegisterId, RtModel, Step};
@@ -169,58 +169,56 @@ impl fmt::Display for TranslateError {
 
 impl std::error::Error for TranslateError {}
 
-/// Per-step routing tables compiled from the transfer tuples.
-///
-/// Index 0 of each outer `Vec` corresponds to control step 1.
+/// The routes of one control step.
+#[derive(Debug, Clone, Default)]
+pub struct StepRoutes {
+    /// Read-side bus sources (registers feeding buses at `ra`).
+    pub bus_read: HashMap<BusId, RegisterId>,
+    /// Write-side bus sources (modules feeding buses at `wa`).
+    pub bus_write: HashMap<BusId, ModuleId>,
+    /// Module first-operand routing.
+    pub mod_in1: HashMap<ModuleId, BusId>,
+    /// Module second-operand routing.
+    pub mod_in2: HashMap<ModuleId, BusId>,
+    /// Module operation selection.
+    pub mod_op: HashMap<ModuleId, Op>,
+    /// Register load selections.
+    pub reg_load: HashMap<RegisterId, BusId>,
+    /// Guards gating the read-side bus drives: a false guard puts `DISC`
+    /// on the bus instead of the register value, exactly as the abstract
+    /// guarded transfer process does.
+    pub bus_read_guard: HashMap<BusId, Guard>,
+    /// Guards gating the register load enables, evaluated over the
+    /// register values current at the end-of-step latch edge (the
+    /// write-side spec's guard evaluation point in the abstract model).
+    pub reg_load_guard: HashMap<RegisterId, Guard>,
+}
+
+/// Routing tables compiled from the transfer tuples: the routes of each
+/// control step some tuple occupies, keyed by step (from 1). A step no
+/// tuple uses has no entry, so the tables grow with the tuples, not with
+/// the step count.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTables {
-    /// Read-side bus sources per step (registers feeding buses at `ra`).
-    pub bus_read: Vec<HashMap<BusId, RegisterId>>,
-    /// Write-side bus sources per step (modules feeding buses at `wa`).
-    pub bus_write: Vec<HashMap<BusId, ModuleId>>,
-    /// Module first-operand routing per step.
-    pub mod_in1: Vec<HashMap<ModuleId, BusId>>,
-    /// Module second-operand routing per step.
-    pub mod_in2: Vec<HashMap<ModuleId, BusId>>,
-    /// Module operation selection per step.
-    pub mod_op: Vec<HashMap<ModuleId, Op>>,
-    /// Register load selections per step.
-    pub reg_load: Vec<HashMap<RegisterId, BusId>>,
-    /// Guards gating the read-side bus drives per step: a false guard
-    /// puts `DISC` on the bus instead of the register value, exactly as
-    /// the abstract guarded transfer process does.
-    pub bus_read_guard: Vec<HashMap<BusId, Guard>>,
-    /// Guards gating the register load enables per step, evaluated over
-    /// the register values current at the end-of-step latch edge (the
-    /// write-side spec's guard evaluation point in the abstract model).
-    pub reg_load_guard: Vec<HashMap<RegisterId, Guard>>,
+    /// The occupied steps' routes, in step order.
+    pub steps: BTreeMap<Step, StepRoutes>,
 }
 
 impl RoutingTables {
-    fn with_steps(cs_max: Step) -> RoutingTables {
-        let n = cs_max as usize;
-        RoutingTables {
-            bus_read: vec![HashMap::new(); n],
-            bus_write: vec![HashMap::new(); n],
-            mod_in1: vec![HashMap::new(); n],
-            mod_in2: vec![HashMap::new(); n],
-            mod_op: vec![HashMap::new(); n],
-            reg_load: vec![HashMap::new(); n],
-            bus_read_guard: vec![HashMap::new(); n],
-            reg_load_guard: vec![HashMap::new(); n],
-        }
-    }
-
     /// Control-signal count of the generated controller: one select line
     /// per non-empty table entry (a proxy for controller complexity,
     /// reported by the translation bench).
     pub fn control_signal_count(&self) -> usize {
-        self.bus_read.iter().map(HashMap::len).sum::<usize>()
-            + self.bus_write.iter().map(HashMap::len).sum::<usize>()
-            + self.mod_in1.iter().map(HashMap::len).sum::<usize>()
-            + self.mod_in2.iter().map(HashMap::len).sum::<usize>()
-            + self.mod_op.iter().map(HashMap::len).sum::<usize>()
-            + self.reg_load.iter().map(HashMap::len).sum::<usize>()
+        (self.steps.values())
+            .map(|r| {
+                r.bus_read.len()
+                    + r.bus_write.len()
+                    + r.mod_in1.len()
+                    + r.mod_in2.len()
+                    + r.mod_op.len()
+                    + r.reg_load.len()
+            })
+            .sum()
     }
 }
 
@@ -251,7 +249,7 @@ impl ClockedDesign {
                 memory: m.name.clone(),
             });
         }
-        let mut tables = RoutingTables::with_steps(model.cs_max());
+        let mut tables = RoutingTables::default();
         let mut seq_busy_until: HashMap<ModuleId, Step> = HashMap::new();
 
         for tuple in model.tuples() {
@@ -260,7 +258,6 @@ impl ClockedDesign {
                 .expect("validated tuple references known module");
             let mdecl = &model.modules()[mid.0 as usize];
             let rs = tuple.read_step;
-            let rsi = (rs - 1) as usize;
 
             // Operand routes.
             for (route, port) in [(&tuple.src_a, 1u8), (&tuple.src_b, 2u8)] {
@@ -273,16 +270,17 @@ impl ClockedDesign {
                     .expect("validated tuple references known bus");
                 // Any second drive is a conflict — the abstract model's
                 // resolution function flags even equal values (§2.3).
-                if tables.bus_read[rsi].insert(bid, rid).is_some() {
+                let read = tables.steps.entry(rs).or_default();
+                if read.bus_read.insert(bid, rid).is_some() {
                     return Err(TranslateError::BusConflict {
                         bus: route.bus.clone(),
                         step: rs,
                     });
                 }
                 let port_table = if port == 1 {
-                    &mut tables.mod_in1[rsi]
+                    &mut read.mod_in1
                 } else {
-                    &mut tables.mod_in2[rsi]
+                    &mut read.mod_in2
                 };
                 if port_table.insert(mid, bid).is_some() {
                     return Err(TranslateError::PortConflict {
@@ -292,13 +290,16 @@ impl ClockedDesign {
                     });
                 }
                 if let Some(g) = &tuple.guard {
-                    tables.bus_read_guard[rsi].insert(bid, g.clone());
+                    read.bus_read_guard.insert(bid, g.clone());
                 }
             }
 
             // Operation selection (explicit or the module's single op).
             let op = model.effective_op(tuple);
-            if tables.mod_op[rsi].insert(mid, op).is_some() {
+            if (tables.steps.entry(rs).or_default().mod_op)
+                .insert(mid, op)
+                .is_some()
+            {
                 return Err(TranslateError::OpConflict {
                     module: tuple.module.clone(),
                     step: rs,
@@ -320,27 +321,27 @@ impl ClockedDesign {
 
             // Write-back route.
             if let Some(w) = &tuple.write {
-                let wsi = (w.step - 1) as usize;
+                let write = tables.steps.entry(w.step).or_default();
                 let bid = model
                     .bus_by_name(&w.bus)
                     .expect("validated tuple references known bus");
                 let rid = model
                     .register_by_name(&w.register)
                     .expect("validated tuple references known register");
-                if tables.bus_write[wsi].insert(bid, mid).is_some() {
+                if write.bus_write.insert(bid, mid).is_some() {
                     return Err(TranslateError::BusConflict {
                         bus: w.bus.clone(),
                         step: w.step,
                     });
                 }
-                if tables.reg_load[wsi].insert(rid, bid).is_some() {
+                if write.reg_load.insert(rid, bid).is_some() {
                     return Err(TranslateError::RegisterLoadConflict {
                         register: w.register.clone(),
                         step: w.step,
                     });
                 }
                 if let Some(g) = &tuple.guard {
-                    tables.reg_load_guard[wsi].insert(rid, g.clone());
+                    write.reg_load_guard.insert(rid, g.clone());
                 }
             }
         }
@@ -385,18 +386,20 @@ mod tests {
         let model = fig1_model(1, 2);
         let d = ClockedDesign::translate(&model, ClockScheme::default()).unwrap();
         let t = d.tables();
-        // Step 5 (index 4): B1 from R1, B2 from R2, ADD ports routed.
+        // fig1's one tuple occupies steps 5 and 6 only.
+        assert_eq!(t.steps.keys().copied().collect::<Vec<_>>(), [5, 6]);
+        // Step 5: B1 from R1, B2 from R2, ADD ports routed.
         let b1 = model.bus_by_name("B1").unwrap();
         let b2 = model.bus_by_name("B2").unwrap();
         let r1 = model.register_by_name("R1").unwrap();
         let add = model.module_by_name("ADD").unwrap();
-        assert_eq!(t.bus_read[4][&b1], r1);
-        assert_eq!(t.mod_in1[4][&add], b1);
-        assert_eq!(t.mod_in2[4][&add], b2);
-        assert_eq!(t.mod_op[4][&add], Op::Add);
-        // Step 6 (index 5): B1's write side fed by ADD, R1 loads from B1.
-        assert_eq!(t.bus_write[5][&b1], add);
-        assert_eq!(t.reg_load[5][&r1], b1);
+        assert_eq!(t.steps[&5].bus_read[&b1], r1);
+        assert_eq!(t.steps[&5].mod_in1[&add], b1);
+        assert_eq!(t.steps[&5].mod_in2[&add], b2);
+        assert_eq!(t.steps[&5].mod_op[&add], Op::Add);
+        // Step 6: B1's write side fed by ADD, R1 loads from B1.
+        assert_eq!(t.steps[&6].bus_write[&b1], add);
+        assert_eq!(t.steps[&6].reg_load[&r1], b1);
         assert_eq!(d.total_cycles(), 8);
     }
 

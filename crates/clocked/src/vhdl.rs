@@ -78,7 +78,7 @@ pub fn emit_clocked_vhdl(design: &ClockedDesign) -> Result<String, EmitVhdlError
         }
     }
     let tables = design.tables();
-    let cs_max = model.cs_max() as usize;
+    let cs_max = model.cs_max() as u64;
     let name = model
         .name()
         .chars()
@@ -137,19 +137,19 @@ pub fn emit_clocked_vhdl(design: &ClockedDesign) -> Result<String, EmitVhdlError
         let bid = clockless_core::BusId(bidx as u32);
         let _ = writeln!(out, "\n  -- bus {} (read side)", b.name);
         let _ = writeln!(out, "  {}_rmux <=", b.name);
-        for (si, table) in tables.bus_read.iter().enumerate() {
-            if let Some(rid) = table.get(&bid) {
+        for (step, routes) in &tables.steps {
+            if let Some(rid) = routes.bus_read.get(&bid) {
                 let reg = &model.registers()[rid.0 as usize].name;
-                let _ = writeln!(out, "    {reg}_r when step = {} else", si + 1);
+                let _ = writeln!(out, "    {reg}_r when step = {step} else");
             }
         }
         let _ = writeln!(out, "    DISC;");
         let _ = writeln!(out, "  -- bus {} (write side)", b.name);
         let _ = writeln!(out, "  {}_wmux <=", b.name);
-        for (si, table) in tables.bus_write.iter().enumerate() {
-            if let Some(mid) = table.get(&bid) {
+        for (step, routes) in &tables.steps {
+            if let Some(mid) = routes.bus_write.get(&bid) {
                 let module = &model.modules()[mid.0 as usize].name;
-                let _ = writeln!(out, "    {module}_out when step = {} else", si + 1);
+                let _ = writeln!(out, "    {module}_out when step = {step} else");
             }
         }
         let _ = writeln!(out, "    DISC;");
@@ -169,20 +169,18 @@ pub fn emit_clocked_vhdl(design: &ClockedDesign) -> Result<String, EmitVhdlError
         });
         let _ = writeln!(out, "  begin");
         let _ = writeln!(out, "    case step is");
-        for si in 0..cs_max {
-            let Some(&op) = tables.mod_op[si].get(&mid) else {
+        for (step, routes) in &tables.steps {
+            let Some(&op) = routes.mod_op.get(&mid) else {
                 continue;
             };
-            let a = tables.mod_in1[si]
-                .get(&mid)
+            let a = (routes.mod_in1.get(&mid))
                 .map(|b| format!("{}_rmux", model.buses()[b.0 as usize].name))
                 .unwrap_or_else(|| "DISC".to_string());
-            let b = tables.mod_in2[si]
-                .get(&mid)
+            let b = (routes.mod_in2.get(&mid))
                 .map(|b| format!("{}_rmux", model.buses()[b.0 as usize].name))
                 .unwrap_or_else(|| "DISC".to_string());
             let expr = op_expr(op, &a, &b).expect("checked above");
-            let _ = writeln!(out, "      when {} => {}_comb <= {};", si + 1, m.name, expr);
+            let _ = writeln!(out, "      when {step} => {}_comb <= {expr};", m.name);
         }
         let _ = writeln!(out, "      when others => {}_comb <= DISC;", m.name);
         let _ = writeln!(out, "    end case;");
@@ -223,12 +221,12 @@ pub fn emit_clocked_vhdl(design: &ClockedDesign) -> Result<String, EmitVhdlError
     let _ = writeln!(out, "  begin");
     let _ = writeln!(out, "    if rising_edge(clk) then");
     let _ = writeln!(out, "      case step is");
-    for si in 0..cs_max {
-        let loads = &tables.reg_load[si];
+    for (step, routes) in &tables.steps {
+        let loads = &routes.reg_load;
         if loads.is_empty() {
             continue;
         }
-        let _ = writeln!(out, "        when {} =>", si + 1);
+        let _ = writeln!(out, "        when {step} =>");
         let mut entries: Vec<_> = loads.iter().collect();
         entries.sort_by_key(|(r, _)| r.0);
         for (rid, bid) in entries {

@@ -6,9 +6,10 @@
 //! stays silent. A [`CheckProgram`] closes that gap with two detector
 //! families layered *outside* the model's semantics:
 //!
-//! * a **golden monitor** ([`MonitorTable`]): the per-delta value table
-//!   of the clean run; any divergence in a mutant is flagged at its
-//!   first `(step, phase, signal)`;
+//! * a **golden monitor** ([`MonitorTable`]): the clean run's
+//!   trajectory, its first row plus a log of what changed; any
+//!   divergence in a mutant is flagged at its first `(step, phase,
+//!   signal)`;
 //! * **functional invariants** ([`Invariant`]): range, reachable-set and
 //!   pairwise relation constraints mined from clean runs and re-asserted
 //!   every delta cycle.
@@ -29,7 +30,7 @@
 //! let model = fig1_model(3, 4);
 //! let signals = check_signals(&model);
 //! let table = record_table(&model, &signals)?;
-//! // A fig. 1 run quiesces after 1 + 6×7 deltas; each has one row.
+//! // A fig. 1 run quiesces after 1 + 6×7 deltas.
 //! assert_eq!(table.deltas, 43);
 //! let program = CheckProgram {
 //!     signals,
@@ -121,22 +122,68 @@ pub fn check_signals(model: &RtModel) -> Vec<CheckSignal> {
     signals
 }
 
-/// The golden run's per-delta value table, row-major:
-/// `values[delta * width + i]` is signal `i` at the end of delta `delta`.
+/// The golden run's trajectory over the program's signals: the row at the
+/// end of delta 0, then a log of the changes after it, ordered by
+/// `(delta, signal)`. Each entry is a value its signal did not hold at the
+/// end of the delta before, so a delta that changes nothing takes no
+/// space. A quiesced run holds its final values forever.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorTable {
     /// How many delta cycles the golden run took.
     pub deltas: u64,
-    /// `deltas × width` values (width = the program's signal count).
-    pub values: Vec<Value>,
+    /// Every signal's value at the end of delta 0.
+    initial: Vec<Value>,
+    /// `(delta, signal, value)` changes after delta 0.
+    changes: Vec<(u64, usize, Value)>,
 }
 
 impl MonitorTable {
-    /// Row for `delta`, clamped to the last recorded row (a quiesced run
-    /// holds its final values forever).
-    fn row(&self, width: usize, delta: u64) -> &[Value] {
-        let d = delta.min(self.deltas.saturating_sub(1)) as usize;
-        &self.values[d * width..(d + 1) * width]
+    /// The table of a `deltas`-delta run whose signals start at `initial`
+    /// and move by `events`, raw `(delta, signal, value)` commits in run
+    /// order within each delta. Delta-0 events fold into the initial row,
+    /// a signal's last value in a delta stands for the delta, and a value
+    /// the signal already held at the end of the delta before is dropped.
+    pub fn from_events(
+        deltas: u64,
+        mut initial: Vec<Value>,
+        events: impl IntoIterator<Item = (u64, usize, Value)>,
+    ) -> MonitorTable {
+        let mut changes: Vec<_> = events.into_iter().collect();
+        // Stable: a signal's events in one delta keep their run order.
+        changes.sort_by_key(|&(d, i, _)| (d, i));
+        changes.dedup_by(|later, kept| {
+            let same = (later.0, later.1) == (kept.0, kept.1);
+            kept.2 = if same { later.2 } else { kept.2 };
+            same
+        });
+        let split = changes.partition_point(|c| c.0 == 0);
+        changes.drain(..split).for_each(|(_, i, v)| initial[i] = v);
+        let mut row = initial.clone();
+        changes.retain(|&(_, i, v)| std::mem::replace(&mut row[i], v) != v);
+        MonitorTable {
+            deltas,
+            initial,
+            changes,
+        }
+    }
+
+    /// Visits the trajectory at its change points: delta 0 with every
+    /// signal, then each delta that changes one, with the signals it
+    /// changed (ascending) and the row at the end of that delta. The
+    /// deltas between two visits hold the earlier visit's row.
+    pub fn replay(&self, mut visit: impl FnMut(u64, &[usize], &[Value])) {
+        if self.deltas == 0 {
+            return;
+        }
+        let mut row = self.initial.clone();
+        let mut changed: Vec<usize> = (0..row.len()).collect();
+        visit(0, &changed, &row);
+        for delta in self.changes.chunk_by(|a, b| a.0 == b.0) {
+            delta.iter().for_each(|&(_, i, v)| row[i] = v);
+            changed.clear();
+            changed.extend(delta.iter().map(|c| c.1));
+            visit(delta[0].0, &changed, &row);
+        }
     }
 }
 
@@ -202,14 +249,8 @@ impl Invariant {
                 format!("{} in [{}, {}]", name(*sig), min, max)
             }
             Invariant::Reachable { sig, values } => {
-                let mut set = String::new();
-                for (k, v) in values.iter().enumerate() {
-                    if k > 0 {
-                        set.push_str(", ");
-                    }
-                    let _ = fmt::Write::write_fmt(&mut set, format_args!("{v}"));
-                }
-                format!("{} in {{{}}}", name(*sig), set)
+                let set: Vec<String> = values.iter().map(i64::to_string).collect();
+                format!("{} in {{{}}}", name(*sig), set.join(", "))
             }
             Invariant::Eq { a, b } => format!("{} == {}", name(*a), name(*b)),
             Invariant::Le { a, b } => format!("{} <= {}", name(*a), name(*b)),
@@ -370,28 +411,19 @@ impl CheckReport {
     }
 }
 
-/// The lookups that let [`CheckEval`] re-check only what a delta changed,
-/// built once per program (once per campaign) by [`CheckIndex::new`].
-///
-/// A monitor entry can first mismatch only at a delta where the run's
-/// value or the golden row changed, and an invariant can first fail only
-/// where one of its operands changed; these tables name both.
+/// The lookup that lets [`CheckEval`] re-check only the invariants over
+/// what a delta changed, where alone they can first fail; built once per
+/// program (once per campaign) by [`CheckIndex::new`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckIndex {
     /// The invariants reading each signal, ascending.
     invariants: Vec<Vec<usize>>,
-    /// Per delta of the golden table, the signals whose value differs
-    /// from the previous delta's, ascending (none at delta 0; past the
-    /// table's end the row holds).
-    golden: Vec<Vec<usize>>,
 }
 
 impl CheckIndex {
-    /// Indexes `program`: signal → invariants and delta → golden-row
-    /// changes.
+    /// Indexes `program`: signal → invariants.
     pub fn new(program: &CheckProgram) -> CheckIndex {
-        let width = program.width();
-        let mut invariants = vec![Vec::new(); width];
+        let mut invariants = vec![Vec::new(); program.width()];
         for (k, inv) in program.invariants.iter().enumerate() {
             let (a, b) = inv.operands();
             invariants[a].push(k);
@@ -399,35 +431,13 @@ impl CheckIndex {
                 invariants[b].push(k);
             }
         }
-        let golden = match &program.monitor {
-            Some(table) => {
-                let deltas = usize::try_from(table.deltas).unwrap_or(usize::MAX);
-                let rows: Vec<&[Value]> = table.values.chunks(width.max(1)).take(deltas).collect();
-                (0..rows.len())
-                    .map(|d| match d {
-                        0 => Vec::new(),
-                        d => (0..width)
-                            .filter(|&i| rows[d - 1][i] != rows[d][i])
-                            .collect(),
-                    })
-                    .collect()
-            }
-            None => Vec::new(),
-        };
-        CheckIndex { invariants, golden }
-    }
-
-    /// The signals whose golden value changes at delta `d`.
-    fn golden_changes(&self, d: u64) -> &[usize] {
-        usize::try_from(d)
-            .ok()
-            .and_then(|d| self.golden.get(d))
-            .map_or(&[], Vec::as_slice)
+        CheckIndex { invariants }
     }
 }
 
-/// The checking state machine. Feed it every executed delta cycle in
-/// order via [`observe`](Self::observe), then call
+/// The checking state machine. Feed it the executed delta cycles in
+/// order via [`observe`](Self::observe) — delta 0 and every delta that
+/// changed a signal; a delta left out changed nothing — then call
 /// [`finish`](Self::finish); it latches the *first* violation of each
 /// detector family, exactly as a full scan of every row would.
 ///
@@ -443,7 +453,7 @@ impl CheckIndex {
 #[derive(Debug)]
 pub struct CheckEval<'p> {
     lane: LaneChecks<'p>,
-    /// Deltas observed so far (== the next expected delta index).
+    /// One past the last observed delta.
     observed: u64,
     /// The current value of every signal.
     last: Vec<Value>,
@@ -460,11 +470,11 @@ impl<'p> CheckEval<'p> {
         }
     }
 
-    /// Observes the end-of-delta values of delta cycle `delta` (must be
-    /// called with consecutive deltas starting at 0). `get(i)` is the
-    /// value of `program.signals[i]`. The first observation reads every
-    /// signal; later ones read only `changed`, the signals whose value
-    /// may differ from the previous delta — duplicates and unchanged
+    /// Observes the end-of-delta values of delta cycle `delta` (deltas
+    /// ascending, starting at 0). `get(i)` is the value of
+    /// `program.signals[i]`. The first observation reads every signal;
+    /// later ones read only `changed`, the signals whose value may differ
+    /// from the previously observed delta — duplicates and unchanged
     /// entries are harmless, omissions are not.
     pub fn observe(&mut self, delta: u64, changed: &[usize], mut get: impl FnMut(usize) -> Value) {
         if self.observed == 0 {
@@ -472,6 +482,11 @@ impl<'p> CheckEval<'p> {
                 *v = get(i);
             }
         } else {
+            // The run held its row through the deltas left out: only
+            // where the golden row moved is there anything to check.
+            while let Some(d) = self.lane.next_golden_change().filter(|&d| d < delta) {
+                self.lane.observe(d, 1, |i| &self.last[i]);
+            }
             for &i in changed {
                 self.last[i] = get(i);
                 self.lane.changed(i, 1);
@@ -483,7 +498,7 @@ impl<'p> CheckEval<'p> {
 
     /// Finalizes the verdict. If the run was shorter than the golden
     /// table, the frozen final values are compared against the remaining
-    /// golden rows (invariants need no extension — the frozen row was
+    /// golden changes (invariants need no extension — the frozen row was
     /// already checked at its last delta); a run that observed nothing
     /// meets them with the all-`DISC` row.
     pub fn finish(&mut self) -> CheckReport {
@@ -503,6 +518,12 @@ impl<'p> CheckEval<'p> {
 pub(crate) struct LaneChecks<'p> {
     program: &'p CheckProgram,
     index: &'p CheckIndex,
+    /// The golden row at the end of the delta last checked, the first
+    /// change of the monitor table's log not yet applied to it, and the
+    /// signals its last move changed (ascending).
+    golden: Vec<Value>,
+    next: usize,
+    moved: Vec<usize>,
     /// Per program signal, the lanes it changed in since the last
     /// observation.
     changed: Vec<u64>,
@@ -523,6 +544,12 @@ impl<'p> LaneChecks<'p> {
         LaneChecks {
             program,
             index,
+            golden: program
+                .monitor
+                .as_ref()
+                .map_or(Vec::new(), |t| t.initial.clone()),
+            next: 0,
+            moved: Vec::new(),
             changed: vec![0; program.width()],
             touched: Vec::new(),
             candidates: Vec::new(),
@@ -560,8 +587,28 @@ impl<'p> LaneChecks<'p> {
         monitor & invariant
     }
 
-    /// Observes the end-of-delta values of delta `delta` (consecutive
-    /// from 0) in the lanes of `lanes`; `word(i)` holds program signal
+    /// The delta of the golden row's next change.
+    fn next_golden_change(&self) -> Option<u64> {
+        Some(self.program.monitor.as_ref()?.changes.get(self.next)?.0)
+    }
+
+    /// Moves the golden row to the end of the delta before `end`.
+    fn golden_before(&mut self, end: u64) {
+        self.moved.clear();
+        let changes = self
+            .program
+            .monitor
+            .as_ref()
+            .map_or(&[][..], |t| &t.changes);
+        while let Some(&(_, i, v)) = changes.get(self.next).filter(|c| c.0 < end) {
+            (self.golden[i], self.next) = (v, self.next + 1);
+            self.moved.push(i);
+        }
+    }
+
+    /// Observes the end-of-delta values of delta `delta` (ascending from
+    /// 0, leaving out only deltas where neither a lane nor the golden row
+    /// changes) in the lanes of `lanes`; `word(i)` holds program signal
     /// `i`. The first observation reads every signal, later ones the
     /// signals noted as changed.
     pub(crate) fn observe<'v, W: Word + 'v>(
@@ -608,12 +655,12 @@ impl<'p> LaneChecks<'p> {
         lanes: u64,
         word: &impl Fn(usize) -> &'v W,
     ) {
-        let Some(table) = &self.program.monitor else {
+        if self.program.monitor.is_none() {
             return;
-        };
+        }
+        self.golden_before(delta + 1);
+        let (row, golden) = (&self.golden, &self.moved);
         let mut open = lanes & !self.monitor_hit;
-        let row = table.row(self.program.width(), delta);
-        let golden = self.index.golden_changes(delta);
         // Both lists ascend: merge them, a golden change in every lane.
         let (mut t, mut g) = (0, 0);
         while open != 0 && (t < self.touched.len() || g < golden.len()) {
@@ -622,11 +669,7 @@ impl<'p> LaneChecks<'p> {
                     (t, g) = (t + 1, g + 1);
                     (a, !0)
                 }
-                (Some(&a), Some(&b)) if a < b => {
-                    t += 1;
-                    (a, self.changed[a])
-                }
-                (Some(&a), None) => {
+                (Some(&a), b) if b.is_none_or(|&b| a < b) => {
                     t += 1;
                     (a, self.changed[a])
                 }
@@ -634,7 +677,7 @@ impl<'p> LaneChecks<'p> {
                     g += 1;
                     (b, !0)
                 }
-                (None, None) => unreachable!("loop condition"),
+                (Some(_), None) | (None, None) => unreachable!("guards and loop condition"),
             };
             let w = word(i);
             let diverged = open & lanes & w.diff(&W::splat(row[i]));
@@ -699,21 +742,28 @@ impl<'p> LaneChecks<'p> {
 
     /// The verdict of every lane, lane `c` having observed `observed[c]`
     /// deltas: a lane shorter than the golden table is compared, with its
-    /// frozen final values, against the rows it did not reach (one that
-    /// observed nothing from delta 0, with every signal). Invariants need
-    /// no extension: the frozen row was checked at its last delta.
+    /// frozen final values, against the golden changes it did not reach
+    /// (one that observed nothing from delta 0, with every signal).
+    /// Invariants need no extension: the frozen row was checked at its
+    /// last delta.
     pub(crate) fn finish<'v, W: Word + 'v>(
         &mut self,
         observed: &[u64],
         word: impl Fn(usize) -> &'v W,
     ) -> Vec<CheckReport> {
-        if let Some(deltas) = self.program.monitor.as_ref().map(|t| t.deltas) {
-            let from = observed.iter().copied().min();
-            for d in from.unwrap_or(deltas)..deltas {
+        if let Some(table) = &self.program.monitor {
+            let deltas = table.deltas;
+            let mut d = observed.iter().copied().min().unwrap_or(deltas);
+            // Restart the golden row, and move it to delta `d`.
+            (self.golden, self.next) = (table.initial.clone(), 0);
+            self.golden_before(d);
+            while d < deltas {
                 let frozen = (observed.iter().enumerate())
                     .filter(|&(_, &o)| o <= d)
                     .fold(0, |m, (c, _)| m | 1 << c);
                 self.check(d, frozen, &word, false);
+                // A frozen lane can next diverge where the golden row moves.
+                d = self.next_golden_change().unwrap_or(deltas);
             }
         }
         let reports = self.monitor.iter().zip(&self.invariant);
@@ -784,22 +834,13 @@ fn resolve_kernel_ids(
         .collect()
 }
 
-/// An interpreter run with commit observation on the check signals.
-struct ObservedRun {
-    outcome: ExecOutcome,
-    /// Executed delta cycles.
-    deltas: u64,
-    /// Initial values of the observed signals.
-    inits: Vec<Value>,
-    /// `(delta, signal index, value)` commits, chronological.
-    log: Vec<(u64, usize, Value)>,
-}
-
+/// An interpreter run of `model` that records, from the kernel's commit
+/// log, the trajectory of `signals`.
 fn run_observed(
     model: &RtModel,
     signals: &[CheckSignal],
     options: &ExecOptions,
-) -> Result<ObservedRun, CheckedError> {
+) -> Result<(ExecOutcome, MonitorTable), CheckedError> {
     let elaborate = ElaborateOptions {
         trace: options.trace,
         ..Default::default()
@@ -816,47 +857,17 @@ fn run_observed(
     for (i, id) in ids.iter().enumerate().rev() {
         program_index[id.index()] = i;
     }
-    let log = sim
-        .kernel()
-        .commit_log()
-        .iter()
-        .map(|(delta, sid, value)| (*delta, program_index[sid.index()], *value))
-        .collect();
-    let deltas = summary.stats.delta_cycles;
-    Ok(ObservedRun {
-        outcome: ExecOutcome {
-            summary,
-            waveform: sim.into_waveform(),
-        },
-        deltas,
-        inits,
-        log,
-    })
+    let log = (sim.kernel().commit_log().iter())
+        .map(|(delta, sid, value)| (*delta, program_index[sid.index()], *value));
+    let table = MonitorTable::from_events(summary.stats.delta_cycles, inits, log);
+    let waveform = sim.into_waveform();
+    Ok((ExecOutcome { summary, waveform }, table))
 }
 
-impl ObservedRun {
-    /// Replays the commit log: `visit(delta, changed, values)` once per
-    /// executed delta, with the indices the delta changed and every
-    /// observed signal's end-of-delta value.
-    fn replay(&self, mut visit: impl FnMut(u64, &[usize], &[Value])) {
-        let mut cur = self.inits.clone();
-        let mut changed = Vec::new();
-        let mut log = self.log.iter().peekable();
-        for d in 0..self.deltas {
-            changed.clear();
-            while let Some(&(_, i, v)) = log.next_if(|&&(delta, ..)| delta == d) {
-                cur[i] = v;
-                changed.push(i);
-            }
-            visit(d, &changed, &cur);
-        }
-    }
-}
-
-/// Records the per-delta value table of a clean interpreter run of
-/// `model` over `signals` — the golden monitor table, and the data the
-/// invariant miner learns from. Both backends produce byte-identical
-/// per-delta values, so one canonical recording serves either engine.
+/// Records the trajectory of a clean interpreter run of `model` over
+/// `signals` — the golden monitor table, and the data the invariant miner
+/// learns from. Both backends produce byte-identical per-delta values, so
+/// one canonical recording serves either engine.
 ///
 /// # Errors
 ///
@@ -866,13 +877,7 @@ pub fn record_table(
     model: &RtModel,
     signals: &[CheckSignal],
 ) -> Result<MonitorTable, CheckedError> {
-    let run = run_observed(model, signals, &ExecOptions::default())?;
-    let mut values = Vec::with_capacity(run.deltas as usize * signals.len());
-    run.replay(|_, _, cur| values.extend_from_slice(cur));
-    Ok(MonitorTable {
-        deltas: run.deltas,
-        values,
-    })
+    run_observed(model, signals, &ExecOptions::default()).map(|(_, table)| table)
 }
 
 /// Runs `model` on `backend` with `program`'s checkers active, returning
@@ -895,12 +900,11 @@ pub fn execute_checked(
 ) -> Result<(ExecOutcome, CheckReport), CheckedError> {
     match backend {
         Backend::Interpreted => {
-            let run = run_observed(model, &program.signals, options)?;
+            let (outcome, run) = run_observed(model, &program.signals, options)?;
             let index = CheckIndex::new(program);
             let mut eval = CheckEval::new(program, &index);
-            // The commit log lists exactly each delta's changes.
-            run.replay(|d, changed, cur| eval.observe(d, changed, |i| cur[i]));
-            Ok((run.outcome, eval.finish()))
+            run.replay(|d, changed, row| eval.observe(d, changed, |i| row[i]));
+            Ok((outcome, eval.finish()))
         }
         Backend::Compiled => {
             let plan = ExecPlan::lower(model);
@@ -916,10 +920,34 @@ pub fn execute_checked(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::OptLevel;
     use crate::model::fig1_model;
+
+    /// The table's row at every delta, expanded from its change points.
+    pub(crate) fn dense_rows(table: &MonitorTable) -> Vec<Vec<Value>> {
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let hold = |rows: &mut Vec<Vec<Value>>, upto: u64| {
+            while (rows.len() as u64) < upto {
+                rows.push(rows.last().expect("delta 0 comes first").clone());
+            }
+        };
+        table.replay(|d, _, row| {
+            hold(&mut rows, d);
+            rows.push(row.to_vec());
+        });
+        hold(&mut rows, table.deltas);
+        rows
+    }
+
+    /// The table whose row at delta `d` is `rows[d]`.
+    fn table_of(rows: &[Vec<Value>]) -> MonitorTable {
+        let width = rows.first().map_or(0, Vec::len);
+        let events = (rows.iter().enumerate())
+            .flat_map(|(d, row)| row.iter().enumerate().map(move |(i, &v)| (d as u64, i, v)));
+        MonitorTable::from_events(rows.len() as u64, vec![Value::Disc; width], events)
+    }
 
     /// Every engine configuration a checked run can take: the kernel, and
     /// the compiled walk at every level, each traced and untraced.
@@ -960,15 +988,75 @@ mod tests {
     fn recorded_table_tracks_the_commit() {
         let (_, program) = fig1_program(true);
         let table = program.monitor.as_ref().unwrap();
-        let w = program.width();
         assert_eq!(table.deltas, 43);
         // Delta 0: initial values.
-        assert_eq!(table.row(w, 0)[0], Value::Num(3));
-        assert_eq!(table.row(w, 0)[1], Value::Num(4));
-        // Final row: R1 committed 7.
-        assert_eq!(table.row(w, 42)[0], Value::Num(7));
-        // Past-the-end rows clamp to the final one.
-        assert_eq!(table.row(w, 99)[0], Value::Num(7));
+        assert_eq!(table.initial[..2], [Value::Num(3), Value::Num(4)]);
+        // Seven changes: the buses' drives and releases, R1's commit of 7.
+        assert_eq!(table.changes.len(), 7);
+        assert_eq!(dense_rows(table)[42][0], Value::Num(7));
+        // The golden row holds the final values past the table's end.
+        let index = CheckIndex::new(&program);
+        let mut lane = LaneChecks::new(&program, &index, 1);
+        lane.golden_before(99);
+        assert_eq!(lane.golden[0], Value::Num(7));
+        assert_eq!(lane.next_golden_change(), None);
+    }
+
+    /// The constructor's normal form: delta-0 events fold into the
+    /// initial row, a signal's last value in a delta stands, a value its
+    /// signal already held is dropped, and the log ascends by
+    /// `(delta, signal)` whatever order the deltas came in.
+    #[test]
+    fn events_normalize_into_a_sorted_change_log() {
+        use Value::Num;
+        let events = [
+            (2, 2, Num(9)),
+            (0, 0, Num(6)),
+            (1, 1, Num(5)),
+            (0, 0, Num(7)),
+            (2, 0, Num(4)),
+            (1, 1, Num(2)),
+            (2, 0, Num(5)),
+            (3, 1, Num(8)),
+            (4, 2, Num(9)),
+            (3, 1, Num(6)),
+        ];
+        let table = MonitorTable::from_events(5, vec![Num(1), Num(2), Num(3)], events);
+        assert_eq!(table.initial, [Num(7), Num(2), Num(3)]);
+        let log = [(2, 0, Num(5)), (2, 2, Num(9)), (3, 1, Num(6))];
+        assert_eq!(table.changes, log);
+        let mut visits = Vec::new();
+        table.replay(|d, changed, row| visits.push((d, changed.to_vec(), row.to_vec())));
+        assert_eq!(
+            visits,
+            [
+                (0, vec![0, 1, 2], vec![Num(7), Num(2), Num(3)]),
+                (2, vec![0, 2], vec![Num(5), Num(2), Num(9)]),
+                (3, vec![1], vec![Num(5), Num(6), Num(9)]),
+            ]
+        );
+        assert_eq!(dense_rows(&table).len(), 5);
+    }
+
+    /// A model that transfers nothing changes nothing, however many steps
+    /// it runs: both recorders log no change, so its table is its
+    /// initial row.
+    #[test]
+    fn an_idle_run_records_no_change_on_either_recorder() {
+        let mut text = String::from("model idle steps 200000\n");
+        for i in 0..20 {
+            text.push_str(&format!("register R{i} init {i}\n"));
+        }
+        let model = crate::text::parse_model(&text).expect("parses");
+        let signals = check_signals(&model);
+        let kernel = record_table(&model, &signals).expect("records");
+        assert_eq!((kernel.deltas, kernel.changes.len()), (1 + 6 * 200_000, 0));
+        let plan = ExecPlan::lower(&model);
+        for level in OptLevel::ALL {
+            let options = ExecOptions::default().at_opt(level);
+            let (_, walk) = plan.execute_recorded(&signals, &options).expect("walks");
+            assert_eq!(walk, kernel, "-O{level}");
+        }
     }
 
     #[test]
@@ -1046,10 +1134,7 @@ mod tests {
                 name: "X".into(),
                 kind: SignalKind::Register,
             }],
-            monitor: Some(MonitorTable {
-                deltas: 2,
-                values: vec![Value::Num(1), Value::Num(2)],
-            }),
+            monitor: Some(table_of(&[vec![Value::Num(1)], vec![Value::Num(2)]])),
             invariants: Vec::new(),
         };
         let index = CheckIndex::new(&program);
@@ -1206,18 +1291,23 @@ mod tests {
     }
 
     /// The full-row scan reference: every delta compares the whole row
-    /// against the golden table and evaluates every invariant in order,
-    /// then a short run's frozen row meets the remaining golden rows.
-    fn full_scan(program: &CheckProgram, rows: &[Vec<Value>]) -> CheckReport {
+    /// against the golden rows (the last one past their end) and
+    /// evaluates every invariant in order, then a short run's frozen row
+    /// meets the remaining golden rows.
+    fn full_scan(
+        program: &CheckProgram,
+        golden: &[Vec<Value>],
+        rows: &[Vec<Value>],
+    ) -> CheckReport {
         let w = program.width();
         let mut monitor: Option<MonitorViolation> = None;
         let mut invariant: Option<InvariantViolation> = None;
         let mut last = vec![Value::Disc; w];
         let scan = |d: u64, last: &[Value], monitor: &mut Option<MonitorViolation>| {
-            let Some(table) = &program.monitor else {
+            if program.monitor.is_none() {
                 return;
-            };
-            let row = table.row(w, d);
+            }
+            let row = &golden[(d as usize).min(golden.len() - 1)];
             if monitor.is_none() {
                 *monitor = (0..w)
                     .find(|&i| last[i] != row[i])
@@ -1244,10 +1334,8 @@ mod tests {
                 });
             }
         }
-        if let Some(table) = &program.monitor {
-            for d in rows.len() as u64..table.deltas {
-                scan(d, &last, &mut monitor);
-            }
+        for d in rows.len()..golden.len() {
+            scan(d as u64, &last, &mut monitor);
         }
         CheckReport { monitor, invariant }
     }
@@ -1325,10 +1413,7 @@ mod tests {
             }
             let program = CheckProgram {
                 signals,
-                monitor: (next(4) != 0).then(|| MonitorTable {
-                    deltas,
-                    values: golden.concat(),
-                }),
+                monitor: (next(4) != 0).then(|| table_of(&golden)),
                 invariants,
             };
             // The run: the golden rows (clamped past the end) with rare
@@ -1364,6 +1449,9 @@ mod tests {
 
             let index = CheckIndex::new(&program);
             let mut eval = CheckEval::new(&program, &index);
+            // A table replay's evaluator: delta 0, then only the deltas
+            // that change a signal.
+            let mut sparse = CheckEval::new(&program, &index);
             // The compiled walk's checkers, fed the same changes as one
             // lane and, as the walk does, only until they settle.
             let mut lane = LaneChecks::new(&program, &index, 1);
@@ -1379,6 +1467,9 @@ mod tests {
                     changed.swap(i, next(i as u64 + 1) as usize);
                 }
                 eval.observe(d as u64, &changed, |i| row[i]);
+                if d == 0 || rows[d - 1] != *row {
+                    sparse.observe(d as u64, &changed, |i| row[i]);
+                }
                 if lane.settled() & 1 == 0 {
                     for &i in &changed {
                         lane.changed(i, 1);
@@ -1389,10 +1480,16 @@ mod tests {
             let report = eval.finish();
             assert_eq!(
                 report,
-                full_scan(&program, &rows),
+                full_scan(&program, &golden, &rows),
                 "trial {trial}: {program:?} {rows:?}"
             );
+            assert_eq!(sparse.finish(), report, "trial {trial}: change points");
             let last = rows.last().expect("a run observes at least one delta");
+            // As in a chunk whose other lanes run on, the walk goes on
+            // observing past this lane's end, in no lane.
+            for d in rows.len()..rows.len() + next(4) as usize {
+                lane.observe(d as u64, 0, |i| &last[i]);
+            }
             let lane = lane.finish(&[rows.len() as u64], |i| &last[i]);
             assert_eq!(
                 lane,

@@ -62,7 +62,7 @@ use std::time::Instant;
 use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace};
 
 use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome, OptConfig};
-use crate::check::{CheckReport, LaneChecks};
+use crate::check::{CheckReport, LaneChecks, MonitorTable};
 use crate::phase::Phase;
 use crate::plan::{
     DriverLayout, ExecPlan, Extension, GuardSig, Lanes, LoweredSpec, PlanChecks, Sink,
@@ -503,8 +503,8 @@ impl Stream {
         Ok((plan.outcome(|sig| values[sig], stats, trace), report))
     }
 
-    /// An untraced solo run of `plan`'s stream that records the
-    /// end-of-delta value of each signal of `sigs`, one row per delta.
+    /// An untraced solo run of `plan`'s stream that records the monitor
+    /// table of the program signals whose dense indices `sigs` lists.
     ///
     /// # Errors
     ///
@@ -514,14 +514,16 @@ impl Stream {
         plan: &ExecPlan,
         options: &ExecOptions,
         sigs: &[usize],
-    ) -> Result<(ExecOutcome, Vec<Value>), KernelError> {
-        let rows = Vec::with_capacity((self.bounds.len() - 1) * sigs.len());
-        let mut record = Recording::Table { sigs, rows };
+    ) -> Result<(ExecOutcome, MonitorTable), KernelError> {
+        let initial: Vec<Value> = sigs.iter().map(|&s| plan.signals[s].init).collect();
+        let (last, events) = (initial.clone(), Vec::new());
+        let mut record = Recording::Table { sigs, last, events };
         let (values, stats, _) = self.solo_walk(plan, options, None, &mut record)?;
-        let Recording::Table { rows, .. } = record else {
+        let Recording::Table { events, .. } = record else {
             unreachable!("the walk keeps its recording");
         };
-        Ok((plan.outcome(|sig| values[sig], stats, None), rows))
+        let table = MonitorTable::from_events(stats.delta_cycles, initial, events);
+        Ok((plan.outcome(|sig| values[sig], stats, None), table))
     }
 
     /// The solo walk behind [`execute`](Self::execute) and
@@ -730,9 +732,13 @@ impl Stream {
                 checker.observe(d, observing, |i| &values[ck.sigs[i]]);
                 feeding &= !(ending | checker.settled());
             }
-            // A recording solo walk keeps the same end-of-delta values.
-            if let Recording::Table { sigs, rows } = record {
-                rows.extend(sigs.iter().map(|&s| values[s].get(0)));
+            // A recording solo walk logs the end-of-delta values that moved.
+            if let Recording::Table { sigs, last, events } = record {
+                for (i, (&s, last)) in sigs.iter().zip(last).enumerate() {
+                    if std::mem::replace(last, values[s].get(0)) != *last {
+                        events.push((d, i, *last));
+                    }
+                }
             }
 
             // Run phase: the delta's straight-line ops (none in the
@@ -940,9 +946,14 @@ enum Recording<'s> {
     Nothing,
     /// Every event: a traced run's waveform.
     Trace(Trace<Value>),
-    /// The end-of-delta value of each signal of `sigs`, one row per
-    /// delta: a golden monitor table.
-    Table { sigs: &'s [usize], rows: Vec<Value> },
+    /// The `(delta, program signal, value)` end-of-delta changes of the
+    /// signals of `sigs`, `last` holding their values: a golden monitor
+    /// table's events.
+    Table {
+        sigs: &'s [usize],
+        last: Vec<Value>,
+        events: Vec<(u64, usize, Value)>,
+    },
 }
 
 #[cfg(test)]

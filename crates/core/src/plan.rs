@@ -664,8 +664,7 @@ impl ExecPlan {
     }
 
     /// [`execute`](Self::execute), untraced, recording on the way the
-    /// golden monitor table of `signals`: their values at the end of
-    /// every delta, one row per delta — value for value the table
+    /// golden monitor table of `signals` — the table
     /// [`record_table`](crate::check::record_table) records from the
     /// kernel, at every level. `options.trace` is ignored.
     ///
@@ -681,10 +680,7 @@ impl ExecPlan {
     ) -> Result<(ExecOutcome, MonitorTable), CheckedError> {
         let sigs = self.check_sigs(signals).map_err(CheckedError::Signals)?;
         self.check_delta_limit(options)?;
-        let stream = Stream::solo(self, options.opt.config());
-        let (outcome, values) = stream.record(self, options, &sigs)?;
-        let deltas = outcome.summary.stats.delta_cycles;
-        Ok((outcome, MonitorTable { deltas, values }))
+        Ok(Stream::solo(self, options.opt.config()).record(self, options, &sigs)?)
     }
 
     // ------------------------------------------------------------------
@@ -1688,7 +1684,8 @@ mod tests {
         let signals = check_signals(golden);
         let table = record_table(golden, &signals).unwrap();
         let w = signals.len();
-        let column = |i: usize| table.values.iter().skip(i).step_by(w).copied();
+        let rows = crate::check::tests::dense_rows(&table);
+        let column = |i: usize| rows.iter().map(move |row| row[i]);
         let mut invariants = Vec::new();
         for a in 0..w {
             if let Some(nums) = column(a).map(|v| v.num()).collect::<Option<Vec<i64>>>() {

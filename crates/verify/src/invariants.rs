@@ -11,8 +11,8 @@
 //! * **Relations** — for each register pair, `a == b`, constant offset
 //!   `a - b == k`, or `a <= b`, whichever held throughout.
 //!
-//! Mining is purely syntactic over the recorded
-//! [`MonitorTable`]: registers
+//! Mining is purely syntactic over the recorded [`MonitorTable`], read at
+//! its change points: registers
 //! whose trajectory is all-numeric contribute, in declaration order, so
 //! the mined rule list — and the rendered artifact — is byte-stable for
 //! a given model. [`render_artifact`] / [`parse_artifact`] round-trip
@@ -54,62 +54,58 @@ pub const REACHABLE_MAX: usize = 16;
 /// law). Emission order is canonical: per-register rules in declaration
 /// order (`Range`, then `Reachable` when the domain is small), then
 /// pair relations for `i < j` (`Eq`, else `Offset`, else `Le` in
-/// whichever direction held).
+/// whichever direction held). Every rule is decided at the table's
+/// change points: between two of them no value moves.
 pub fn mine_invariants(signals: &[CheckSignal], table: &MonitorTable) -> Vec<Invariant> {
-    let w = signals.len();
-    let deltas = table.deltas as usize;
-    if w == 0 || deltas == 0 {
-        return Vec::new();
-    }
-    // All-numeric register trajectories, by program signal index.
-    let mut numeric: Vec<(usize, Vec<i64>)> = Vec::new();
-    for (i, sig) in signals.iter().enumerate() {
-        if sig.kind != SignalKind::Register {
-            continue;
+    // Per register, the `(delta, value)` change points of its trajectory
+    // while it holds numbers: `None` once it holds anything else, and for
+    // buses and memory words.
+    let mut moves: Vec<Option<Vec<(u64, i64)>>> = (signals.iter())
+        .map(|s| (s.kind == SignalKind::Register).then(Vec::new))
+        .collect();
+    table.replay(|d, changed, row| {
+        for &i in changed {
+            match (row[i], &mut moves[i]) {
+                (Value::Num(v), Some(points)) => points.push((d, v)),
+                (_, slot) => *slot = None,
+            }
         }
-        let column: Option<Vec<i64>> = (0..deltas)
-            .map(|d| match table.values[d * w + i] {
-                Value::Num(v) => Some(v),
-                _ => None,
-            })
-            .collect();
-        if let Some(column) = column {
-            numeric.push((i, column));
-        }
-    }
+    });
+    // An empty table shows no register at all.
+    let numeric: Vec<(usize, Vec<(u64, i64)>)> = (moves.into_iter().enumerate())
+        .filter_map(|(sig, points)| Some((sig, points.filter(|p| !p.is_empty())?)))
+        .collect();
 
     let mut rules = Vec::new();
-    for (sig, column) in &numeric {
-        let min = *column.iter().min().expect("non-empty trajectory");
-        let max = *column.iter().max().expect("non-empty trajectory");
+    for (sig, points) in &numeric {
+        let values: BTreeSet<i64> = points.iter().map(|p| p.1).collect();
+        let (min, max) = (values.first(), values.last());
+        let (min, max) = (*min.expect("a point"), *max.expect("a point"));
         rules.push(Invariant::Range {
             sig: *sig,
             min,
             max,
         });
-        let distinct: BTreeSet<i64> = column.iter().copied().collect();
-        if distinct.len() <= REACHABLE_MAX {
-            rules.push(Invariant::Reachable {
-                sig: *sig,
-                values: distinct.into_iter().collect(),
-            });
+        if values.len() <= REACHABLE_MAX {
+            let values = values.into_iter().collect();
+            rules.push(Invariant::Reachable { sig: *sig, values });
         }
     }
     for (p, (a, xs)) in numeric.iter().enumerate() {
-        for (b, ys) in numeric.iter().skip(p + 1) {
-            let pairs = || xs.iter().copied().zip(ys.iter().copied());
+        for (b, ys) in &numeric[p + 1..] {
+            // The pair's values at each change point of either register:
+            // between two of them neither moves.
+            let at = |zs: &[(u64, i64)], d: u64| zs[zs.partition_point(|z| z.0 <= d) - 1].1;
+            let pairs = || xs.iter().chain(ys).map(|&(d, _)| (at(xs, d), at(ys, d)));
+            let (a, b, delta) = (*a, *b, xs[0].1.wrapping_sub(ys[0].1));
             if pairs().all(|(x, y)| x == y) {
-                rules.push(Invariant::Eq { a: *a, b: *b });
-            } else if pairs().all(|(x, y)| x.wrapping_sub(y) == xs[0].wrapping_sub(ys[0])) {
-                rules.push(Invariant::Offset {
-                    a: *a,
-                    b: *b,
-                    delta: xs[0].wrapping_sub(ys[0]),
-                });
+                rules.push(Invariant::Eq { a, b });
+            } else if pairs().all(|(x, y)| x.wrapping_sub(y) == delta) {
+                rules.push(Invariant::Offset { a, b, delta });
             } else if pairs().all(|(x, y)| x <= y) {
-                rules.push(Invariant::Le { a: *a, b: *b });
+                rules.push(Invariant::Le { a, b });
             } else if pairs().all(|(x, y)| y <= x) {
-                rules.push(Invariant::Le { a: *b, b: *a });
+                rules.push(Invariant::Le { a: b, b: a });
             }
         }
     }
@@ -173,54 +169,30 @@ pub fn render_artifact(model_name: &str, program: &CheckProgram) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("\n    ");
-        match rule {
-            Invariant::Range { sig, min, max } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\": \"range\", \"signal\": \"{}\", \"min\": {min}, \"max\": {max}}}",
-                    name(*sig)
-                );
-            }
+        let pair = |kind: &str, a: usize, b: usize| {
+            format!(
+                "\"kind\": \"{kind}\", \"a\": \"{}\", \"b\": \"{}\"",
+                name(a),
+                name(b)
+            )
+        };
+        let body = match rule {
+            Invariant::Range { sig, min, max } => format!(
+                "\"kind\": \"range\", \"signal\": \"{}\", \"min\": {min}, \"max\": {max}",
+                name(*sig)
+            ),
             Invariant::Reachable { sig, values } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\": \"reachable\", \"signal\": \"{}\", \"values\": [",
-                    name(*sig)
-                );
-                for (k, v) in values.iter().enumerate() {
-                    if k > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{v}");
-                }
-                out.push_str("]}");
+                let values: Vec<String> = values.iter().map(i64::to_string).collect();
+                let (sig, values) = (name(*sig), values.join(", "));
+                format!("\"kind\": \"reachable\", \"signal\": \"{sig}\", \"values\": [{values}]")
             }
-            Invariant::Eq { a, b } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\": \"eq\", \"a\": \"{}\", \"b\": \"{}\"}}",
-                    name(*a),
-                    name(*b)
-                );
-            }
-            Invariant::Le { a, b } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\": \"le\", \"a\": \"{}\", \"b\": \"{}\"}}",
-                    name(*a),
-                    name(*b)
-                );
-            }
+            Invariant::Eq { a, b } => pair("eq", *a, *b),
+            Invariant::Le { a, b } => pair("le", *a, *b),
             Invariant::Offset { a, b, delta } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\": \"offset\", \"a\": \"{}\", \"b\": \"{}\", \"delta\": {delta}}}",
-                    name(*a),
-                    name(*b)
-                );
+                format!("{}, \"delta\": {delta}", pair("offset", *a, *b))
             }
-        }
+        };
+        let _ = write!(out, "\n    {{{body}}}");
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -364,6 +336,217 @@ mod tests {
     use super::*;
     use clockless_core::model::fig1_model;
 
+    /// The table whose row at delta `d` is `rows[d]`.
+    fn table_of(rows: &[Vec<Value>]) -> MonitorTable {
+        let width = rows.first().map_or(0, Vec::len);
+        let events = (rows.iter().enumerate())
+            .flat_map(|(d, row)| row.iter().enumerate().map(move |(i, &v)| (d as u64, i, v)));
+        MonitorTable::from_events(rows.len() as u64, vec![Value::Disc; width], events)
+    }
+
+    /// The table's row at every delta, expanded from its change points.
+    fn dense_rows(table: &MonitorTable) -> Vec<Vec<Value>> {
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let hold = |rows: &mut Vec<Vec<Value>>, upto: u64| {
+            while (rows.len() as u64) < upto {
+                rows.push(rows.last().expect("delta 0 comes first").clone());
+            }
+        };
+        table.replay(|d, _, row| {
+            hold(&mut rows, d);
+            rows.push(row.to_vec());
+        });
+        hold(&mut rows, table.deltas);
+        rows
+    }
+
+    /// The reference miner: every register's full column, one value per
+    /// delta, and every rule decided over whole columns.
+    fn mine_dense(signals: &[CheckSignal], rows: &[Vec<Value>]) -> Vec<Invariant> {
+        if signals.is_empty() || rows.is_empty() {
+            return Vec::new();
+        }
+        let mut numeric: Vec<(usize, Vec<i64>)> = Vec::new();
+        for (i, sig) in signals.iter().enumerate() {
+            if sig.kind != SignalKind::Register {
+                continue;
+            }
+            let column: Option<Vec<i64>> = rows.iter().map(|row| row[i].num()).collect();
+            if let Some(column) = column {
+                numeric.push((i, column));
+            }
+        }
+        let mut rules = Vec::new();
+        for (sig, column) in &numeric {
+            let min = *column.iter().min().expect("non-empty trajectory");
+            let max = *column.iter().max().expect("non-empty trajectory");
+            rules.push(Invariant::Range {
+                sig: *sig,
+                min,
+                max,
+            });
+            let distinct: BTreeSet<i64> = column.iter().copied().collect();
+            if distinct.len() <= REACHABLE_MAX {
+                rules.push(Invariant::Reachable {
+                    sig: *sig,
+                    values: distinct.into_iter().collect(),
+                });
+            }
+        }
+        for (p, (a, xs)) in numeric.iter().enumerate() {
+            for (b, ys) in numeric.iter().skip(p + 1) {
+                let pairs = || xs.iter().copied().zip(ys.iter().copied());
+                if pairs().all(|(x, y)| x == y) {
+                    rules.push(Invariant::Eq { a: *a, b: *b });
+                } else if pairs().all(|(x, y)| x.wrapping_sub(y) == xs[0].wrapping_sub(ys[0])) {
+                    rules.push(Invariant::Offset {
+                        a: *a,
+                        b: *b,
+                        delta: xs[0].wrapping_sub(ys[0]),
+                    });
+                } else if pairs().all(|(x, y)| x <= y) {
+                    rules.push(Invariant::Le { a: *a, b: *b });
+                } else if pairs().all(|(x, y)| y <= x) {
+                    rules.push(Invariant::Le { a: *b, b: *a });
+                }
+            }
+        }
+        rules
+    }
+
+    /// Every corpus model and both IKS chips, by label.
+    fn corpus_models() -> Vec<(String, RtModel)> {
+        let mut models: Vec<(String, RtModel)> = Vec::new();
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models");
+        for entry in std::fs::read_dir(dir).expect("models directory") {
+            let path = entry.expect("entry").path();
+            if path.extension().and_then(|e| e.to_str()) != Some("rtl") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable");
+            let model = clockless_core::text::parse_model(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            models.push((path.display().to_string(), model));
+        }
+        assert!(
+            models.len() >= 5,
+            "corpus shrank to {} models",
+            models.len()
+        );
+        use clockless_iks::prelude::*;
+        let constants = IkConstants::new(ArmGeometry::new(1.0, 1.0));
+        let ik = build_ik_chip(to_fx(1.0), to_fx(1.0), constants)
+            .expect("ik chip")
+            .model;
+        models.push(("ik chip".to_string(), ik));
+        let samples = [to_fx(0.5), to_fx(1.5), to_fx(-1.0), to_fx(2.0)];
+        let coeffs = [to_fx(2.0), to_fx(-0.5), to_fx(0.25), to_fx(1.0)];
+        let fir = clockless_iks::build_fir_chip(samples, coeffs).expect("fir chip");
+        models.push(("fir chip".to_string(), fir));
+        models
+    }
+
+    /// Mining at change points finds, rule for rule, what the full-column
+    /// reference finds: on the corpus, both IKS chips and the fuzz zoo's
+    /// generators, and on random tables whose registers wander over a
+    /// small palette with an occasional `DISC`.
+    #[test]
+    fn change_points_mine_what_full_columns_mine() {
+        use crate::fuzz::{generate_hls_model, generate_model};
+        let mut models = corpus_models();
+        for seed in 0..8 {
+            models.push((format!("zoo seed {seed}"), generate_model(seed)));
+            models.push((format!("hls seed {seed}"), generate_hls_model(seed)));
+        }
+        let mut mined = 0;
+        for (label, model) in &models {
+            let signals = check_signals(model);
+            let Ok(table) = record_table(model, &signals) else {
+                continue;
+            };
+            let rules = mine_invariants(&signals, &table);
+            assert_eq!(rules, mine_dense(&signals, &dense_rows(&table)), "{label}");
+            mined += rules.len();
+        }
+        assert!(mined > 100, "only {mined} rules mined");
+
+        // Registers of `REACHABLE_MAX` and of one more distinct values.
+        let signals: Vec<CheckSignal> = (0..2)
+            .map(|i| CheckSignal {
+                name: format!("S{i}"),
+                kind: SignalKind::Register,
+            })
+            .collect();
+        let rows: Vec<Vec<Value>> = (0..=REACHABLE_MAX as i64)
+            .map(|d| vec![Value::Num(d.min(REACHABLE_MAX as i64 - 1)), Value::Num(d)])
+            .collect();
+        let rules = mine_invariants(&signals, &table_of(&rows));
+        assert_eq!(rules, mine_dense(&signals, &rows));
+        let reachable = |sig| {
+            rules.iter().any(|r| {
+                *r == Invariant::Reachable {
+                    sig,
+                    values: (0..REACHABLE_MAX as i64 + i64::from(sig == 1)).collect(),
+                }
+            })
+        };
+        assert!(reachable(0) && !reachable(1), "{rules:?}");
+
+        let mut rng = 0x5eed_u64;
+        let mut next = move |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        let mut kinds = [0usize; 5];
+        for trial in 0..2000 {
+            let width = 1 + next(5) as usize;
+            let signals: Vec<CheckSignal> = (0..width)
+                .map(|i| CheckSignal {
+                    name: format!("S{i}"),
+                    kind: [SignalKind::Register, SignalKind::Bus][usize::from(next(5) == 0)],
+                })
+                .collect();
+            let mut row: Vec<Value> = (0..width).map(|_| Value::Num(next(4) as i64)).collect();
+            let mut rows = Vec::new();
+            for _ in 0..1 + next(12) {
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v = match next(9) {
+                        0 if next(8) == 0 => Value::Disc,
+                        0 => Value::Num(next(4) as i64 - 1),
+                        // Follow the signal before, so relations survive.
+                        1 if i > 0 => Value::Num(row_num(&rows, i - 1) + next(2) as i64),
+                        _ => *v,
+                    };
+                }
+                rows.push(row.clone());
+            }
+            let table = table_of(&rows);
+            let rules = mine_invariants(&signals, &table);
+            assert_eq!(
+                rules,
+                mine_dense(&signals, &rows),
+                "trial {trial}: {rows:?}"
+            );
+            for rule in &rules {
+                kinds[match rule {
+                    Invariant::Range { .. } => 0,
+                    Invariant::Reachable { .. } => 1,
+                    Invariant::Eq { .. } => 2,
+                    Invariant::Offset { .. } => 3,
+                    Invariant::Le { .. } => 4,
+                }] += 1;
+            }
+        }
+        assert!(kinds.iter().all(|&k| k > 100), "{kinds:?}");
+    }
+
+    /// The number signal `i` held in the last of `rows`, or 0.
+    fn row_num(rows: &[Vec<Value>], i: usize) -> i64 {
+        rows.last().and_then(|row| row[i].num()).unwrap_or(0)
+    }
+
     #[test]
     fn fig1_mines_the_expected_laws() {
         let model = fig1_model(3, 4);
@@ -413,10 +596,10 @@ mod tests {
         // 3 deltas: A==B always; C = A + 10; D bounds A from above but
         // is neither equal nor a constant offset.
         let rows: &[[i64; 4]] = &[[1, 1, 11, 5], [2, 2, 12, 5], [1, 1, 11, 5]];
-        let table = MonitorTable {
-            deltas: rows.len() as u64,
-            values: rows.iter().flatten().map(|&v| Value::Num(v)).collect(),
-        };
+        let rows: Vec<Vec<Value>> = (rows.iter())
+            .map(|row| row.iter().map(|&v| Value::Num(v)).collect())
+            .collect();
+        let table = table_of(&rows);
         let mined = mine_invariants(&signals, &table);
         let rendered: Vec<String> = mined.iter().map(|r| r.render(&signals)).collect();
         assert!(rendered.contains(&"A == B".to_string()));
@@ -436,11 +619,10 @@ mod tests {
             name: "R".to_string(),
             kind: SignalKind::Register,
         }];
-        let table = MonitorTable {
-            deltas: 2,
-            values: vec![Value::Num(1), Value::Disc],
-        };
+        let table = table_of(&[vec![Value::Num(1)], vec![Value::Disc]]);
         assert!(mine_invariants(&signals, &table).is_empty());
+        // A table of no delta shows no value at all.
+        assert!(mine_invariants(&signals, &table_of(&[])).is_empty());
     }
 
     #[test]
@@ -465,37 +647,7 @@ mod tests {
         use crate::monitor::{build_checkers, CheckerMode};
         use clockless_core::{execute_checked, Backend, ExecOptions};
 
-        let mut models: Vec<(String, clockless_core::RtModel)> = Vec::new();
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models");
-        for entry in std::fs::read_dir(dir).expect("models directory") {
-            let path = entry.expect("entry").path();
-            if path.extension().and_then(|e| e.to_str()) != Some("rtl") {
-                continue;
-            }
-            let text = std::fs::read_to_string(&path).expect("readable");
-            let model = clockless_core::text::parse_model(&text)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            models.push((path.display().to_string(), model));
-        }
-        assert!(
-            models.len() >= 5,
-            "corpus shrank to {} models",
-            models.len()
-        );
-        {
-            use clockless_iks::prelude::*;
-            let constants = IkConstants::new(ArmGeometry::new(1.0, 1.0));
-            let ik = build_ik_chip(to_fx(1.0), to_fx(1.0), constants)
-                .expect("ik chip")
-                .model;
-            models.push(("ik chip".to_string(), ik));
-            let samples = [to_fx(0.5), to_fx(1.5), to_fx(-1.0), to_fx(2.0)];
-            let coeffs = [to_fx(2.0), to_fx(-0.5), to_fx(0.25), to_fx(1.0)];
-            let fir = clockless_iks::build_fir_chip(samples, coeffs).expect("fir chip");
-            models.push(("fir chip".to_string(), fir));
-        }
-
-        for (label, model) in &models {
+        for (label, model) in &corpus_models() {
             let program = build_checkers(model, CheckerMode::All)
                 .unwrap_or_else(|e| panic!("{label}: {e}"))
                 .expect("All mode always yields a program");

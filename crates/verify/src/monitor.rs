@@ -118,9 +118,9 @@ impl FromStr for CheckerMode {
 /// Builds the [`CheckProgram`] for `model` under `mode`, or `None` for
 /// [`CheckerMode::Off`].
 ///
-/// One clean interpreter run records the per-delta value table of every
-/// register output and bus; the table *is* the golden monitor, and the
-/// invariant miner learns from its register rows. Both backends produce
+/// One clean interpreter run records the trajectory of every register
+/// output, memory word and bus; the table *is* the golden monitor, and
+/// the invariant miner learns from its registers. Both backends produce
 /// byte-identical per-delta values, so the recording is engine-agnostic.
 ///
 /// # Errors

@@ -183,6 +183,49 @@ big_out="$( (ulimit -v 4000000; printf '%s\n' \
 grep -q '"id":2,"op":"ping","ok":true,"payload":"pong\\n"' <<<"$big_out"
 rm -rf "$big_dir"
 
+echo "== checker admission (checker tables and clocked routes grow with activity, not steps)"
+huge_dir="$(mktemp -d)"
+# 20 registers, no transfer: 12,000,001 deltas in which nothing changes.
+{
+  printf 'model huge steps 2000000\n'
+  for i in $(seq 0 19); do printf 'register R%d init %d\n' "$i" "$i"; done
+} > "$huge_dir/huge.rtl"
+sed 's/steps 2000000/steps 2000/' "$huge_dir/huge.rtl" > "$huge_dir/short.rtl"
+./target/release/clockless mine "$huge_dir/short.rtl" > "$huge_dir/short.json"
+(ulimit -v 200000; ./target/release/clockless mine "$huge_dir/huge.rtl") > "$huge_dir/huge.json"
+cmp "$huge_dir/short.json" "$huge_dir/huge.json"
+# What is left in a batched campaign is the step-indexed compiled stream.
+for checkers in golden invariants all; do
+  huge_out="$( (ulimit -v 2000000; ./target/release/clockless faults "$huge_dir/huge.rtl" --checkers "$checkers") 2>&1)"
+  grep -q "checkers $checkers): 40 faults, 40 detected" <<<"$huge_out"
+done
+# The daemon answers a checked campaign of the same model, then a ping.
+huge_model="$(awk '{printf "%s\\n", $0}' "$huge_dir/huge.rtl")"
+huge_status=0
+huge_out="$( (ulimit -v 2000000; printf '%s\n' \
+  "{\"id\":1,\"op\":\"faults\",\"model\":\"$huge_model\",\"checkers\":\"all\"}" \
+  '{"id":2,"op":"ping"}' | timeout 60 ./target/release/clockless serve) 2>&1)" || huge_status=$?
+[ "$huge_status" -eq 0 ]
+grep -q '"id":1,"op":"faults","ok":true,"payload":"{\\n  \\"campaign\\": {\\"model\\": \\"huge\\"' <<<"$huge_out"
+grep -q '"id":2,"op":"ping","ok":true,"payload":"pong\\n"' <<<"$huge_out"
+# Clocked routing tables hold occupied steps only: the big model's
+# VHDL has none, and its translation fails in its equivalence run.
+printf 'model big steps 4000000000\nregister A init 1\n' > "$huge_dir/big.rtl"
+big_out="$( (ulimit -v 4000000; timeout 5 ./target/release/clockless vhdl "$huge_dir/big.rtl" --clocked) 2>&1)"
+grep -q "4000000000 steps, 0 control signals" <<<"$big_out"
+big_status=0
+big_out="$( (ulimit -v 4000000; timeout 5 ./target/release/clockless translate "$huge_dir/big.rtl") 2>&1)" || big_status=$?
+[ "$big_status" -eq 1 ]
+grep -q "delta-cycle limit 100000000 exhausted" <<<"$big_out"
+sed 's/steps 7/steps 10000000/' models/fig1.rtl > "$huge_dir/long.rtl"
+(ulimit -v 30720; ./target/release/clockless vhdl "$huge_dir/long.rtl" --clocked) > "$huge_dir/long.vhd"
+grep -q "10000000 steps, 7 control signals" "$huge_dir/long.vhd"
+# A reader that closes the pipe early ends the command quietly.
+./target/release/clockless faults models/iks_ik.rtl 2>"$huge_dir/pipe.err" | true
+[ "${PIPESTATUS[0]}" -eq 0 ]
+[ ! -s "$huge_dir/pipe.err" ]
+rm -rf "$huge_dir"
+
 echo "== backend sweep (compiled engine must be byte-identical to interpreted)"
 for model in models/*.rtl; do
   interp_status=0 compiled_status=0

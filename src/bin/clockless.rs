@@ -70,10 +70,16 @@
 //! has no `nc`): it pipes stdin to the daemon and prints response lines;
 //! `--payload` unwraps success envelopes to their raw CLI documents.
 //!
+//! Every command but `serve` prints through one locked stdout handle. A
+//! reader that closes the pipe early (`clockless faults m.rtl | head -1`)
+//! ends the command quietly with status 0; any other failed write is an
+//! error.
+//!
 //! Models use the declarative text format of `clockless_core::text`
 //! (see `models/` for examples); files ending in `.vhd`/`.vhdl` are read
 //! as VHDL source in the paper's subset instead.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use clockless::clocked::{check_clocked_equivalence, ClockScheme, ClockedDesign};
@@ -218,8 +224,28 @@ fn check_report_json(artifact: &str, report: &clockless::core::CheckReport) -> S
     )
 }
 
+/// Why a command failed: a message for stderr, or a failed write of its
+/// output.
+enum Failure {
+    Message(String),
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Message(msg)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Output(e)
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn cmd_run(
+    out: &mut impl Write,
     path: &str,
     json: bool,
     trace: bool,
@@ -228,7 +254,7 @@ fn cmd_run(
     backend: Backend,
     opt: OptLevel,
     check: Option<&str>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let model = load(path)?;
     let options = ExecOptions {
         // JSON reports always trace: the document includes conflict
@@ -262,112 +288,122 @@ fn cmd_run(
             // `--check` the document is byte-identical to before.
             Some((artifact, report)) => {
                 let body = doc.strip_suffix("\n}\n").expect("run report shape");
-                print!(
+                write!(
+                    out,
                     "{body},\n  \"check\": {}\n}}\n",
                     check_report_json(artifact, report)
-                );
+                )?;
             }
-            None => print!("{doc}"),
+            None => write!(out, "{doc}")?,
         }
-        if let Some(out) = vcd {
+        if let Some(file) = vcd {
             let doc = outcome.vcd().expect("traced run exports VCD");
-            std::fs::write(out, doc).map_err(|e| format!("cannot write {out}: {e}"))?;
+            std::fs::write(file, doc).map_err(|e| format!("cannot write {file}: {e}"))?;
         }
         return match &verdict {
             Some((artifact, report)) if !report.is_clean() => {
-                Err(format!("{artifact}: value checks failed"))
+                Err(format!("{artifact}: value checks failed").into())
             }
             _ => Ok(()),
         };
     }
-    println!(
+    writeln!(
+        out,
         "model `{}`: {} steps, {} transfers — {}",
         model.name(),
         model.cs_max(),
         model.tuples().len(),
         summary.stats
-    );
-    println!("final register values:");
+    )?;
+    writeln!(out, "final register values:")?;
     for (name, value) in &summary.registers {
-        println!("  {name:<16} {value}");
+        writeln!(out, "  {name:<16} {value}")?;
     }
     if let Some(conflicts) = &summary.conflicts {
-        print!("{conflicts}");
+        write!(out, "{conflicts}")?;
     }
-    if let Some(out) = vcd {
+    if let Some(file) = vcd {
         let doc = outcome.vcd().expect("traced run exports VCD");
-        std::fs::write(out, doc).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("waveform written to {out}");
+        std::fs::write(file, doc).map_err(|e| format!("cannot write {file}: {e}"))?;
+        writeln!(out, "waveform written to {file}")?;
     }
     if let Some(cols) = transcript_cols {
         let names: Vec<&str> = cols.split(',').map(str::trim).collect();
         let table = transcript(&model, &names).map_err(|e| e.to_string())?;
-        println!("\nphase transcript:\n{table}");
+        writeln!(out, "\nphase transcript:\n{table}")?;
     }
     if let Some((artifact, report)) = &verdict {
         if report.is_clean() {
-            println!("value checks against {artifact}: clean");
+            writeln!(out, "value checks against {artifact}: clean")?;
         } else {
             if let Some(v) = &report.invariant {
-                println!("value checks against {artifact}: {v}");
+                writeln!(out, "value checks against {artifact}: {v}")?;
             }
             if let Some(v) = &report.monitor {
-                println!("value checks against {artifact}: {v}");
+                writeln!(out, "value checks against {artifact}: {v}")?;
             }
-            return Err(format!("{artifact}: value checks failed"));
+            return Err(format!("{artifact}: value checks failed").into());
         }
     }
     Ok(())
 }
 
-fn cmd_mine(path: &str) -> Result<(), String> {
+fn cmd_mine(out: &mut impl Write, path: &str) -> Result<(), Failure> {
     let model = load(path)?;
     let artifact = clockless::verify::mine_artifact(&model).map_err(|e| e.to_string())?;
-    print!("{artifact}");
+    write!(out, "{artifact}")?;
     Ok(())
 }
 
-fn cmd_check(path: &str) -> Result<(), String> {
+fn cmd_check(out: &mut impl Write, path: &str) -> Result<(), Failure> {
     let model = load(path)?;
     let cc = cross_check(&model).map_err(|e| e.to_string())?;
     if cc.predicted.is_empty() && cc.dynamic_only.is_empty() {
-        println!("conflict analysis: clean (static and dynamic agree)");
+        writeln!(out, "conflict analysis: clean (static and dynamic agree)")?;
         // The round trip is only meaningful on conflict-free schedules
         // (colliding routes make the reconstruction ambiguous).
         roundtrip_check(&model).map_err(|e| format!("semantics round trip failed: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "tuple/process round trip: ok ({} tuples)",
             model.tuples().len()
-        );
+        )?;
         let lints = clockless::verify::lint_model(&model);
         if lints.is_empty() {
-            println!("lints: clean");
+            writeln!(out, "lints: clean")?;
         } else {
-            println!("lints ({}):", lints.len());
+            writeln!(out, "lints ({}):", lints.len())?;
             for l in &lints {
-                println!("  warning: {l}");
+                writeln!(out, "  warning: {l}")?;
             }
         }
         return Ok(());
     }
-    println!("static predictions ({}):", cc.predicted.len());
+    writeln!(out, "static predictions ({}):", cc.predicted.len())?;
     for p in &cc.predicted {
-        println!("  {p}  -> visible at {}", p.visible_at());
+        writeln!(out, "  {p}  -> visible at {}", p.visible_at())?;
     }
     if !cc.unconfirmed.is_empty() {
         return Err(format!(
             "{} static prediction(s) were not confirmed dynamically",
             cc.unconfirmed.len()
-        ));
+        )
+        .into());
     }
-    println!(
+    writeln!(
+        out,
         "all predictions confirmed dynamically; {} additional dynamic site(s) are propagation",
         cc.dynamic_only.len()
-    );
-    Err("model has resource conflicts".into())
+    )?;
+    Err(Failure::Message("model has resource conflicts".into()))
 }
 
-fn cmd_translate(path: &str, scheme: &str, period_ns: u64) -> Result<(), String> {
+fn cmd_translate(
+    out: &mut impl Write,
+    path: &str,
+    scheme: &str,
+    period_ns: u64,
+) -> Result<(), Failure> {
     let model = load(path)?;
     let scheme = match scheme {
         "one" => ClockScheme::OneCyclePerStep {
@@ -376,52 +412,57 @@ fn cmd_translate(path: &str, scheme: &str, period_ns: u64) -> Result<(), String>
         "two" => ClockScheme::TwoCyclesPerStep {
             period_fs: period_ns * NS,
         },
-        other => return Err(format!("unknown scheme `{other}` (expected one|two)")),
+        other => return Err(format!("unknown scheme `{other}` (expected one|two)").into()),
     };
     let design = ClockedDesign::translate(&model, scheme).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "translated `{}`: {} cycles @ {period_ns} ns, {} control signals",
         model.name(),
         design.total_cycles(),
         design.tables().control_signal_count()
-    );
+    )?;
     let report = check_clocked_equivalence(&model, scheme).map_err(|e| e.to_string())?;
     if report.equivalent() {
-        println!("commit-trace equivalence vs. the clock-free model: ok");
+        writeln!(out, "commit-trace equivalence vs. the clock-free model: ok")?;
         Ok(())
     } else {
-        Err(format!("translation NOT equivalent:\n{report}"))
+        Err(format!("translation NOT equivalent:\n{report}").into())
     }
 }
 
-fn cmd_stats(path: &str, json: bool) -> Result<(), String> {
+fn cmd_stats(out: &mut impl Write, path: &str, json: bool) -> Result<(), Failure> {
     let model = load(path)?;
     if json {
         // The JSON report includes kernel counters, so it runs the model.
         let mut sim = RtSimulation::new(&model).map_err(|e| e.to_string())?;
         sim.run_to_completion().map_err(|e| e.to_string())?;
-        print!("{}", sim.stats_report().to_json());
+        write!(out, "{}", sim.stats_report().to_json())?;
     } else {
-        print!("{}", clockless::core::model_stats(&model));
+        write!(out, "{}", clockless::core::model_stats(&model))?;
     }
     Ok(())
 }
 
 fn cmd_fleet(
+    out: &mut impl Write,
     inputs: &[&str],
     jobs: usize,
     json: bool,
     timing: bool,
     config: &clockless::fleet::FleetConfig,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let spec = match inputs {
-        [] => return Err("fleet needs a .fleet spec or .rtl model files".into()),
+        [] => {
+            let msg = "fleet needs a .fleet spec or .rtl model files";
+            return Err(Failure::Message(msg.into()));
+        }
         [single] if single.ends_with(".fleet") => {
             BatchSpec::load(single).map_err(|e| e.to_string())?
         }
         paths => {
             if let Some(bad) = paths.iter().find(|p| p.ends_with(".fleet")) {
-                return Err(format!("spec file {bad} cannot be mixed with model paths"));
+                return Err(format!("spec file {bad} cannot be mixed with model paths").into());
             }
             BatchSpec::from_rtl_paths(paths.iter().copied())
         }
@@ -429,25 +470,29 @@ fn cmd_fleet(
     let report =
         clockless::fleet::run_batch_with(&spec, jobs, config).map_err(|e| e.to_string())?;
     if json {
-        print!("{}", report.to_json(timing));
+        write!(out, "{}", report.to_json(timing))?;
     } else {
-        print!("{report}");
+        write!(out, "{report}")?;
         let conflicted = report.conflicted_jobs();
         if conflicted > 0 {
-            println!("{conflicted} job(s) reported resource conflicts (see --json for sites)");
+            writeln!(
+                out,
+                "{conflicted} job(s) reported resource conflicts (see --json for sites)"
+            )?;
         }
     }
     let failed = report.failed_jobs();
     if failed > 0 {
         // The report (stdout) stays byte-identical at any worker count;
         // the failure signal goes to stderr + the exit code.
-        return Err(format!("{failed} job(s) quarantined"));
+        return Err(format!("{failed} job(s) quarantined").into());
     }
     Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
 fn cmd_faults(
+    out: &mut impl Write,
     path: &str,
     seed: Option<u64>,
     classes: Option<&str>,
@@ -458,7 +503,7 @@ fn cmd_faults(
     opt: OptLevel,
     engine: clockless::verify::CampaignEngine,
     checkers: clockless::verify::CheckerMode,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let model = load(path)?;
     let mut config = clockless::verify::CampaignConfig {
         workers: jobs,
@@ -479,19 +524,19 @@ fn cmd_faults(
     }
     let report = clockless::verify::run_campaign(&model, &config).map_err(|e| e.to_string())?;
     if json {
-        print!("{}", report.to_json());
+        write!(out, "{}", report.to_json())?;
     } else {
-        print!("{report}");
+        write!(out, "{report}")?;
     }
     Ok(())
 }
 
-fn cmd_fuzz(seed: u64, count: usize, json: bool) -> Result<(), String> {
+fn cmd_fuzz(out: &mut impl Write, seed: u64, count: usize, json: bool) -> Result<(), Failure> {
     let report = clockless::verify::run_fuzz(seed, count);
     if json {
-        print!("{}", report.to_json());
+        write!(out, "{}", report.to_json())?;
     } else {
-        print!("{report}");
+        write!(out, "{report}")?;
     }
     if report.clean() {
         Ok(())
@@ -499,7 +544,8 @@ fn cmd_fuzz(seed: u64, count: usize, json: bool) -> Result<(), String> {
         Err(format!(
             "{} divergence(s) found (re-run with the printed seeds)",
             report.divergence_count
-        ))
+        )
+        .into())
     }
 }
 
@@ -538,7 +584,7 @@ fn cmd_client(socket: &str, payload_only: bool) -> Result<(), String> {
     .map_err(|e| format!("client: {e}"))
 }
 
-fn cmd_vhdl(path: &str, clocked: bool) -> Result<(), String> {
+fn cmd_vhdl(out: &mut impl Write, path: &str, clocked: bool) -> Result<(), Failure> {
     let model = load(path)?;
     let text = if clocked {
         let design =
@@ -547,15 +593,15 @@ fn cmd_vhdl(path: &str, clocked: bool) -> Result<(), String> {
     } else {
         clockless::core::emit_vhdl(&model).map_err(|e| e.to_string())?
     };
-    print!("{text}");
+    write!(out, "{text}")?;
     Ok(())
 }
 
-fn cmd_explain(tuple: &str) -> Result<(), String> {
+fn cmd_explain(out: &mut impl Write, tuple: &str) -> Result<(), Failure> {
     let t: TransferTuple = tuple.parse().map_err(|e| format!("{e}"))?;
-    println!("tuple {t} expands into the transfer processes:");
+    writeln!(out, "tuple {t} expands into the transfer processes:")?;
     for spec in t.expand() {
-        println!("  {:<24} {spec}", spec.instance_name());
+        writeln!(out, "  {:<24} {spec}", spec.instance_name())?;
     }
     Ok(())
 }
@@ -565,6 +611,28 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
+    // The daemon writes its responses from a thread of its own, so it
+    // alone does not print through the locked handle below.
+    if cmd == "serve" {
+        let workers = match flag_value(&args, "--jobs") {
+            FlagValue::Absent => 1,
+            FlagValue::Parsed(n) if n >= 1 => n,
+            _ => return usage(),
+        };
+        let cache = match flag_value(&args, "--cache") {
+            FlagValue::Absent => 64,
+            FlagValue::Parsed(n) if n >= 1 => n,
+            _ => return usage(),
+        };
+        let socket = args
+            .iter()
+            .position(|a| a == "--socket")
+            .and_then(|i| args.get(i + 1))
+            .map(String::as_str);
+        return exit_status(cmd_serve(socket, workers, cache).map_err(Failure::Message));
+    }
+    let mut out = io::stdout().lock();
+    let out = &mut out;
     let result = match cmd.as_str() {
         "run" => {
             let positional = positional_args(&args);
@@ -598,26 +666,26 @@ fn main() -> ExitCode {
                 .position(|a| a == "--check")
                 .and_then(|i| args.get(i + 1))
                 .map(String::as_str);
-            cmd_run(path, json, trace, vcd, cols, backend, opt, check)
+            cmd_run(out, path, json, trace, vcd, cols, backend, opt, check)
         }
         "check" => {
             let Some(path) = args.get(1) else {
                 return usage();
             };
-            cmd_check(path)
+            cmd_check(out, path)
         }
         "mine" => {
             let Some(path) = args.get(1) else {
                 return usage();
             };
-            cmd_mine(path)
+            cmd_mine(out, path)
         }
         "stats" => {
             let Some(path) = args.get(1) else {
                 return usage();
             };
             let json = args.iter().any(|a| a == "--json");
-            cmd_stats(path, json)
+            cmd_stats(out, path, json)
         }
         "fleet" => {
             let json = args.iter().any(|a| a == "--json");
@@ -662,7 +730,7 @@ fn main() -> ExitCode {
             if positional.is_empty() {
                 return usage();
             }
-            cmd_fleet(&positional, jobs, json, timing, &config)
+            cmd_fleet(out, &positional, jobs, json, timing, &config)
         }
         "faults" => {
             let json = args.iter().any(|a| a == "--json");
@@ -711,7 +779,7 @@ fn main() -> ExitCode {
                 return usage();
             };
             cmd_faults(
-                path, seed, classes, max, jobs, json, backend, opt, engine, checkers,
+                out, path, seed, classes, max, jobs, json, backend, opt, engine, checkers,
             )
         }
         "fuzz" => {
@@ -726,25 +794,7 @@ fn main() -> ExitCode {
                 _ => return usage(),
             };
             let json = args.iter().any(|a| a == "--json");
-            cmd_fuzz(seed, count, json)
-        }
-        "serve" => {
-            let workers = match flag_value(&args, "--jobs") {
-                FlagValue::Absent => 1,
-                FlagValue::Parsed(n) if n >= 1 => n,
-                _ => return usage(),
-            };
-            let cache = match flag_value(&args, "--cache") {
-                FlagValue::Absent => 64,
-                FlagValue::Parsed(n) if n >= 1 => n,
-                _ => return usage(),
-            };
-            let socket = args
-                .iter()
-                .position(|a| a == "--socket")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str);
-            cmd_serve(socket, workers, cache)
+            cmd_fuzz(out, seed, count, json)
         }
         "client" => {
             let positional = positional_args(&args);
@@ -752,7 +802,7 @@ fn main() -> ExitCode {
                 return usage();
             };
             let payload = args.iter().any(|a| a == "--payload");
-            cmd_client(socket, payload)
+            cmd_client(socket, payload).map_err(Failure::Message)
         }
         "translate" => {
             let Some(path) = args.get(1) else {
@@ -770,26 +820,39 @@ fn main() -> ExitCode {
                 .and_then(|i| args.get(i + 1))
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(10);
-            cmd_translate(path, scheme, period_ns)
+            cmd_translate(out, path, scheme, period_ns)
         }
         "vhdl" => {
             let Some(path) = args.get(1) else {
                 return usage();
             };
             let clocked = args.iter().any(|a| a == "--clocked");
-            cmd_vhdl(path, clocked)
+            cmd_vhdl(out, path, clocked)
         }
         "explain" => {
             let Some(tuple) = args.get(1) else {
                 return usage();
             };
-            cmd_explain(tuple)
+            cmd_explain(out, tuple)
         }
         _ => return usage(),
     };
+    let flushed = out.flush();
+    exit_status(result.and_then(|()| Ok(flushed?)))
+}
+
+/// The exit status of a command's result. A closed stdout — a reader
+/// such as `head` that has read enough — is no failure: the command
+/// exits quietly with success.
+fn exit_status(result: Result<(), Failure>) -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }

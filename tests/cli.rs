@@ -789,3 +789,39 @@ fn run_vcd_matches_goldens_on_every_backend_and_level() {
         }
     }
 }
+
+/// A reader that closes the pipe before the command writes (`| head -1`,
+/// `| true`) ends the command quietly: status 0 and no panic. Write errors
+/// other than a closed pipe still fail the command.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    for args in [
+        ["run", "models/iks_ik.rtl", "--trace"],
+        ["faults", "models/iks_ik.rtl", "--json"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = cli()
+            .arg(args[0])
+            .arg(repo_path(args[1]))
+            .arg(args[2])
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+    if Path::new("/dev/full").exists() {
+        let full = std::fs::File::options().write(true).open("/dev/full");
+        let out = cli()
+            .args(["run", &repo_path("models/fig1.rtl")])
+            .stdout(full.expect("/dev/full opens"))
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cannot write output"), "{stderr}");
+    }
+}

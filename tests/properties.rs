@@ -695,6 +695,146 @@ fn golden_walk_records_what_the_kernel_records() {
     }
 }
 
+// ---- Monitor tables: one trajectory, stored as its changes --------------
+
+/// The dense reference recorder: a kernel run that logs the commits of
+/// `signals` (`observe_commits`), replayed into one row of end-of-delta
+/// values per delta. It is the recording the change log replaced.
+fn dense_kernel_rows(
+    model: &RtModel,
+    signals: &[clockless::core::CheckSignal],
+) -> Result<Vec<Vec<Value>>, String> {
+    use clockless::core::{elaborate, SignalKind};
+    let (mut kernel, layout) = elaborate(model, ElaborateOptions::default());
+    kernel.initialize().map_err(|e| e.to_string())?;
+    let ids: Vec<_> = (signals.iter())
+        .map(|s| match s.kind {
+            SignalKind::Register => {
+                layout.reg_out[model.register_by_name(&s.name).unwrap().0 as usize]
+            }
+            SignalKind::Bus => layout.bus[model.bus_by_name(&s.name).unwrap().0 as usize],
+            SignalKind::MemoryWord => (model.memories().iter().enumerate())
+                .find_map(|(mi, m)| {
+                    let i = (0..m.len).find(|&i| m.word_name(i) == s.name)?;
+                    Some(layout.mem_word[mi][i as usize])
+                })
+                .expect("a memory word of the model"),
+        })
+        .collect();
+    let mut row: Vec<Value> = ids.iter().map(|&id| *kernel.value(id)).collect();
+    kernel.observe_commits(&ids);
+    let deltas = kernel.run().map_err(|e| e.to_string())?.delta_cycles;
+    let index: HashMap<_, usize> = ids
+        .iter()
+        .enumerate()
+        .rev()
+        .map(|(i, &id)| (id, i))
+        .collect();
+    let mut log = kernel.commit_log().iter().peekable();
+    let mut rows = Vec::new();
+    for d in 0..deltas {
+        while let Some((_, id, v)) = log.next_if(|(delta, ..)| *delta == d) {
+            row[index[id]] = *v;
+        }
+        rows.push(row.clone());
+    }
+    Ok(rows)
+}
+
+/// The table's row at every delta, from replaying its change log.
+fn replayed_rows(table: &clockless::core::MonitorTable) -> Vec<Vec<Value>> {
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    table.replay(|d, changed, row| {
+        let last = rows.last().cloned();
+        rows.resize(d as usize, last.unwrap_or_default());
+        if d > 0 {
+            // A visit lists exactly the signals that moved.
+            let moved: Vec<usize> = (0..row.len())
+                .filter(|&i| rows[d as usize - 1][i] != row[i])
+                .collect();
+            assert_eq!(changed, moved, "delta {d}");
+        }
+        rows.push(row.to_vec());
+    });
+    let last = rows.last().cloned().unwrap_or_default();
+    rows.resize(table.deltas as usize, last);
+    rows
+}
+
+/// Both recorders' tables — the kernel's and the compiled walk's at every
+/// `-O` level — replay, delta by delta, into the rows the dense reference
+/// recorder builds from the kernel's raw commit log. Returns how many
+/// changes the table logs.
+fn assert_tables_replay_the_dense_rows(model: &RtModel, what: &str) -> usize {
+    use clockless::core::{check_signals, record_table};
+    let signals = check_signals(model);
+    let dense = dense_kernel_rows(model, &signals);
+    let table = record_table(model, &signals).map_err(|e| e.to_string());
+    let (dense, table) = match (dense, table) {
+        (Ok(dense), Ok(table)) => (dense, table),
+        (Err(dense), Err(table)) => {
+            assert_eq!(dense, table, "{what}");
+            return 0;
+        }
+        (dense, table) => panic!("{what}: {dense:?} vs {table:?}"),
+    };
+    assert_eq!(replayed_rows(&table), dense, "{what}: kernel table");
+    let changes: usize = (1..dense.len())
+        .map(|d| {
+            (0..signals.len())
+                .filter(|&i| dense[d - 1][i] != dense[d][i])
+                .count()
+        })
+        .sum();
+    let mut logged = 0;
+    table.replay(|d, changed, _| logged += if d > 0 { changed.len() } else { 0 });
+    assert_eq!(logged, changes, "{what}: only changes are logged");
+    let plan = ExecPlan::lower(model);
+    for level in OptLevel::ALL {
+        let options = ExecOptions::default().at_opt(level);
+        let (_, walk) = plan.execute_recorded(&signals, &options).expect("walks");
+        assert_eq!(walk, table, "{what}: walk table at -O{level}");
+    }
+    changes
+}
+
+/// The one trajectory over every corpus model, both IKS chips and the
+/// fuzz zoo's generators.
+#[test]
+fn monitor_tables_replay_the_kernels_dense_rows() {
+    use clockless::iks::prelude::*;
+    use clockless::verify::{generate_hls_model, generate_model};
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/models");
+    let mut paths: Vec<_> = std::fs::read_dir(corpus)
+        .expect("corpus")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rtl"))
+        .collect();
+    paths.sort();
+    let mut changes = 0;
+    for path in &paths {
+        let text = std::fs::read_to_string(path).expect("readable");
+        let model = clockless::core::text::parse_model(&text).expect("corpus model parses");
+        changes += assert_tables_replay_the_dense_rows(&model, &path.display().to_string());
+    }
+    let constants = IkConstants::new(ArmGeometry::new(1.0, 1.0));
+    let ik = build_ik_chip(to_fx(1.0), to_fx(0.5), constants).expect("ik chip");
+    changes += assert_tables_replay_the_dense_rows(&ik.model, "iks ik chip");
+    let samples = [to_fx(0.5), to_fx(1.5), to_fx(-1.0), to_fx(2.0)];
+    let coeffs = [to_fx(2.0), to_fx(-0.5), to_fx(0.25), to_fx(1.0)];
+    let fir = clockless::iks::build_fir_chip(samples, coeffs).expect("fir chip");
+    changes += assert_tables_replay_the_dense_rows(&fir, "iks fir chip");
+    for case in 0..HEAVY_CASES {
+        let seed = Rng::new(0x7AB1_0000 + case).next_u64();
+        let what = format!("case {case} (seed {seed})");
+        changes +=
+            assert_tables_replay_the_dense_rows(&generate_model(seed), &format!("{what} model"));
+        let hls = generate_hls_model(seed);
+        changes += assert_tables_replay_the_dense_rows(&hls, &format!("{what} HLS model"));
+    }
+    assert!(changes > 500, "only {changes} changes logged");
+}
+
 // ---- Fleet: one resolution per source -----------------------------------
 
 /// Runs `jobs` as one batch, where jobs sharing a source share its
