@@ -680,7 +680,7 @@ impl<'p> LaneChecks<'p> {
                 (Some(_), None) | (None, None) => unreachable!("guards and loop condition"),
             };
             let w = word(i);
-            let diverged = open & lanes & w.diff(&W::splat(row[i]));
+            let diverged = open & lanes & w.differs(row[i]);
             for c in bits(diverged) {
                 self.monitor[c] = Some(MonitorViolation {
                     signal: self.program.signals[i].name.clone(),
@@ -719,7 +719,11 @@ impl<'p> LaneChecks<'p> {
         for &k in &self.candidates {
             let inv = &self.program.invariants[k];
             let (a, b) = inv.operands();
-            let violated = inv.violated(open & (self.changed[a] | self.changed[b]), word);
+            let lanes = open & (self.changed[a] | self.changed[b]);
+            if lanes == 0 {
+                continue;
+            }
+            let violated = inv.violated(lanes, word);
             if violated == 0 {
                 continue;
             }

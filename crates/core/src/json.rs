@@ -309,20 +309,52 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// Escapes a string for inclusion in a JSON document.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    let _ = Escaped(&mut out).write_str(s);
     out
+}
+
+/// A [`fmt::Write`](std::fmt::Write) that escapes what it is given for
+/// a JSON string, as [`escape`] does, and writes it on to the inner
+/// writer: `write!(Escaped(&mut out), "{value}")` renders a value's
+/// `Display` text into a document without an intermediate `String`.
+///
+/// # Examples
+///
+/// ```
+/// use std::fmt::Write as _;
+///
+/// use clockless_core::json::Escaped;
+///
+/// let mut out = String::from("\"");
+/// write!(Escaped(&mut out), "{}", "a\"b").unwrap();
+/// assert_eq!(out, "\"a\\\"b");
+/// ```
+pub struct Escaped<'a, W: std::fmt::Write>(pub &'a mut W);
+
+impl<W: std::fmt::Write> std::fmt::Write for Escaped<'_, W> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let out = &mut *self.0;
+        // Runs that need no escape go through whole.
+        let mut plain = 0;
+        for (i, c) in s.char_indices() {
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '\n' => Some("\\n"),
+                '\t' => Some("\\t"),
+                '\r' => Some("\\r"),
+                c if (c as u32) < 0x20 => None,
+                _ => continue,
+            };
+            out.write_str(&s[plain..i])?;
+            match short {
+                Some(e) => out.write_str(e)?,
+                None => write!(out, "\\u{:04x}", c as u32)?,
+            }
+            plain = i + c.len_utf8();
+        }
+        out.write_str(&s[plain..])
+    }
 }
 
 /// Renders [`SimStats`] as a flat JSON object. Every counter is emitted

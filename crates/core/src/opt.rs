@@ -65,11 +65,12 @@ use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome, OptConfig};
 use crate::check::{CheckReport, LaneChecks, MonitorTable};
 use crate::phase::Phase;
 use crate::plan::{
-    DriverLayout, ExecPlan, Extension, GuardSig, Lanes, LoweredSpec, PlanChecks, Sink,
+    refill, DriverLayout, Drivers, ExecPlan, Extension, GuardSig, Lanes, LoweredSpec, PlanChecks,
+    Sink,
 };
 use crate::resource::ModuleTiming;
 use crate::value::Value;
-use crate::word::{bits, Word};
+use crate::word::{bits, Col, Word};
 
 /// Sentinel slot marking a direct-store destination (no driver state, no
 /// resolution).
@@ -538,9 +539,11 @@ impl Stream {
     ) -> Result<(Vec<Value>, SimStats, Option<CheckReport>), KernelError> {
         plan.check_delta_limit(options)?;
         let needed = [self.bounds.len() as u64 - 1];
-        let mut values: Vec<Value> = plan.signals.iter().map(|s| s.init).collect();
+        let mut state = WalkState::default();
+        state.values.extend(plan.signals.iter().map(|s| s.init));
         let (counts, checker) =
-            self.walk(plan, &mut values, &needed, record, checks, options.deadline)?;
+            self.walk(plan, &mut state, &needed, record, checks, options.deadline)?;
+        let values = state.values;
         let stats = SimStats {
             delta_cycles: needed[0],
             process_activations: plan.activations,
@@ -561,7 +564,8 @@ impl Stream {
         Ok((values, stats, report))
     }
 
-    /// Walks a lane chunk's stream, appending one outcome per lane.
+    /// Walks a lane chunk's stream on `state`, appending one outcome per
+    /// lane.
     ///
     /// # Errors
     ///
@@ -572,35 +576,37 @@ impl Stream {
         lanes: &Lanes<'_>,
         options: &ExecOptions,
         checks: Option<&PlanChecks<'_>>,
+        state: &mut WalkState<Col>,
         out: &mut Vec<BatchOutcome>,
     ) -> Result<(), KernelError> {
-        let mut values = lanes.initial_values(plan, &self.ext);
+        lanes.initialize(plan, &self.ext, &mut state.values);
         let needed = lanes.needed();
-        // An overflowed lane never runs, but whole-column moves overwrite
-        // it: it reports the values it started with.
-        let initial = needed.contains(&0).then(|| values.clone());
         let nothing = &mut Recording::Nothing;
-        let (counts, checker) = self.walk(
-            plan,
-            &mut values,
-            &needed,
-            nothing,
-            checks,
-            options.deadline,
-        )?;
+        let (counts, checker) =
+            self.walk(plan, state, &needed, nothing, checks, options.deadline)?;
+        let values = &state.values;
         let mut reports = checker.zip(checks).map(|(mut checker, ck)| {
             let reports = checker.finish(&needed, |i| &values[ck.sigs[i]]);
             reports.into_iter()
         });
-        for (c, &first_illegal) in counts.first_illegal.iter().enumerate() {
+        // Each lane's registers, read a column at a time. An overflowed
+        // lane never runs: it reports the values it started with.
+        let width = plan.register_signals().count();
+        let mut registers: Vec<Vec<Value>> =
+            (needed.iter()).map(|_| Vec::with_capacity(width)).collect();
+        for sig in plan.register_signals() {
+            for (c, registers) in registers.iter_mut().enumerate() {
+                registers.push(match needed[c] {
+                    0 => lanes.initial(plan, c, sig),
+                    _ => values[sig].get(c),
+                });
+            }
+        }
+        let per_lane = counts.first_illegal.iter().zip(registers).enumerate();
+        for (c, (&first_illegal, registers)) in per_lane {
             let check = reports.as_mut().and_then(Iterator::next);
             let check = check.filter(|_| needed[c] > 0);
-            let finals = match (needed[c], &initial) {
-                (0, Some(initial)) => initial,
-                _ => &values,
-            };
-            let read = |sig: usize| finals[sig].get(c);
-            out.push(lanes.outcome(plan, c, read, first_illegal, check));
+            out.push(lanes.outcome(plan, c, registers, first_illegal, check));
         }
         Ok(())
     }
@@ -619,19 +625,20 @@ impl Stream {
         }
     }
 
-    /// The walk over `values`, one [`Word`] per signal, lane `c` running
-    /// `needed[c]` deltas (none: it never runs). Each delta applies the
-    /// pending driver updates, feeds the checkers and runs its ops, each
-    /// op on whole words in the lanes of its mask. A solo walk is one
-    /// scalar lane whose ops all run in it, counts the kernel counters
-    /// its run reports and keeps what `record` asks for; a chunk walks
-    /// packed columns, records nothing and counts only each lane's first
-    /// `ILLEGAL`. Returns those counts and, when checked, the lanes'
-    /// checkers.
+    /// The walk over `state`, whose values hold one [`Word`] per signal
+    /// at their initial values, lane `c` running `needed[c]` deltas
+    /// (none: it never runs). The rest of `state` is reset first. Each
+    /// delta applies the pending driver updates, feeds the checkers and
+    /// runs its ops, each op on whole words in the lanes of its mask. A
+    /// solo walk is one scalar lane whose ops all run in it, counts the
+    /// kernel counters its run reports and keeps what `record` asks for;
+    /// a chunk walks packed columns, records nothing and counts only each
+    /// lane's first `ILLEGAL`. Returns those counts and, when checked, the
+    /// lanes' checkers.
     fn walk<'c, W: Word>(
         &self,
         plan: &ExecPlan,
-        values: &mut [W],
+        state: &mut WalkState<W>,
         needed: &[u64],
         record: &mut Recording<'_>,
         checks: Option<&'c PlanChecks<'c>>,
@@ -645,21 +652,35 @@ impl Stream {
         let mut illegal_seen = 0u64;
         let mut checker = checks.map(|ck| LaneChecks::new(ck.program, &ck.index, n));
         // The lanes whose checkers still observe: running, and not yet
-        // settled (every armed family latched).
+        // settled (every armed family latched). A lane stops after its
+        // last delta: `stops` holds each run length with its lanes,
+        // ascending, and `stopped` counts those passed.
         let mut feeding = if checks.is_some() { full } else { 0 };
-        let mut drivers = self.layout.state::<W>();
+        let mut stops: Vec<(u64, u64)> = Vec::new();
+        for c in bits(feeding) {
+            match stops.iter_mut().find(|s| s.0 == needed[c]) {
+                Some((_, lanes)) => *lanes |= 1 << c,
+                None => stops.push((needed[c], 1 << c)),
+            }
+        }
+        stops.sort_unstable();
+        let mut stopped = 0;
         let modules = self.pipe_at.len() - 1;
-        let mut ring = vec![W::splat(Value::Disc); self.pipe_at[modules] as usize];
-        // Every evaluation of a module runs in the same lanes (all of
-        // them, or the shadow module's), so its ring head is one counter.
-        let mut head = vec![0u32; modules];
-        let mut busy = vec![0u32; modules * W::LANES];
-        let mut stores: Vec<(usize, u64)> = Vec::new();
         // A delta pushes about one row per op: reserve for the widest, so
         // no delta regrows (and copies) a chunk's column-wide rows.
         let widest = self.bounds.windows(2).map(|b| b[1] - b[0]).max();
-        let widest = widest.unwrap_or(0) as usize;
-        let (mut cur, mut nxt) = (Pending::<W>::new(widest), Pending::<W>::new(widest));
+        let (stages, widest) = (self.pipe_at[modules] as usize, widest.unwrap_or(0) as usize);
+        state.reset(&self.layout, stages, modules, widest);
+        let WalkState {
+            values,
+            drivers,
+            ring,
+            pipes,
+            busy,
+            cur,
+            nxt,
+        } = state;
+        let mut stores: Vec<(usize, u64)> = Vec::new();
         // Control pushes are only skippable when no trace records them
         // (no table holds a control signal); `carry` counts those skipped
         // in the previous delta.
@@ -675,18 +696,14 @@ impl Stream {
                 let sig = dst.sig as usize;
                 let effective = match dst.slot {
                     NO_SLOT => pushed,
-                    slot => drivers.drive(sig, slot as usize, mask, full, pushed),
+                    slot => drivers.drive(&self.layout, sig, slot as usize, mask, full, pushed),
                 };
                 let value = &mut values[sig];
                 let moved = mask & value.diff(effective);
                 if moved == 0 {
                     continue;
                 }
-                if W::LANES == 1 || moved == full {
-                    *value = *effective;
-                } else {
-                    value.blend(effective, moved);
-                }
+                value.blend(effective, moved, full);
                 // A solo walk counts the event; a chunk latches each lane's
                 // first `ILLEGAL` (control signals never carry one, so it
                 // is always a conflict site).
@@ -725,12 +742,11 @@ impl Stream {
             // signals this delta changed — the observation the
             // interpreter's commit log reconstructs — until they settle.
             if let (Some(checker), Some(ck)) = (checker.as_mut(), checks) {
-                let ending = (0..n).filter(|&c| d + 1 >= needed[c]);
-                let ending = ending.fold(0, |m, c| m | 1 << c);
-                let observing = bits(feeding).filter(|&c| d < needed[c]);
-                let observing = observing.fold(0, |m, c| m | 1 << c);
-                checker.observe(d, observing, |i| &values[ck.sigs[i]]);
-                feeding &= !(ending | checker.settled());
+                checker.observe(d, feeding, |i| &values[ck.sigs[i]]);
+                while let Some(&(_, lanes)) = stops.get(stopped).filter(|s| s.0 <= d + 1) {
+                    (feeding, stopped) = (feeding & !lanes, stopped + 1);
+                }
+                feeding &= !checker.settled();
             }
             // A recording solo walk logs the end-of-delta values that moved.
             if let Recording::Table { sigs, last, events } = record {
@@ -750,19 +766,18 @@ impl Stream {
                 let mask = if W::LANES == 1 { full } else { self.masks[i] };
                 match op {
                     MicroOp::Ctl { .. } if elide_ctl => carry += 1,
-                    MicroOp::Ctl { sig, v } => {
-                        *nxt.push(Dst::direct(sig as usize), mask) = W::splat(v);
-                    }
+                    MicroOp::Ctl { sig, v } => nxt.push(Dst::direct(sig as usize), mask).fill(v),
                     MicroOp::Push { dst, guard, src } => {
                         let on = self.holds(plan, guard, values, mask);
                         let word = nxt.push(dst, mask);
                         match src {
-                            Src::Const(v) => *word = W::splat(v),
-                            Src::Signal(s) => *word = values[s as usize],
+                            _ if on == 0 => word.fill(Value::Disc),
+                            Src::Const(v) => word.fill(v),
+                            Src::Signal(s) => word.copy_from(&values[s as usize]),
                             // Lanes address words of their own: read each.
                             Src::MemRead { addr, mem } => {
                                 let words = &plan.mems[mem as usize].words;
-                                *word = W::splat(Value::Disc);
+                                word.fill(Value::Disc);
                                 for c in bits(on) {
                                     let read = match values[addr as usize].get(c).num() {
                                         Some(a) if (0..words.len() as i64).contains(&a) => {
@@ -789,19 +804,21 @@ impl Stream {
                         let result = match latency {
                             0 => &mut *out,
                             _ => {
-                                let h = head[mi] as usize;
-                                head[mi] = if h + 1 == latency { 0 } else { h as u32 + 1 };
+                                let h = pipes[mi].head as usize;
+                                pipes[mi].head = if h + 1 == latency { 0 } else { h as u32 + 1 };
                                 let stage = &mut ring[stages.start + h];
-                                *out = *stage;
+                                out.copy_from(stage);
                                 stage
                             }
                         };
                         let (a, b) = (&values[m.in1], &values[m.in2]);
                         W::combine(a, b, m.op.map(|p| &values[p]), &m.ops, mask, result);
                         if let ModuleTiming::Sequential { .. } = m.timing {
-                            // Busy state diverges per lane.
+                            // Busy state diverges per lane: visit the
+                            // lanes busy or initiating.
                             let initiated = mask & !result.disc();
-                            for c in bits(mask) {
+                            let lanes = &mut pipes[mi].busy;
+                            for c in bits(mask & (*lanes | initiated)) {
                                 let busy = &mut busy[mi * W::LANES + c];
                                 let initiated = initiated >> c & 1 != 0;
                                 if *busy > 0 {
@@ -818,6 +835,7 @@ impl Stream {
                                 } else if initiated {
                                     *busy = latency.saturating_sub(1) as u32;
                                 }
+                                *lanes = (*lanes & !(1 << c)) | (u64::from(*busy > 0) << c);
                             }
                         }
                     }
@@ -826,7 +844,7 @@ impl Stream {
                         let input = &values[r.input];
                         let live = mask & !input.disc();
                         if live != 0 {
-                            *nxt.push(Dst::direct(r.output), live) = *input;
+                            nxt.push(Dst::direct(r.output), live).copy_from(input);
                         }
                     }
                     MicroOp::CommitMem { mem } => {
@@ -849,15 +867,15 @@ impl Stream {
                             }
                         }
                         for &(w, lanes) in &stores {
-                            *nxt.push(Dst::direct(pm.words[w]), lanes) = *win;
+                            nxt.push(Dst::direct(pm.words[w]), lanes).copy_from(win);
                         }
                         for &w in pm.words.iter().filter(|_| poison != 0) {
-                            *nxt.push(Dst::direct(w), poison) = W::splat(Value::Illegal);
+                            nxt.push(Dst::direct(w), poison).fill(Value::Illegal);
                         }
                     }
                 }
             }
-            std::mem::swap(&mut cur, &mut nxt);
+            std::mem::swap(cur, nxt);
 
             if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 let at = SimTime {
@@ -875,6 +893,69 @@ impl Stream {
         };
         Ok((counts, checker))
     }
+}
+
+/// What a walk writes as it goes, in words `W`: every signal's word, the
+/// driver slots and tallies, the pipeline ring with its heads and busy
+/// counts, and the pending rows. A campaign keeps one for all its
+/// chunks: each walk resets it in place, its words taking uniform
+/// headers, and reuses its allocations.
+#[derive(Debug)]
+pub(crate) struct WalkState<W: Word> {
+    /// Per signal its word; the walk's caller writes the initial values.
+    pub(crate) values: Vec<W>,
+    drivers: Drivers<W>,
+    ring: Vec<W>,
+    pipes: Vec<Pipe>,
+    /// Per module and lane, the evaluations a sequential module stays
+    /// busy.
+    busy: Vec<u32>,
+    cur: Pending<W>,
+    nxt: Pending<W>,
+}
+
+impl<W: Word> Default for WalkState<W> {
+    fn default() -> Self {
+        WalkState {
+            values: Vec::new(),
+            drivers: Drivers::default(),
+            ring: Vec::new(),
+            pipes: Vec::new(),
+            busy: Vec::new(),
+            cur: Pending::default(),
+            nxt: Pending::default(),
+        }
+    }
+}
+
+impl<W: Word> WalkState<W> {
+    /// Readies everything but the values for a walk over `layout`, a
+    /// ring of `stages` rows for `modules` modules, and deltas of up to
+    /// `widest` rows.
+    fn reset(&mut self, layout: &DriverLayout, stages: usize, modules: usize, widest: usize) {
+        self.drivers.reset(layout);
+        refill(&mut self.ring, stages, Value::Disc);
+        self.pipes.clear();
+        self.pipes.resize(modules, Pipe::default());
+        self.busy.clear();
+        self.busy.resize(modules * W::LANES, 0);
+        for pending in [&mut self.cur, &mut self.nxt] {
+            pending.clear();
+            pending
+                .rows
+                .reserve_exact(widest.saturating_sub(pending.rows.len()));
+        }
+    }
+}
+
+/// Where a module's pipeline stands. Every evaluation of a module runs
+/// in the same lanes (all of them, or the shadow module's), so its ring
+/// head is one counter; `busy` holds the lanes in which a sequential
+/// module has a nonzero busy count.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pipe {
+    head: u32,
+    busy: u64,
 }
 
 /// The stream under construction in [`Stream::compile`]: its ops, their
@@ -898,14 +979,16 @@ struct Pending<W> {
     len: usize,
 }
 
-impl<W: Word> Pending<W> {
-    fn new(capacity: usize) -> Self {
+impl<W> Default for Pending<W> {
+    fn default() -> Self {
         Pending {
-            rows: Vec::with_capacity(capacity),
+            rows: Vec::new(),
             len: 0,
         }
     }
+}
 
+impl<W: Word> Pending<W> {
     /// Pushes a row on `dst` in the lanes of `mask`; the caller writes
     /// its word.
     #[inline(always)]

@@ -60,7 +60,7 @@ use crate::diag::{Conflict, ConflictSite};
 use crate::elaborate::SignalRole;
 use crate::model::RtModel;
 use crate::op::Op;
-use crate::opt::{Src, Stream};
+use crate::opt::{Src, Stream, WalkState};
 use crate::phase::{Phase, PhaseTime, Step};
 use crate::resource::ModuleTiming;
 use crate::run::{RunSummary, Waveform};
@@ -945,9 +945,11 @@ impl ExecPlan {
     ) -> Result<Vec<BatchOutcome>, KernelError> {
         let delta_limit = options.delta_limit.unwrap_or(DEFAULT_DELTA_LIMIT);
         let mut out = Vec::with_capacity(deltas.len());
+        // One walk state serves every chunk: each resets it in place.
+        let mut state = WalkState::default();
         for chunk in deltas.chunks(LANES) {
             let (lanes, stream) = self.lanes(chunk, delta_limit, config);
-            stream.execute_lanes(self, &lanes, options, checks, &mut out)?;
+            stream.execute_lanes(self, &lanes, options, checks, &mut state, &mut out)?;
         }
         Ok(out)
     }
@@ -1189,30 +1191,40 @@ impl Lanes<'_> {
         self.schedules.iter().map(|&(d, _)| d).collect()
     }
 
-    /// The lanes' initial columns: the golden inits with each lane's
-    /// overrides, the signals `ext` appends `DISC`.
-    pub(crate) fn initial_values(&self, plan: &ExecPlan, ext: &Extension) -> Vec<Col> {
-        let mut values: Vec<Col> = plan.signals.iter().map(|s| Col::splat(s.init)).collect();
-        values.resize(ext.signals(plan).count(), Col::splat(Value::Disc));
+    /// Writes the lanes' initial columns to `values`, in place: the
+    /// golden inits with each lane's overrides, the signals `ext`
+    /// appends `DISC`.
+    pub(crate) fn initialize(&self, plan: &ExecPlan, ext: &Extension, values: &mut Vec<Col>) {
+        refill(values, ext.signals(plan).count(), Value::Disc);
+        for (value, s) in values.iter_mut().zip(&plan.signals) {
+            value.fill(s.init);
+        }
         for (c, d) in self.deltas.iter().enumerate() {
             for &(sig, v) in &d.init_edits {
                 values[sig].set(c, v);
             }
         }
-        values
     }
 
-    /// Lane `c`'s outcome from its final values (`read(sig)`) and its
-    /// first `ILLEGAL` transition as `(signal, delta)`.
+    /// Lane `c`'s initial value of signal `sig`: its last override, or
+    /// the golden init.
+    pub(crate) fn initial(&self, plan: &ExecPlan, c: usize, sig: usize) -> Value {
+        let edits = &self.deltas[c].init_edits;
+        let edit = edits.iter().rev().find(|&&(s, _)| s == sig);
+        edit.map_or(plan.signals[sig].init, |&(_, v)| v)
+    }
+
+    /// Lane `c`'s outcome from its final registers (in
+    /// [`BatchOutcome::registers`] order) and its first `ILLEGAL`
+    /// transition as `(signal, delta)`.
     pub(crate) fn outcome(
         &self,
         plan: &ExecPlan,
         c: usize,
-        read: impl Fn(usize) -> Value,
+        registers: Vec<Value>,
         first_illegal: Option<(usize, u64)>,
         check: Option<CheckReport>,
     ) -> BatchOutcome {
-        let registers = plan.register_signals().map(read).collect();
         let first_conflict = first_illegal.and_then(|(sig, delta)| {
             let (site, name) = match plan.roles.get(sig) {
                 Some(role) => role.conflict_site()?,
@@ -1349,42 +1361,72 @@ impl DriverLayout {
     pub(crate) fn tallied(&self, sig: usize) -> bool {
         self.at[sig].0 != DIRECT
     }
-
-    /// Fresh driver state in words `W`.
-    pub(crate) fn state<W: Word>(&self) -> Drivers<'_, W> {
-        Drivers {
-            layout: self,
-            slots: vec![W::splat(Value::Disc); self.slot_rows],
-            tallies: vec![W::tally(); self.tally_rows],
-            resolved: W::splat(Value::Disc),
-        }
-    }
 }
 
 /// The driver state of one walk over a [`DriverLayout`]: a word per slot
-/// row and a tally per tally row.
+/// row and a tally per tally row. A campaign's chunks share one,
+/// [`reset`](Self::reset) for each.
 #[derive(Debug, Clone)]
-pub(crate) struct Drivers<'a, W: Word> {
-    layout: &'a DriverLayout,
+pub(crate) struct Drivers<W: Word> {
     slots: Vec<W>,
     tallies: Vec<W::Tally>,
     /// The last update's resolved word.
     resolved: W,
 }
 
-impl<W: Word> Drivers<'_, W> {
+impl<W: Word> Default for Drivers<W> {
+    fn default() -> Self {
+        Drivers {
+            slots: Vec::new(),
+            tallies: Vec::new(),
+            resolved: W::splat(Value::Disc),
+        }
+    }
+}
+
+impl<W: Word> Drivers<W> {
+    /// Every slot of `layout` `DISC` and every tally empty, in place.
+    pub(crate) fn reset(&mut self, layout: &DriverLayout) {
+        refill(&mut self.slots, layout.slot_rows, Value::Disc);
+        self.tallies.truncate(layout.tally_rows);
+        self.tallies.iter_mut().for_each(W::clear);
+        self.tallies
+            .reserve_exact(layout.tally_rows - self.tallies.len());
+        self.tallies.resize_with(layout.tally_rows, W::tally);
+    }
+
     /// Applies one driver update — `new` on slot `slot` of the tallied
-    /// signal `sig`, in the lanes of `mask`, the walk's running lanes
-    /// being `care` — and returns the signal's resolved word (meaningful
-    /// in the lanes of `mask`).
+    /// signal `sig` of `layout`, in the lanes of `mask`, the walk's
+    /// running lanes being `care` — and returns the signal's resolved
+    /// word (meaningful in the lanes of `mask`).
     #[inline]
-    pub(crate) fn drive(&mut self, sig: usize, slot: usize, mask: u64, care: u64, new: &W) -> &W {
-        let (first, tally) = self.layout.at[sig];
+    pub(crate) fn drive<'a>(
+        &'a mut self,
+        layout: &DriverLayout,
+        sig: usize,
+        slot: usize,
+        mask: u64,
+        care: u64,
+        new: &'a W,
+    ) -> &'a W {
+        let (first, tally) = layout.at[sig];
         let slot = &mut self.slots[first as usize + slot];
         let tally = &mut self.tallies[tally as usize];
-        W::drive(tally, slot, new, mask, care, &mut self.resolved);
-        &self.resolved
+        match W::drive(tally, slot, new, mask, care, &mut self.resolved) {
+            true => new,
+            false => &self.resolved,
+        }
     }
+}
+
+/// Makes `words` `n` words of `v`, in place: existing words take a
+/// uniform header, so a campaign's chunks reuse one allocation, grown
+/// only to the largest chunk's need.
+pub(crate) fn refill<W: Word>(words: &mut Vec<W>, n: usize, v: Value) {
+    words.truncate(n);
+    words.iter_mut().for_each(|w| w.fill(v));
+    words.reserve_exact(n - words.len());
+    words.resize(n, W::splat(v));
 }
 
 /// Combines module operand ports into a result, mirroring the module
@@ -1413,7 +1455,7 @@ pub(crate) fn combine(a: Value, b: Value, op_sel: Option<Value>, ops: &[Op]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Backend, ExecOptions};
+    use crate::backend::{Backend, ExecOptions, OptLevel};
     use crate::check::{check_signals, execute_checked, record_table, Invariant};
     use crate::model::{fig1_model, RtModel};
     use crate::op::Op;
@@ -1639,42 +1681,47 @@ mod tests {
 
     #[test]
     fn sequential_module_models_are_byte_equivalent() {
-        // A sequential multiplier with latency 2, plus a second transfer
-        // violating its initiation interval (poisoned pipeline).
         for violate in [false, true] {
-            let mut model = RtModel::new("seq", 6);
-            model.add_register_init("R1", Value::Num(3)).unwrap();
-            model.add_register_init("R2", Value::Num(4)).unwrap();
-            model.add_register_init("R3", Value::Num(5)).unwrap();
-            model.add_bus("B1").unwrap();
-            model.add_bus("B2").unwrap();
-            model
-                .add_module(ModuleDecl::single(
-                    "MUL",
-                    Op::Mul,
-                    ModuleTiming::Sequential { latency: 2 },
-                ))
-                .unwrap();
+            assert_equivalent(&seq_model(violate));
+        }
+    }
+
+    /// A sequential multiplier with latency 2, plus (with `violate`) a
+    /// second transfer violating its initiation interval (poisoned
+    /// pipeline).
+    fn seq_model(violate: bool) -> RtModel {
+        let mut model = RtModel::new("seq", 6);
+        model.add_register_init("R1", Value::Num(3)).unwrap();
+        model.add_register_init("R2", Value::Num(4)).unwrap();
+        model.add_register_init("R3", Value::Num(5)).unwrap();
+        model.add_bus("B1").unwrap();
+        model.add_bus("B2").unwrap();
+        model
+            .add_module(ModuleDecl::single(
+                "MUL",
+                Op::Mul,
+                ModuleTiming::Sequential { latency: 2 },
+            ))
+            .unwrap();
+        model
+            .add_transfer(
+                TransferTuple::new(1, "MUL")
+                    .src_a("R1", "B1")
+                    .src_b("R2", "B2")
+                    .write(3, "B1", "R1"),
+            )
+            .unwrap();
+        if violate {
             model
                 .add_transfer(
-                    TransferTuple::new(1, "MUL")
-                        .src_a("R1", "B1")
+                    TransferTuple::new(2, "MUL")
+                        .src_a("R3", "B1")
                         .src_b("R2", "B2")
-                        .write(3, "B1", "R1"),
+                        .write(4, "B2", "R3"),
                 )
                 .unwrap();
-            if violate {
-                model
-                    .add_transfer(
-                        TransferTuple::new(2, "MUL")
-                            .src_a("R3", "B1")
-                            .src_b("R2", "B2")
-                            .write(4, "B2", "R3"),
-                    )
-                    .unwrap();
-            }
-            assert_equivalent(&model);
         }
+        model
     }
 
     /// The golden checkers of `golden`: its monitor table, a range for
@@ -1872,35 +1919,7 @@ mod tests {
     fn batched_sequential_module_deltas_match_solo() {
         // Re-use the initiation-interval model: dropping the second
         // transfer un-poisons the pipeline, per column.
-        let mut golden = RtModel::new("seq", 6);
-        golden.add_register_init("R1", Value::Num(3)).unwrap();
-        golden.add_register_init("R2", Value::Num(4)).unwrap();
-        golden.add_register_init("R3", Value::Num(5)).unwrap();
-        golden.add_bus("B1").unwrap();
-        golden.add_bus("B2").unwrap();
-        golden
-            .add_module(ModuleDecl::single(
-                "MUL",
-                Op::Mul,
-                ModuleTiming::Sequential { latency: 2 },
-            ))
-            .unwrap();
-        golden
-            .add_transfer(
-                TransferTuple::new(1, "MUL")
-                    .src_a("R1", "B1")
-                    .src_b("R2", "B2")
-                    .write(3, "B1", "R1"),
-            )
-            .unwrap();
-        golden
-            .add_transfer(
-                TransferTuple::new(2, "MUL")
-                    .src_a("R3", "B1")
-                    .src_b("R2", "B2")
-                    .write(4, "B2", "R3"),
-            )
-            .unwrap();
+        let golden = seq_model(true);
         let plan = ExecPlan::lower(&golden);
 
         let deltas = vec![PlanDelta::default(), plan.delta_drop_tuple(1).unwrap()];
@@ -1927,6 +1946,86 @@ mod tests {
         for (i, out) in outs.iter().enumerate() {
             let i = i as i64;
             assert_eq!(out.registers, [Value::Num(3 + i), Value::Num(i)]);
+        }
+    }
+
+    /// One walk state serves every chunk of a campaign: a batch of three
+    /// chunks and a partial one, over-budget lanes in each, reports what
+    /// each chunk reports as its own batch — at `-O0` and `-O2`,
+    /// unchecked and checked.
+    #[test]
+    fn chunks_sharing_a_walk_state_report_what_each_reports_alone() {
+        let fig1 = fig1_model(3, 4);
+        // The multiplier is still busy when the walk ends: a chunk that
+        // started from the state the one before it left would see its
+        // pipeline poisoned.
+        let mut seq = seq_model(true);
+        let last = TransferTuple::new(6, "MUL")
+            .src_a("R1", "B1")
+            .src_b("R2", "B2");
+        seq.add_transfer(last).unwrap();
+        // Per golden: its budget, which a skew onto the last step's
+        // write exceeds, and one delta of every edit kind.
+        let fig1_plan = ExecPlan::lower(&fig1);
+        let seq_plan = ExecPlan::lower(&seq);
+        let cases = [
+            (
+                &fig1,
+                &fig1_plan,
+                43,
+                ("R1", "R2"),
+                [(0, 1), (0, -1)],
+                ("B2", 5),
+            ),
+            (
+                &seq,
+                &seq_plan,
+                37,
+                ("R1", "R3"),
+                [(1, 2), (0, 1)],
+                ("B1", 2),
+            ),
+        ];
+        for (golden, plan, budget, (stuck, init), skews, (bus, step)) in cases {
+            let mut kinds = vec![
+                PlanDelta::default(),
+                plan.delta_set_init(stuck, Value::Disc).unwrap(),
+                plan.delta_drop_tuple(0).unwrap(),
+                plan.delta_extra_driver(bus, step, init).unwrap(),
+            ];
+            kinds.extend(skews.map(|(i, by)| plan.delta_skew_write(i, by).unwrap()));
+            // Lanes differ from chunk to chunk in their inits too.
+            let deltas: Vec<PlanDelta> = (0..3 * LANES + 29)
+                .map(|i| {
+                    let mut d = kinds[i % kinds.len()].clone();
+                    let v = Value::Num(i as i64 % 13 - 6);
+                    d.init_edits
+                        .extend(plan.delta_set_init(init, v).unwrap().init_edits);
+                    d
+                })
+                .collect();
+            let program = golden_program(golden);
+            let checks = plan.resolve_checks(&program).unwrap();
+            let options = ExecOptions {
+                delta_limit: Some(budget),
+                ..Default::default()
+            };
+            for level in [OptLevel::O0, OptLevel::O2] {
+                for checks in [None, Some(&checks)] {
+                    let run = |deltas: &[PlanDelta]| {
+                        plan.execute_lanes(deltas, &options, level.config(), checks)
+                            .unwrap()
+                    };
+                    let whole = run(&deltas);
+                    let apart: Vec<BatchOutcome> = deltas.chunks(LANES).flat_map(run).collect();
+                    let what = format!("{} -O{level}, checked {}", golden.name(), checks.is_some());
+                    assert_eq!(whole, apart, "{what}");
+                    for chunk in whole.chunks(LANES) {
+                        assert!(chunk.iter().any(|o| o.overflowed), "{what}");
+                        assert!(chunk.iter().any(|o| o.first_conflict.is_some()), "{what}");
+                    }
+                }
+            }
         }
     }
 

@@ -7,11 +7,41 @@
 //! are unwrapped to their byte-exact one-shot CLI documents — the mode
 //! `scripts/ci.sh` uses to diff daemon output against the CLI.
 
+use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use crate::protocol::decode_payload;
+
+/// Why a client session failed: its session with the daemon, or the
+/// output it copies responses to. The CLI tells them apart — a reader
+/// that closed the output early is no failure of the session.
+#[derive(Debug)]
+pub enum ClientError {
+    /// Connecting, reading the request input, sending requests or
+    /// reading responses.
+    Session(std::io::Error),
+    /// Writing a response to the output.
+    Output(std::io::Error),
+}
+
+impl fmt::Display for ClientError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClientError::Session(e) => write!(f, "{e}"),
+            ClientError::Output(e) => write!(f, "cannot write output: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ClientError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ClientError::Session(e) | ClientError::Output(e) => Some(e),
+        }
+    }
+}
 
 /// Runs one client session against the daemon listening on `socket`.
 ///
@@ -27,16 +57,19 @@ use crate::protocol::decode_payload;
 ///
 /// # Errors
 ///
-/// Connection and I/O errors. A response stream that ends early (daemon
-/// killed) is an `Ok` session end, mirroring `nc`.
+/// [`ClientError::Session`] for connection and session I/O errors, and
+/// [`ClientError::Output`] when a response cannot be written; the
+/// session is then closed at once, requests not yet sent included. A
+/// response stream that ends early (daemon killed) is an `Ok` session
+/// end, mirroring `nc`.
 pub fn run_client(
     socket: &Path,
     input: impl BufRead + Send,
     mut output: impl Write,
     payload_only: bool,
-) -> std::io::Result<()> {
-    let stream = UnixStream::connect(socket)?;
-    std::thread::scope(|s| -> std::io::Result<()> {
+) -> Result<(), ClientError> {
+    let stream = UnixStream::connect(socket).map_err(ClientError::Session)?;
+    std::thread::scope(|s| {
         let sender = s.spawn({
             let stream = &stream;
             move || -> std::io::Result<()> {
@@ -53,19 +86,33 @@ pub fn run_client(
                 stream.shutdown(std::net::Shutdown::Write)
             }
         });
-        for line in BufReader::new(&stream).lines() {
-            let line = line?;
-            match decode_payload(&line) {
-                Some(doc) if payload_only => output.write_all(doc.as_bytes())?,
-                _ => {
-                    output.write_all(line.as_bytes())?;
-                    output.write_all(b"\n")?;
-                }
-            }
+        let relayed = relay(&stream, &mut output, payload_only);
+        if relayed.is_err() {
+            // Nothing reads the responses any more: end the session, so
+            // the sender's next write fails instead of blocking.
+            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        output.flush()?;
-        sender.join().unwrap_or(Ok(()))
+        let sent = sender.join().unwrap_or(Ok(()));
+        relayed?;
+        sent.map_err(ClientError::Session)
     })
+}
+
+/// Copies the daemon's response lines from `stream` to `output`.
+fn relay(
+    stream: &UnixStream,
+    output: &mut impl Write,
+    payload_only: bool,
+) -> Result<(), ClientError> {
+    for line in BufReader::new(stream).lines() {
+        let line = line.map_err(ClientError::Session)?;
+        let written = match decode_payload(&line) {
+            Some(doc) if payload_only => output.write_all(doc.as_bytes()),
+            _ => (output.write_all(line.as_bytes())).and_then(|()| output.write_all(b"\n")),
+        };
+        written.map_err(ClientError::Output)?;
+    }
+    output.flush().map_err(ClientError::Output)
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ mod jobs;
 pub mod protocol;
 
 pub use cache::{content_hash, CacheStats, CachedPlan, PlanCache};
-pub use client::run_client;
+pub use client::{run_client, ClientError};
 pub use daemon::{ConnectionOutcome, Daemon, ServeConfig, ServeStats};
 pub use protocol::{
     decode_payload, render_error, render_ok, ErrorCode, JobError, Json, Request, PROTOCOL_VERSION,

@@ -65,7 +65,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use clockless_core::json::escape;
+use clockless_core::json::{escape, Escaped};
 use clockless_core::{
     Backend, CheckProgram, CheckReport, ExecOptions, ExecPlan, InvariantViolation, ModuleDecl,
     ModuleTiming, MonitorViolation, Op, OptLevel, Phase, PlanDelta, RtModel, Step, TransferTuple,
@@ -847,19 +847,18 @@ impl CampaignReport {
             );
         }
         out.push_str("],\n  \"faults\": [\n");
+        // Each row's texts are escaped straight into the document.
         for (i, row) in self.rows.iter().enumerate() {
             let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            let _ = writeln!(
+            let (class, outcome) = (row.fault.class(), row.outcome.as_str());
+            let _ = write!(
                 out,
-                "    {{\"id\": {}, \"class\": \"{}\", \"fault\": \"{}\", \"outcome\": \"{}\", \
-                 \"detail\": \"{}\"}}{}",
-                i,
-                row.fault.class(),
-                escape(&row.fault.to_string()),
-                row.outcome.as_str(),
-                escape(&row.outcome.to_string()),
-                comma
+                "    {{\"id\": {i}, \"class\": \"{class}\", \"fault\": \""
             );
+            let _ = write!(Escaped(&mut out), "{}", row.fault);
+            let _ = write!(out, "\", \"outcome\": \"{outcome}\", \"detail\": \"");
+            let _ = write!(Escaped(&mut out), "{}", row.outcome);
+            let _ = writeln!(out, "\"}}{comma}");
         }
         let t = &self.totals;
         let _ = writeln!(

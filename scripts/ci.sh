@@ -356,6 +356,14 @@ grep -q '"checkers": "all"' <<<"$serve_checked"
 serve_run_o0="$(echo '{"id":5,"op":"run","path":"models/fig1.rtl","opt":0}' \
   | ./target/release/clockless client "$serve_sock" --payload)"
 [ "$serve_run_o0" = "$cli_run" ]
+# A client whose reader stops early (`| head -c 100`) exits 0, and the
+# daemon answers the next session.
+serve_runs="$(dirname "$serve_sock")/runs.ndjson"
+for id in $(seq 1 200); do
+  echo "{\"id\":$id,\"op\":\"run\",\"path\":\"models/fig1.rtl\"}"
+done >"$serve_runs"
+./target/release/clockless client "$serve_sock" <"$serve_runs" | head -c 100 >/dev/null \
+  || { echo "client exited ${PIPESTATUS[0]} on a closed stdout"; exit 1; }
 echo '{"id":3,"op":"shutdown"}' | ./target/release/clockless client "$serve_sock" >/dev/null
 wait "$serve_pid"
 [ ! -e "$serve_sock" ]

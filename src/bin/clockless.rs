@@ -88,6 +88,7 @@ use clockless::core::transcript::transcript;
 use clockless::core::{Backend, ExecOptions, OptLevel, RtModel, RtSimulation, TransferTuple};
 use clockless::fleet::BatchSpec;
 use clockless::kernel::NS;
+use clockless::serve::ClientError;
 use clockless::verify::{cross_check, roundtrip_check};
 
 fn usage() -> ExitCode {
@@ -571,17 +572,17 @@ fn cmd_serve(socket: Option<&str>, workers: usize, cache: usize) -> Result<(), S
     }
 }
 
-fn cmd_client(socket: &str, payload_only: bool) -> Result<(), String> {
+fn cmd_client(socket: &str, payload_only: bool) -> Result<(), Failure> {
     // StdinLock is not Send (the client forwards input from a second
     // thread); a BufReader over the raw handle is.
     let input = std::io::BufReader::new(std::io::stdin());
-    clockless::serve::run_client(
-        std::path::Path::new(socket),
-        input,
-        std::io::stdout(),
-        payload_only,
+    let socket = std::path::Path::new(socket);
+    clockless::serve::run_client(socket, input, std::io::stdout(), payload_only).map_err(
+        |e| match e {
+            ClientError::Output(e) => Failure::Output(e),
+            ClientError::Session(e) => Failure::Message(format!("client: {e}")),
+        },
     )
-    .map_err(|e| format!("client: {e}"))
 }
 
 fn cmd_vhdl(out: &mut impl Write, path: &str, clocked: bool) -> Result<(), Failure> {
@@ -802,7 +803,7 @@ fn main() -> ExitCode {
                 return usage();
             };
             let payload = args.iter().any(|a| a == "--payload");
-            cmd_client(socket, payload).map_err(Failure::Message)
+            cmd_client(socket, payload)
         }
         "translate" => {
             let Some(path) = args.get(1) else {

@@ -825,3 +825,94 @@ fn a_closed_stdout_ends_the_command_quietly() {
         assert!(stderr.contains("cannot write output"), "{stderr}");
     }
 }
+
+/// `clockless client` copying a long response stream into a reader that
+/// closed early (`| head -c 100`) ends quietly like every other command;
+/// a client that cannot reach its daemon still fails.
+#[test]
+fn client_ends_quietly_on_a_closed_stdout() {
+    use std::io::Write as _;
+    use std::process::{Child, Output, Stdio};
+    use std::time::{Duration, Instant};
+
+    /// Stops the daemon when the test ends, passing or not.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    /// A client's output, failing the test if it does not exit in time.
+    fn finish(mut client: Child) -> Output {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while client.try_wait().expect("client status").is_none() {
+            if Instant::now() > deadline {
+                let _ = client.kill();
+                panic!("client did not exit");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        client.wait_with_output().expect("client output")
+    }
+
+    let dir = std::env::temp_dir().join(format!("clockless-cli-client-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let socket = dir.join("daemon.sock");
+    let mut daemon = Daemon(
+        cli()
+            .args(["serve", "--socket", &socket.to_string_lossy()])
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    for _ in 0..400 {
+        if socket.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let client = |stdout: Stdio, requests: &str| {
+        let mut child = cli()
+            .args(["client", &socket.to_string_lossy()])
+            .stdin(Stdio::piped())
+            .stdout(stdout)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("client starts");
+        let mut stdin = child.stdin.take().expect("client stdin");
+        // The client may end its session before reading every request.
+        let _ = stdin.write_all(requests.as_bytes());
+        drop(stdin);
+        finish(child)
+    };
+    let model = repo_path("models/fig1.rtl");
+    let requests: String = (1..=200)
+        .map(|id| format!("{{\"id\":{id},\"op\":\"run\",\"path\":\"{model}\"}}\n"))
+        .collect();
+
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = client(writer.into(), &requests);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stderr.is_empty(), "{stderr}");
+
+    let missing = cli()
+        .args(["client", &dir.join("missing.sock").to_string_lossy()])
+        .stdin(Stdio::null())
+        .output()
+        .expect("client runs");
+    assert_eq!(missing.status.code(), Some(1), "{missing:?}");
+    let stderr = String::from_utf8_lossy(&missing.stderr);
+    assert!(stderr.contains("client: "), "{stderr}");
+
+    // The daemon outlives the closed session and still shuts down.
+    let out = client(Stdio::piped(), "{\"id\":1,\"op\":\"shutdown\"}\n");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("bye"),
+        "{out:?}"
+    );
+    assert!(daemon.0.wait().expect("daemon exits").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
